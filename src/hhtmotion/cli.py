@@ -55,6 +55,7 @@ from .errors import (
     NoBeats,
     NoConvergence,
     NoPeriodicity,
+    NonFiniteSample,
     SpecOutOfBounds,
     TooFewFrequencies,
     TooFewIMFs,
@@ -146,7 +147,7 @@ def _load_archive(path):
                 "meta": obj.get("meta") or {},
             }
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, LengthMismatch) as exc:
         _fail(EXIT_PARSE, f"bad archive {path}: {exc}")
 
 
@@ -177,10 +178,14 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
     except (OSError, BvhSyntaxError, FrameCountMismatch, UnknownChannelName) as exc:
         _fail(EXIT_PARSE, f"cannot parse {bvh_path}: {exc}")
     selection = [name.strip() for name in channels.split(",") if name.strip()]
+    if not selection:
+        _fail(EXIT_USAGE, "--channels names no channel")
     try:
         series = extract_channels(clip, selection)
     except UnknownChannel as exc:
         _fail(EXIT_CHANNELS, f"unknown channel: {exc.name}")
+    except NonFiniteSample as exc:
+        _fail(EXIT_PARSE, f"cannot decompose {bvh_path} ({','.join(selection)}): {exc}")
 
     try:
         if method == "emd":

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     BadRange,
@@ -25,6 +24,7 @@ from .errors import (
 from .memd import MultivariateDecomposition, MultivariateSeries
 from .mocap_io import MotionClip, apply_channels
 from .signal_core import Decomposition
+from .spline import cubic_spline
 
 __all__ = [
     "BlendOp",
@@ -92,20 +92,24 @@ class AlignedPair:
 # alignment
 
 
-def _resample_series(values, rate_in, times_out):
-    t_in = np.arange(values.size) / rate_in
-    return CubicSpline(t_in, values)(times_out)
-
-
 def _conform(md, n_out, times_out, imf_count):
+    """Resample every series of ``md`` onto ``times_out`` in one spline call.
+
+    All channels of a decomposition share one rate and length, so their
+    IMFs and trends are fitted as columns of a single not-a-knot spline.
+    """
+    k = md.imf_count
+    series = np.array([d.imfs + [d.trend] for d in md.per_channel])
+    t_in = np.arange(series.shape[-1]) / md.rate
+    resampled = cubic_spline(t_in, series, times_out)
     per_channel = []
-    for d in md.per_channel:
-        imfs = [_resample_series(c, d.rate, times_out) for c in d.imfs]
-        imfs.extend(np.zeros(n_out) for _ in range(imf_count - len(imfs)))
+    for d, rows in zip(md.per_channel, resampled):
+        imfs = list(rows[:k])
+        imfs.extend(np.zeros(n_out) for _ in range(imf_count - k))
         per_channel.append(
             Decomposition(
                 imfs=imfs,
-                trend=_resample_series(d.trend, d.rate, times_out),
+                trend=rows[k],
                 rate=1.0 / (times_out[1] - times_out[0]),
                 meta=dict(d.meta),
             )

@@ -15,12 +15,13 @@ sifting toward its dyadic filter-bank behavior and suppresses mode mixing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import BadDimension, NoConvergence, TooFewExtrema
+from .errors import BadDimension, LengthMismatch, NoConvergence, TooFewExtrema
 from .signal_core import Decomposition, TimeSeries, _extrema, _sd
+from .spline import mirrored_envelopes
 
 __all__ = [
     "MultivariateSeries",
@@ -102,6 +103,8 @@ class MultivariateDecomposition:
         counts = {d.imf_count for d in self.per_channel}
         if len(counts) > 1:
             raise ValueError("channels must have equal IMF counts")
+        if len({d.trend.size for d in self.per_channel}) > 1:
+            raise LengthMismatch("channels must have equal lengths")
         if len(self.labels) != len(self.per_channel):
             raise ValueError("one label per channel required")
 
@@ -151,8 +154,6 @@ def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
     mod 1, pushed through the inverse Gaussian CDF coordinatewise, and
     normalized onto the sphere.  Deterministic in ``seed``.
     """
-    from scipy.special import ndtri
-
     if n_dims < 2:
         raise BadDimension("direction sampling needs at least 2 dimensions")
     if count < 2 * n_dims:
@@ -167,7 +168,8 @@ def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
     shift_rng = np.random.Generator(np.random.Philox(key=seed))
     points = (points + shift_rng.uniform(0.0, 1.0, n_dims)) % 1.0
     points = np.clip(points, 1e-12, 1.0 - 1e-12)
-    gauss = ndtri(points)
+    inv_cdf = NormalDist().inv_cdf
+    gauss = np.array([inv_cdf(p) for p in points.ravel()]).reshape(points.shape)
     vectors = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
     return DirectionSet(vectors=vectors, count=count)
 
@@ -176,40 +178,19 @@ def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
 # multivariate envelopes and sifting
 
 
-def _directional_envelope(frames: np.ndarray, projection: np.ndarray, index: int):
-    maxima, _ = _extrema(projection)
-    if maxima.size < 2:
-        raise TooFewExtrema(
-            f"projection {index} has {maxima.size} maxima", direction=index
-        )
-    n = frames.shape[0]
-    last = n - 1
-    knots_x = np.concatenate(
-        (
-            [-maxima[1], -maxima[0]],
-            maxima,
-            [2 * last - maxima[-1], 2 * last - maxima[-2]],
-        )
-    ).astype(np.float64)
-    knots_y = np.vstack(
-        (
-            frames[maxima[1]],
-            frames[maxima[0]],
-            frames[maxima],
-            frames[maxima[-1]],
-            frames[maxima[-2]],
-        )
-    )
-    spline = CubicSpline(knots_x, knots_y, bc_type="natural")
-    return spline(np.arange(n, dtype=np.float64))
-
-
 def _mean_envelope_matrix(frames: np.ndarray, dirs: DirectionSet) -> np.ndarray:
     projections = frames @ dirs.vectors.T
-    total = np.zeros_like(frames)
+    maxima = []
     for k in range(dirs.count):
-        total += _directional_envelope(frames, projections[:, k], k)
-    return total / dirs.count
+        idx, _ = _extrema(projections[:, k])
+        if idx.size < 2:
+            raise TooFewExtrema(f"projection {k} has {idx.size} maxima", direction=k)
+        maxima.append(idx)
+    columns = np.ascontiguousarray(frames.T)
+    total = np.zeros_like(columns)
+    for envelope in mirrored_envelopes(maxima, columns):
+        total += envelope
+    return total.T / dirs.count
 
 
 def multivariate_mean_envelope(

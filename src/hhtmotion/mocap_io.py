@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     BvhSyntaxError,
@@ -22,6 +21,7 @@ from .errors import (
 )
 from .memd import MultivariateSeries
 from .signal_core import TimeSeries
+from .spline import cubic_spline
 
 __all__ = [
     "Joint",
@@ -237,7 +237,9 @@ def parse_bvh(text: str) -> MotionClip:
 
     Channel column order follows the declaration order exactly.  The declared
     frame count must match the number of data rows.  Duplicate joint names
-    get numeric suffixes.
+    get numeric suffixes.  A skeleton without channels, fewer than two
+    frames and a frame time that is not positive raise
+    :class:`BvhSyntaxError`.
     """
     tokens = _Tokens(text)
     tokens.expect("HIERARCHY")
@@ -247,14 +249,22 @@ def parse_bvh(text: str) -> MotionClip:
     skeleton = Skeleton(root=root)
     if tokens.peek() == "ROOT":
         raise BvhSyntaxError(tokens.line, "a single ROOT")
+    width = skeleton.total_channels
+    if width == 0:
+        raise BvhSyntaxError(tokens.line, "a joint that declares channels")
     tokens.expect("MOTION")
     tokens.expect("Frames:")
+    line = tokens.line
     frame_count = tokens.integer("frame count")
+    if frame_count < 2:
+        raise BvhSyntaxError(line, "a frame count of at least 2")
     tokens.expect("Frame")
     tokens.expect("Time:")
+    line = tokens.line
     frame_time = tokens.number("frame time")
+    if not 0.0 < frame_time < float("inf"):
+        raise BvhSyntaxError(line, "a positive frame time")
 
-    width = skeleton.total_channels
     values = []
     while tokens.peek() is not None:
         values.append(tokens.number("a channel value"))
@@ -321,10 +331,11 @@ def extract_channels(clip: MotionClip, selection) -> MultivariateSeries:
     """
     channels = []
     for label in selection:
-        col = clip.frames[:, clip.column(label)]
+        # built before unwrapping, so NaN or Inf is rejected before any arithmetic
+        series = TimeSeries(clip.frames[:, clip.column(label)], rate=clip.rate)
         if _is_rotation(label):
-            col = unwrap_degrees(col)
-        channels.append(TimeSeries(col, rate=clip.rate))
+            series.samples = unwrap_degrees(series.samples)
+        channels.append(series)
     return MultivariateSeries(channels=channels, labels=list(selection))
 
 
@@ -362,15 +373,12 @@ def resample(clip: MotionClip, target_fps: float) -> MotionClip:
     n_out = max(2, int(round(clip.duration * target_fps)))
     t_in = np.arange(n_in) * clip.frame_time
     t_out = np.arange(n_out) / target_fps
-    labels = clip.skeleton.channel_labels()
-    out = np.empty((n_out, clip.frames.shape[1]))
-    for col, label in enumerate(labels):
-        values = clip.frames[:, col]
-        rotation = _is_rotation(label)
-        if rotation:
-            values = unwrap_degrees(values)
-        resampled = CubicSpline(t_in, values)(t_out)
-        out[:, col] = wrap_degrees(resampled) if rotation else resampled
+    rotation = np.array([_is_rotation(label) for label in clip.skeleton.channel_labels()])
+    columns = clip.frames.T.copy()
+    for col in np.flatnonzero(rotation):
+        columns[col] = unwrap_degrees(columns[col])
+    out = cubic_spline(t_in, columns, t_out)
+    out[rotation] = wrap_degrees(out[rotation])
     return MotionClip(
-        skeleton=clip.skeleton, frames=out, frame_time=1.0 / target_fps
+        skeleton=clip.skeleton, frames=out.T, frame_time=1.0 / target_fps
     )

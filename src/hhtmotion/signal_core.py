@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DegenerateSignal,
@@ -22,6 +21,7 @@ from .errors import (
     SignalTooShort,
     TooFewExtrema,
 )
+from .spline import mirrored_envelopes
 
 __all__ = [
     "TimeSeries",
@@ -227,33 +227,13 @@ def find_extrema(x: TimeSeries):
     return _extrema(x.samples)
 
 
-def _mirrored_knots(idx: np.ndarray, values: np.ndarray, n: int):
-    """Extend extrema by reflecting the two nearest each end across the boundary."""
-    left_x = np.array([-idx[1], -idx[0]], dtype=np.float64)
-    left_y = np.array([values[1], values[0]])
-    last = n - 1
-    right_x = np.array([2 * last - idx[-1], 2 * last - idx[-2]], dtype=np.float64)
-    right_y = np.array([values[-1], values[-2]])
-    knots_x = np.concatenate((left_x, idx.astype(np.float64), right_x))
-    knots_y = np.concatenate((left_y, values, right_y))
-    return knots_x, knots_y
-
-
-def _spline_through(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    knots_x, knots_y = _mirrored_knots(idx, values, n)
-    spline = CubicSpline(knots_x, knots_y, bc_type="natural")
-    return spline(np.arange(n, dtype=np.float64))
-
-
 def _envelopes(s: np.ndarray):
     maxima, minima = _extrema(s)
     if maxima.size < 2 or minima.size < 2:
         raise TooFewExtrema(
             f"need >= 2 maxima and >= 2 minima, found {maxima.size}/{minima.size}"
         )
-    n = s.size
-    upper = _spline_through(maxima, s[maxima], n)
-    lower = _spline_through(minima, s[minima], n)
+    upper, lower = mirrored_envelopes((maxima, minima), s)
     return upper, lower
 
 

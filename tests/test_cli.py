@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from click.testing import CliRunner
 
 from helpers import bvh_text, click_signal, write_wav_pcm16
 
+import hhtmotion
 from hhtmotion.cli import main
 
 
@@ -127,6 +131,70 @@ class TestDecompose:
              str(tmp_path / "x.json")],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda text: text.split("Frames:")[0] + "Frames: 0\nFrame Time: 0.025\n",
+             "frame count"),
+            (lambda text: text.replace("Frame Time: 0.025000", "Frame Time: 0"),
+             "positive frame time"),
+            (lambda text: text.replace("Frame Time: 0.025000", "Frame Time: -0.025"),
+             "positive frame time"),
+        ],
+        ids=["zero-frames", "zero-frame-time", "negative-frame-time"],
+    )
+    def test_bad_motion_header_exits_2(self, runner, tmp_path, edit, expected):
+        bvh = make_two_tone_bvh(tmp_path / "dance.bvh", fps=40.0)
+        bvh.write_text(edit(bvh.read_text()))
+        result = runner.invoke(
+            main,
+            ["decompose", str(bvh), "--channels", "hips.Xrotation",
+             "--out", str(tmp_path / "x.json")],
+        )
+        assert result.exit_code == 2, result.output
+        assert expected in result.output
+        assert "Traceback" not in result.output
+
+    def test_skeleton_without_channels_exits_2(self, runner, tmp_path):
+        bvh = tmp_path / "empty.bvh"
+        bvh.write_text(
+            "HIERARCHY\nROOT hips\n{\n\tOFFSET 0 0 0\n\tEnd Site\n\t{\n"
+            "\t\tOFFSET 0 1 0\n\t}\n}\nMOTION\nFrames: 2\nFrame Time: 0.025\n"
+        )
+        result = runner.invoke(
+            main,
+            ["decompose", str(bvh), "--channels", "hips.Xrotation",
+             "--out", str(tmp_path / "x.json")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "declares channels" in result.output
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_channel_exits_2(self, runner, tmp_path, bad):
+        bvh = make_two_tone_bvh(tmp_path / "dance.bvh")
+        lines = bvh.read_text().splitlines()
+        row = lines[-5].split()
+        row[4] = bad  # hips.Xrotation
+        lines[-5] = " ".join(row)
+        bvh.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main,
+            ["decompose", str(bvh), "--channels", "hips.Xrotation,hips.Yrotation",
+             "--out", str(tmp_path / "x.json")],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.count("\n") == 1
+
+    def test_empty_channel_list_exits_64(self, runner, tmp_path):
+        bvh = make_two_tone_bvh(tmp_path / "dance.bvh")
+        result = runner.invoke(
+            main,
+            ["decompose", str(bvh), "--channels", ",", "--out", str(tmp_path / "x.json")],
+        )
+        assert result.exit_code == 64, result.output
+        assert "no channel" in result.output
 
 
 class TestBeats:
@@ -377,6 +445,24 @@ class TestBlend:
         )
         assert result.exit_code == 6
 
+    def test_unequal_channel_lengths_exit_2(self, runner, tmp_path):
+        template, (arch_a, arch_b) = self.setup_archives(runner, tmp_path)
+        archive = json.loads(arch_a.read_text())
+        short = archive["channels"][1]
+        short["imfs"] = [c[:-10] for c in short["imfs"]]
+        short["trend"] = short["trend"][:-10]
+        arch_a.write_text(json.dumps(archive))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"operations": []}))
+        result = runner.invoke(
+            main,
+            ["blend", str(arch_a), str(arch_b), "--spec", str(spec),
+             "--template", str(template), "--out", str(tmp_path / "o.bvh")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "equal lengths" in result.output
+        assert "Traceback" not in result.output
+
     def test_manifest_written(self, runner, tmp_path):
         template, (arch_a, arch_b) = self.setup_archives(runner, tmp_path)
         spec = tmp_path / "spec.json"
@@ -390,3 +476,19 @@ class TestBlend:
         manifest = json.loads((tmp_path / "out.bvh.manifest.json").read_text())
         assert manifest["command"] == "blend"
         assert len(manifest["inputs"]) == 4
+
+
+def test_import_loads_no_scipy():
+    """The CLI's import path stays numpy, click and the standard library."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hhtmotion.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, hhtmotion.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
