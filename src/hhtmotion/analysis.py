@@ -56,7 +56,6 @@ class HilbertSpectrum:
     freq_bins: np.ndarray
     energy: np.ndarray
     overflow: float
-    per_imf: list | None = None
 
 
 @dataclass
@@ -114,12 +113,11 @@ def hilbert_spectrum(
     time_bin: float = 0.05,
     freq_max: float | None = None,
     freq_bins: int = 100,
-    keep_traces: bool = False,
 ) -> HilbertSpectrum:
     """Deposit per-IMF instantaneous energy into a time x frequency grid."""
     if freq_max is None:
         freq_max = d.rate / 2.0
-    if time_bin <= 0 or freq_bins < 1 or not 0 < freq_max <= d.rate / 2.0:
+    if not 0 < time_bin < np.inf or freq_bins < 1 or not 0 < freq_max <= d.rate / 2.0:
         raise BadBinning(
             f"bad binning: time_bin={time_bin} freq_bins={freq_bins} freq_max={freq_max}"
         )
@@ -131,29 +129,20 @@ def hilbert_spectrum(
 
     energy = np.zeros((n_time, freq_bins))
     overflow = 0.0
-    traces = [] if keep_traces else None
     t = np.arange(n) / d.rate
     t_idx = np.minimum((t / time_bin).astype(int), n_time - 1)
     width = freq_max / freq_bins
     for samples in d.imfs:
         att = _imf_attributes(samples, d.rate)
         if att is None:
-            if keep_traces:
-                traces.append(None)
             continue
         a2 = np.square(att.amplitude)
         in_range = (att.frequency >= 0.0) & (att.frequency <= freq_max)
         overflow += float(np.sum(a2[~in_range]))
         f_idx = np.minimum((att.frequency[in_range] / width).astype(int), freq_bins - 1)
         np.add.at(energy, (t_idx[in_range], f_idx), a2[in_range])
-        if keep_traces:
-            traces.append((t, att.frequency, att.amplitude))
     return HilbertSpectrum(
-        time_bins=time_edges,
-        freq_bins=freq_edges,
-        energy=energy,
-        overflow=overflow,
-        per_imf=traces,
+        time_bins=time_edges, freq_bins=freq_edges, energy=energy, overflow=overflow
     )
 
 

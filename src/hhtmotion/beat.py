@@ -17,12 +17,15 @@ import numpy as np
 from .errors import (
     AudioTooShort,
     BadTempo,
+    GridFormatError,
     GridOutsideClip,
+    InvalidValue,
     NoBeats,
     NoPeriodicity,
+    UnusableAudio,
     WavFormatError,
 )
-from .signal_core import TimeSeries
+from .signal_core import TimeSeries, finite_array, is_number
 
 __all__ = [
     "BeatGrid",
@@ -78,6 +81,8 @@ class Segment:
 
 
 def _strong_flags(count, period):
+    if period < 1:
+        raise InvalidValue(f"strong period must be at least 1, got {period}")
     flags = np.zeros(count, dtype=bool)
     flags[::period] = True
     return flags
@@ -93,8 +98,8 @@ def fixed_grid(bpm: float, duration: float, offset: float = 0.0,
     if not 20.0 <= bpm <= 400.0:
         raise BadTempo(f"bpm {bpm} outside [20, 400]")
     period = 60.0 / bpm
-    if duration <= period:
-        raise BadTempo("duration must exceed one beat period")
+    if not period < duration < np.inf:
+        raise BadTempo("duration must be finite and exceed one beat period")
     count = int(np.floor(duration * bpm / 60.0))
     beats = offset + period * np.arange(count)
     return BeatGrid(beats=beats, bpm=bpm, strong=_strong_flags(count, strong_period))
@@ -114,7 +119,7 @@ def onset_envelope(audio: TimeSeries) -> TimeSeries:
     window end), which lines spikes up with onsets.
     """
     if audio.rate < 8000:
-        raise ValueError("audio rate must be at least 8000 Hz")
+        raise UnusableAudio(f"audio rate must be at least 8000 Hz, got {audio.rate:g}")
     if audio.duration < 1.0:
         raise AudioTooShort("need at least 1 s of audio")
     rate = audio.rate
@@ -203,6 +208,8 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
     """
     if not 20.0 <= bpm <= 400.0:
         raise BadTempo(f"bpm {bpm} outside [20, 400]")
+    if not 0.0 <= tightness < np.inf:
+        raise InvalidValue(f"tightness must be a non-negative number, got {tightness}")
     o = onset.samples
     if o.max() <= 0:
         raise NoBeats("onset envelope is all zero")
@@ -254,36 +261,35 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
         raise NoBeats("fewer than 2 beats tracked")
     beats = onset.start_time + np.asarray(frames) / ONSET_RATE
     grid_bpm = 60.0 / float(np.median(np.diff(beats)))
-    return BeatGrid(
-        beats=beats,
-        bpm=grid_bpm,
-        strong=_strong_flags(len(beats), strong_period),
-    )
+    strong = _strong_flags(len(beats), strong_period)
+    try:
+        return BeatGrid(beats=beats, bpm=grid_bpm, strong=strong)
+    except ValueError as exc:
+        raise NoBeats(f"tracked beats keep no steady tempo: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # segmentation
 
 
-def segment_by_beats(clip, grid: BeatGrid, beats_per_segment: int = 1):
-    """Cut a motion clip into spans between consecutive beat groups.
+def segment_by_beats(frame_count: int, rate: float, grid: BeatGrid,
+                     beats_per_segment: int = 1):
+    """Cut ``frame_count`` frames at ``rate`` into spans between beat groups.
 
     Beat times are converted to frame indices by nearest-frame rounding;
     groups that poke outside the clip are dropped.  Raises
     :class:`GridOutsideClip` when no beat falls inside the clip.
     """
     if beats_per_segment < 1:
-        raise ValueError("beats_per_segment must be >= 1")
-    n_frames = clip.frame_count
-    duration = clip.duration
-    if grid.beats[0] >= duration or grid.beats[-1] <= 0:
+        raise InvalidValue(f"beats_per_segment must be >= 1, got {beats_per_segment}")
+    if grid.beats[0] >= frame_count / rate or grid.beats[-1] <= 0:
         raise GridOutsideClip("beat grid does not overlap the clip")
-    frames = np.round(grid.beats * clip.rate).astype(int)
+    frames = np.round(grid.beats * rate).astype(int)
     segments = []
     for start in range(0, len(frames) - beats_per_segment, beats_per_segment):
         lo = frames[start]
         hi = frames[start + beats_per_segment]
-        if lo < 0 or hi > n_frames or hi <= lo:
+        if lo < 0 or hi > frame_count or hi <= lo:
             continue
         segments.append(Segment(start_frame=int(lo), end_frame=int(hi),
                                 start_beat=start))
@@ -308,6 +314,8 @@ def read_wav(path) -> TimeSeries:
         (size,) = struct.unpack("<I", data[pos + 4 : pos + 8])
         body = data[pos + 8 : pos + 8 + size]
         if chunk_id == b"fmt ":
+            if len(body) < 16:
+                raise WavFormatError("fmt chunk shorter than 16 bytes")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif chunk_id == b"data":
             payload = body
@@ -315,6 +323,9 @@ def read_wav(path) -> TimeSeries:
     if fmt is None or payload is None:
         raise WavFormatError("missing fmt or data chunk")
     audio_format, channels, sample_rate, _, _, bits = fmt
+    if sample_rate == 0:
+        raise WavFormatError("sample rate is 0")
+    payload = payload[: len(payload) - len(payload) % max(1, bits // 8)]
     if audio_format == 1 and bits == 16:
         samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
     elif audio_format == 3 and bits == 32:
@@ -339,8 +350,23 @@ def grid_to_dict(grid: BeatGrid) -> dict:
 
 
 def grid_from_dict(obj: dict) -> BeatGrid:
-    return BeatGrid(
-        beats=np.asarray(obj["beats"], dtype=np.float64),
-        bpm=float(obj["bpm"]),
-        strong=np.asarray(obj["strong"], dtype=bool),
-    )
+    """Read a beat grid.
+
+    A missing or malformed field, and beats the grid refuses (empty, not
+    ascending, or gaps off the tempo), raise :class:`GridFormatError`.
+    """
+    if not isinstance(obj, dict) or not {"bpm", "beats", "strong"} <= set(obj):
+        raise GridFormatError("a beat grid is an object with bpm, beats and strong")
+    bpm = obj["bpm"]
+    if not (is_number(bpm) and bpm > 0):
+        raise GridFormatError(f"bpm must be a positive number, got {bpm!r:.40}")
+    beats = finite_array(obj["beats"], "beats", GridFormatError)
+    if beats.ndim != 1 or beats.size == 0:
+        raise GridFormatError("beats must be a non-empty list of times")
+    strong = obj["strong"]
+    if not (isinstance(strong, list) and all(isinstance(flag, bool) for flag in strong)):
+        raise GridFormatError("strong must be a list of true/false")
+    try:
+        return BeatGrid(beats=beats, bpm=float(bpm), strong=strong)
+    except ValueError as exc:
+        raise GridFormatError(str(exc)) from None

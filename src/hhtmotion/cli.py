@@ -6,13 +6,17 @@ recording the command, content hashes of the inputs, all parameters, and the
 output paths; re-running with identical inputs and parameters reproduces the
 outputs byte for byte.
 
-Exit codes: 2 unreadable/unparseable input, 3 unknown channels or shape
-mismatch, 4 decomposition did not converge, 5 no periodicity in audio,
-6 blend-spec schema error, 64 usage error.
+A failure prints one ``error:`` line and exits with the code that
+``EXIT_CODES`` gives the error's type: 2 unreadable or malformed input
+(BVH, WAV, archive, beat grid), 3 unknown channels or shape mismatch,
+4 decomposition did not converge, 5 no periodicity in audio, 6 blend-spec
+schema error, 64 invalid option value or unwritable ``--out``.  click's own
+usage errors (an unknown option, a missing or mistyped value) exit 2.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -22,7 +26,7 @@ import tempfile
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, errors
 from .analysis import (
     detect_singular_imfs,
     fibonacci_relations,
@@ -33,36 +37,16 @@ from .analysis import (
     wafa,
 )
 from .beat import (
-    Segment,
     estimate_tempo,
     fixed_grid,
     grid_from_dict,
     grid_to_dict,
     onset_envelope,
     read_wav,
+    segment_by_beats,
     track_beats,
 )
 from .edit import align, apply_blend, blend_spec_from_dict, synthesize_clip
-from .errors import (
-    BadDimension,
-    BadTempo,
-    BlendSpecError,
-    BvhSyntaxError,
-    ChannelMismatch,
-    FrameCountMismatch,
-    GridOutsideClip,
-    LengthMismatch,
-    NoBeats,
-    NoConvergence,
-    NoPeriodicity,
-    NonFiniteSample,
-    SpecOutOfBounds,
-    TooFewFrequencies,
-    TooFewIMFs,
-    UnknownChannel,
-    UnknownChannelName,
-    WavFormatError,
-)
 from .memd import (
     MultivariateDecomposition,
     direction_set,
@@ -72,19 +56,40 @@ from .memd import (
     na_memd,
 )
 from .mocap_io import extract_channels, parse_bvh, write_bvh
-from .signal_core import Decomposition, emd
+from .signal_core import emd
 
-EXIT_PARSE = 2
-EXIT_CHANNELS = 3
-EXIT_CONVERGENCE = 4
-EXIT_PERIODICITY = 5
-EXIT_SPEC = 6
-EXIT_USAGE = 64
+# Exit code of each error type, looked up along the raised type's MRO.
+EXIT_CODES = {
+    errors.HhtMotionError: 2,  # any other: input the pipeline cannot work on
+    errors.InputFormatError: 2,  # unreadable or malformed BVH, WAV, archive or grid
+    errors.NonFiniteSample: 2,
+    errors.UnusableAudio: 2,
+    errors.UnknownChannel: 3,
+    errors.ChannelMismatch: 3,
+    errors.LengthMismatch: 3,
+    errors.GridOutsideClip: 3,
+    errors.NoConvergence: 4,
+    errors.NoPeriodicity: 5,
+    errors.NoBeats: 5,
+    errors.BlendSpecError: 6,
+    errors.SpecOutOfBounds: 6,
+    errors.InvalidValue: 64,
+    errors.BadDimension: 64,
+    errors.BadTempo: 64,
+    errors.BadBinning: 64,
+}
 
 
-def _fail(code, message):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Pipeline(click.Group):
+    """The command group: an hhtmotion error ends any command with one
+    ``error:`` line and the exit code ``EXIT_CODES`` gives its type."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except errors.HhtMotionError as exc:
+            click.echo("error: " + " ".join(str(exc).splitlines()), err=True)
+            sys.exit(next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES))
 
 
 def _sha256(path):
@@ -96,8 +101,11 @@ def _sha256(path):
 
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    except OSError as exc:
+        raise errors.InvalidValue(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -124,34 +132,33 @@ def _write_manifest(command, inputs, parameters, seed, outputs):
     _atomic_write(str(outputs[0]) + ".manifest.json", _dump_json(manifest))
 
 
-def _load_json(path, code=EXIT_PARSE):
+@contextlib.contextmanager
+def _reading(path, error=errors.InputFormatError):
+    """Name ``path`` in any error raised while reading it.
+
+    hhtmotion errors keep their type, so their exit code; failing to open,
+    decode or parse the file (nesting too deep included) raises ``error``.
+    """
     try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(code, f"cannot read {path}: {exc}")
+        yield
+    except errors.HhtMotionError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
 
 
 def _load_archive(path):
-    obj = _load_json(path)
-    try:
-        if "channels" in obj:
-            return multivariate_from_dict(obj)
-        return multivariate_from_dict(
-            {
-                "rate": obj["rate"],
-                "sd_threshold": obj.get("sd_threshold"),
-                "channels": [
-                    {"label": "signal", "imfs": obj["imfs"], "trend": obj["trend"]}
-                ],
-                "meta": obj.get("meta") or {},
-            }
-        )
-    except (KeyError, TypeError, ValueError, LengthMismatch) as exc:
-        _fail(EXIT_PARSE, f"bad archive {path}: {exc}")
+    with _reading(path, errors.ArchiveFormatError), open(path) as handle:
+        return multivariate_from_dict(json.load(handle))
 
 
-@click.group()
+def _load_bvh(path):
+    with _reading(path), open(path) as handle:
+        return parse_bvh(handle.read())
+
+
+@click.group(cls=_Pipeline)
 @click.version_option(version=__version__)
 def main():
     """Decompose, analyze, and blend motion-capture signals."""
@@ -173,43 +180,31 @@ def main():
 def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
                   noise_pct, noise_channels, seed, out):
     """Decompose selected BVH channels into an IMF archive."""
-    try:
-        clip = parse_bvh(open(bvh_path).read())
-    except (OSError, BvhSyntaxError, FrameCountMismatch, UnknownChannelName) as exc:
-        _fail(EXIT_PARSE, f"cannot parse {bvh_path}: {exc}")
+    clip = _load_bvh(bvh_path)
     selection = [name.strip() for name in channels.split(",") if name.strip()]
     if not selection:
-        _fail(EXIT_USAGE, "--channels names no channel")
-    try:
+        raise errors.InvalidValue("--channels names no channel")
+    with _reading(bvh_path):
         series = extract_channels(clip, selection)
-    except UnknownChannel as exc:
-        _fail(EXIT_CHANNELS, f"unknown channel: {exc.name}")
-    except NonFiniteSample as exc:
-        _fail(EXIT_PARSE, f"cannot decompose {bvh_path} ({','.join(selection)}): {exc}")
 
-    try:
-        if method == "emd":
-            decomp = _emd_multichannel(series, sd_threshold)
-        elif method == "memd":
-            if series.n_channels < 2:
-                _fail(EXIT_USAGE, "memd needs at least 2 channels")
-            dirs = direction_set(series.n_channels, directions, seed=seed)
-            decomp = memd(series, dirs=dirs, sd_threshold=sd_threshold)
-        else:
-            dims = series.n_channels + noise_channels
-            dirs = direction_set(dims, max(directions, 2 * dims), seed=seed)
-            decomp = na_memd(
-                series,
-                noise_channels=noise_channels,
-                noise_pct=noise_pct,
-                seed=seed,
-                dirs=dirs,
-                sd_threshold=sd_threshold,
-            )
-    except NoConvergence as exc:
-        _fail(EXIT_CONVERGENCE, str(exc))
-    except BadDimension as exc:
-        _fail(EXIT_USAGE, str(exc))
+    if method == "emd":
+        decomp = _emd_multichannel(series, sd_threshold)
+    elif method == "memd":
+        if series.n_channels < 2:
+            raise errors.BadDimension("memd needs at least 2 channels")
+        dirs = direction_set(series.n_channels, directions, seed=seed)
+        decomp = memd(series, dirs=dirs, sd_threshold=sd_threshold)
+    else:
+        dims = series.n_channels + noise_channels
+        dirs = direction_set(dims, max(directions, 2 * dims), seed=seed)
+        decomp = na_memd(
+            series,
+            noise_channels=noise_channels,
+            noise_pct=noise_pct,
+            seed=seed,
+            dirs=dirs,
+            sd_threshold=sd_threshold,
+        )
 
     _atomic_write(out, _dump_json(multivariate_to_dict(decomp)))
     _write_manifest(
@@ -236,17 +231,15 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
 def _emd_multichannel(series, sd_threshold):
     """Independent univariate decompositions, zero-padded to a common count."""
     decomps = [emd(ch, sd_threshold=sd_threshold) for ch in series.channels]
-    top = max(d.imf_count for d in decomps)
-    padded = []
-    for d in decomps:
-        imfs = list(d.imfs) + [np.zeros(d.trend.size) for _ in range(top - d.imf_count)]
-        padded.append(
-            Decomposition(imfs=imfs, trend=d.trend, rate=d.rate, meta=d.meta)
-        )
-    meta = dict(padded[0].meta)
-    meta["source"] = "emd"
+    imfs = np.zeros((len(decomps), max(d.imf_count for d in decomps), len(series)))
+    for channel, d in zip(imfs, decomps):
+        channel[: d.imf_count] = d.imfs
     return MultivariateDecomposition(
-        per_channel=padded, labels=list(series.labels), meta=meta
+        imfs=imfs,
+        trend=[d.trend for d in decomps],
+        rate=series.rate,
+        labels=list(series.labels),
+        meta=dict(decomps[0].meta, source="emd"),
     )
 
 
@@ -264,29 +257,20 @@ def _emd_multichannel(series, sd_threshold):
 def cmd_beats(wav_path, bpm, duration, offset, strong_period, tightness, out):
     """Produce a beat grid from audio or from a fixed tempo."""
     if (wav_path is None) == (bpm is None):
-        _fail(EXIT_USAGE, "provide exactly one of a WAV path or --bpm")
+        raise errors.InvalidValue("provide exactly one of a WAV path or --bpm")
     inputs = []
-    try:
-        if bpm is not None:
-            if duration is None:
-                _fail(EXIT_USAGE, "--bpm needs --duration")
-            grid = fixed_grid(bpm, duration, offset=offset,
-                              strong_period=strong_period)
-        else:
-            inputs = [wav_path]
-            try:
-                audio = read_wav(wav_path)
-            except (OSError, WavFormatError) as exc:
-                _fail(EXIT_PARSE, f"cannot read {wav_path}: {exc}")
-            envelope = onset_envelope(audio)
-            tempo = estimate_tempo(envelope)
-            grid = track_beats(envelope, tempo, tightness=tightness,
-                               strong_period=strong_period)
-            grid.beats = grid.beats + offset
-    except BadTempo as exc:
-        _fail(EXIT_USAGE, str(exc))
-    except (NoPeriodicity, NoBeats) as exc:
-        _fail(EXIT_PERIODICITY, str(exc))
+    if bpm is not None:
+        if duration is None:
+            raise errors.InvalidValue("--bpm needs --duration")
+        grid = fixed_grid(bpm, duration, offset=offset, strong_period=strong_period)
+    else:
+        inputs = [wav_path]
+        with _reading(wav_path):
+            envelope = onset_envelope(read_wav(wav_path))
+        tempo = estimate_tempo(envelope)
+        grid = track_beats(envelope, tempo, tightness=tightness,
+                           strong_period=strong_period)
+        grid.beats = grid.beats + offset
 
     _atomic_write(out, _dump_json(grid_to_dict(grid)))
     _write_manifest(
@@ -320,17 +304,10 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
     segments = None
     if beats_path is not None:
         inputs.append(beats_path)
-        grid = grid_from_dict(_load_json(beats_path))
-        n = decomp.per_channel[0].trend.size
-        duration = n / decomp.rate
-        if grid.beats[0] >= duration or grid.beats[-1] <= 0:
-            _fail(EXIT_CHANNELS, "beat grid does not overlap the archive span")
-        frames = np.round(grid.beats * decomp.rate).astype(int)
-        segments = []
-        for start in range(0, len(frames) - beats_per_segment, beats_per_segment):
-            lo, hi = frames[start], frames[start + beats_per_segment]
-            if lo >= 0 and hi <= n and hi > lo:
-                segments.append(Segment(int(lo), int(hi), start))
+        with _reading(beats_path, errors.GridFormatError), open(beats_path) as handle:
+            grid = grid_from_dict(json.load(handle))
+        segments = segment_by_beats(decomp.n_samples, decomp.rate, grid,
+                                    beats_per_segment)
 
     channels_report = []
     warnings = []
@@ -352,12 +329,12 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
                 "chain_length": fib.chain_length,
                 "tolerance": fib.tolerance,
             }
-        except TooFewFrequencies as exc:
+        except errors.TooFewFrequencies as exc:
             entry["fibonacci"] = None
             warnings.append(f"{label}: {exc}")
         try:
             entry["singular_imfs"] = detect_singular_imfs(report)
-        except TooFewIMFs as exc:
+        except errors.TooFewIMFs as exc:
             entry["singular_imfs"] = None
             warnings.append(f"{label}: {exc}")
         channels_report.append(entry)
@@ -408,7 +385,7 @@ def cmd_spectrum(archive_path, channel, time_bin, freq_bins, freq_max, out):
         d = decomp.per_channel[0]
     else:
         if channel not in decomp.labels:
-            _fail(EXIT_CHANNELS, f"unknown channel: {channel}")
+            raise errors.UnknownChannel(channel)
         d = decomp.per_channel[decomp.labels.index(channel)]
     spectrum = hilbert_spectrum(d, time_bin=time_bin, freq_max=freq_max,
                                 freq_bins=freq_bins)
@@ -446,24 +423,14 @@ def cmd_blend(archive_a, archive_b, spec_path, template_path, target_fps, out):
     """Edit archive A against archive B and write the result into a BVH."""
     a = _load_archive(archive_a)
     b = _load_archive(archive_b)
-    try:
-        spec = blend_spec_from_dict(_load_json(spec_path, code=EXIT_SPEC))
-    except BlendSpecError as exc:
-        _fail(EXIT_SPEC, f"bad blend spec: {exc}")
-    try:
-        template = parse_bvh(open(template_path).read())
-    except (OSError, BvhSyntaxError, FrameCountMismatch, UnknownChannelName) as exc:
-        _fail(EXIT_PARSE, f"cannot parse {template_path}: {exc}")
+    with _reading(spec_path, errors.BlendSpecError), open(spec_path) as handle:
+        spec = blend_spec_from_dict(json.load(handle))
+    template = _load_bvh(template_path)
 
     rate = target_fps or spec.target_rate or template.rate
-    try:
-        pair = align(a, b, target_rate=rate)
-        edited = apply_blend(pair, spec)
-        clip = synthesize_clip(template, edited)
-    except (ChannelMismatch, UnknownChannel, LengthMismatch) as exc:
-        _fail(EXIT_CHANNELS, str(exc))
-    except (SpecOutOfBounds, BlendSpecError) as exc:
-        _fail(EXIT_SPEC, str(exc))
+    pair = align(a, b, target_rate=rate)
+    edited = apply_blend(pair, spec)
+    clip = synthesize_clip(template, edited)
 
     _atomic_write(out, write_bvh(clip))
     _write_manifest(

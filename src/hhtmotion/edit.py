@@ -11,6 +11,7 @@ written back into a motion clip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -18,12 +19,13 @@ from .errors import (
     BadRange,
     BlendSpecError,
     ChannelMismatch,
+    InvalidValue,
     LengthMismatch,
     SpecOutOfBounds,
 )
 from .memd import MultivariateDecomposition, MultivariateSeries
 from .mocap_io import MotionClip, apply_channels
-from .signal_core import Decomposition
+from .signal_core import Decomposition, is_number, sum_modes
 from .spline import cubic_spline
 
 __all__ = [
@@ -40,6 +42,12 @@ __all__ = [
 ]
 
 OP_KINDS = ("scale", "zero", "swap", "blend", "trend_exchange", "merge")
+
+
+def _list_of(value, kind):
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value
+    )
 
 
 @dataclass
@@ -61,6 +69,12 @@ class BlendOp:
     source: str = "b"
 
     def __post_init__(self):
+        if self.alpha is not None and not is_number(self.alpha):
+            raise BlendSpecError(f"alpha must be a number, got {self.alpha!r:.40}")
+        if self.imfs is not None and not _list_of(self.imfs, Integral):
+            raise BlendSpecError(f"imfs must list IMF numbers, got {self.imfs!r:.40}")
+        if self.channels is not None and not _list_of(self.channels, str):
+            raise BlendSpecError(f"channels must list labels, got {self.channels!r:.40}")
         if self.kind not in OP_KINDS:
             raise BlendSpecError(f"unknown op kind: {self.kind!r}")
         if self.source not in ("a", "b"):
@@ -79,6 +93,14 @@ class BlendSpec:
     operations: list
     target_rate: float | None = None
 
+    def __post_init__(self):
+        if self.target_rate is not None:
+            if not (is_number(self.target_rate) and self.target_rate > 0):
+                raise BlendSpecError(
+                    f"target_rate must be a positive number, got {self.target_rate!r:.40}"
+                )
+            self.target_rate = float(self.target_rate)
+
 
 @dataclass
 class AlignedPair:
@@ -92,30 +114,26 @@ class AlignedPair:
 # alignment
 
 
-def _conform(md, n_out, times_out, imf_count):
-    """Resample every series of ``md`` onto ``times_out`` in one spline call.
+def _conform(md, times_out, imf_count):
+    """Resample ``md`` onto ``times_out`` in one spline call; pad to ``imf_count`` IMFs.
 
     All channels of a decomposition share one rate and length, so their
     IMFs and trends are fitted as columns of a single not-a-knot spline.
     """
     k = md.imf_count
-    series = np.array([d.imfs + [d.trend] for d in md.per_channel])
-    t_in = np.arange(series.shape[-1]) / md.rate
+    series = np.concatenate([md.imfs, md.trend[:, None]], axis=1)
+    t_in = np.arange(md.n_samples) / md.rate
     resampled = cubic_spline(t_in, series, times_out)
-    per_channel = []
-    for d, rows in zip(md.per_channel, resampled):
-        imfs = list(rows[:k])
-        imfs.extend(np.zeros(n_out) for _ in range(imf_count - k))
-        per_channel.append(
-            Decomposition(
-                imfs=imfs,
-                trend=rows[k],
-                rate=1.0 / (times_out[1] - times_out[0]),
-                meta=dict(d.meta),
-            )
-        )
+    imfs = resampled[:, :k]
+    if imf_count > k:
+        padding = np.zeros((md.n_channels, imf_count - k, times_out.size))
+        imfs = np.concatenate([imfs, padding], axis=1)
     return MultivariateDecomposition(
-        per_channel=per_channel, labels=list(md.labels), meta=dict(md.meta)
+        imfs=imfs,
+        trend=resampled[:, k],
+        rate=1.0 / (times_out[1] - times_out[0]),
+        labels=list(md.labels),
+        meta=dict(md.meta),
     )
 
 
@@ -130,19 +148,20 @@ def align(
     truncated to the shorter duration, and the shorter IMF list is padded
     with zero IMFs at the low-frequency end.
     """
+    if not 0 < target_rate < np.inf:
+        raise InvalidValue(f"target rate must be a positive number, got {target_rate}")
     if list(a.labels) != list(b.labels):
         raise ChannelMismatch(
             f"channel labels differ: {a.labels} vs {b.labels}",
             labels=(list(a.labels), list(b.labels)),
         )
-    dur_a = a.per_channel[0].trend.size / a.rate
-    dur_b = b.per_channel[0].trend.size / b.rate
-    n_out = max(2, int(round(min(dur_a, dur_b) * target_rate)))
+    duration = min(a.n_samples / a.rate, b.n_samples / b.rate)
+    n_out = max(2, int(round(duration * target_rate)))
     times_out = np.arange(n_out) / target_rate
     imf_count = max(a.imf_count, b.imf_count)
     return AlignedPair(
-        a=_conform(a, n_out, times_out, imf_count),
-        b=_conform(b, n_out, times_out, imf_count),
+        a=_conform(a, times_out, imf_count),
+        b=_conform(b, times_out, imf_count),
     )
 
 
@@ -150,37 +169,27 @@ def align(
 # merging
 
 
+def _merge_rows(imfs, i, j):
+    """IMFs ``i..j`` (1-based, inclusive, along axis -2) summed in order into one."""
+    merged = imfs[..., i - 1, :].copy()
+    for k in range(i, j):
+        merged += imfs[..., k, :]
+    return np.concatenate(
+        [imfs[..., : i - 1, :], merged[..., None, :], imfs[..., j:, :]], axis=-2
+    )
+
+
 def merge_imfs(d: Decomposition, imf_range) -> Decomposition:
     """Sum IMFs ``i..j`` (1-based, inclusive) into one; reconstruction unchanged."""
     i, j = imf_range
     if not (1 <= i < j <= d.imf_count):
         raise BadRange(f"range [{i}, {j}] invalid for {d.imf_count} IMFs")
-    merged = d.imfs[i - 1].copy()
-    for c in d.imfs[i : j]:
-        merged = merged + c
-    imfs = d.imfs[: i - 1] + [merged] + d.imfs[j:]
-    return Decomposition(imfs=imfs, trend=d.trend.copy(), rate=d.rate,
-                         meta=dict(d.meta))
+    return Decomposition(imfs=_merge_rows(d.imfs, i, j), trend=d.trend.copy(),
+                         rate=d.rate, meta=dict(d.meta))
 
 
 # ---------------------------------------------------------------------------
 # blending
-
-
-def _copy_multivariate(md):
-    return MultivariateDecomposition(
-        per_channel=[
-            Decomposition(
-                imfs=[c.copy() for c in d.imfs],
-                trend=d.trend.copy(),
-                rate=d.rate,
-                meta=dict(d.meta),
-            )
-            for d in md.per_channel
-        ],
-        labels=list(md.labels),
-        meta=dict(md.meta),
-    )
 
 
 def _channel_indices(labels, selection):
@@ -205,62 +214,65 @@ def _imf_rows(op_imfs, count):
     return rows
 
 
+def _passes(channels, rows):
+    """(channel, row) index arrays of each pass over the selected cells.
+
+    A cell selected m times (a channel or an IMF listed twice) is in the
+    first m passes, so an operation applies to it m times, as if looped.
+    """
+    ch, ch_times = np.unique(np.asarray(channels, dtype=int), return_counts=True)
+    row, row_times = np.unique(np.asarray(rows, dtype=int), return_counts=True)
+    times = np.outer(ch_times, row_times)
+    for n in range(times.max(initial=0)):
+        i, j = np.nonzero(times > n)
+        yield ch[i], row[j]
+
+
 def apply_blend(pair: AlignedPair, spec: BlendSpec) -> MultivariateDecomposition:
     """Apply the operations in order to a working copy of ``pair.a``.
 
     Overlapping selections compose last-writer-wins.  ``merge`` always acts
     on every channel so the result stays mode-aligned.
     """
-    work = _copy_multivariate(pair.a)
+    imfs, trend = pair.a.imfs.copy(), pair.a.trend.copy()
     donors = {"a": pair.a, "b": pair.b}
     for op in spec.operations:
-        channels = _channel_indices(work.labels, op.channels)
+        channels = _channel_indices(pair.a.labels, op.channels)
         donor = donors[op.source]
+        count = imfs.shape[1]
         if op.kind == "merge":
             lo, hi = min(op.imfs), max(op.imfs)
-            if not (1 <= lo < hi <= work.imf_count):
+            if not (1 <= lo < hi <= count):
                 raise SpecOutOfBounds(
-                    f"merge range [{lo}, {hi}] invalid for {work.imf_count} IMFs"
+                    f"merge range [{lo}, {hi}] invalid for {count} IMFs"
                 )
-            work = MultivariateDecomposition(
-                per_channel=[merge_imfs(d, (lo, hi)) for d in work.per_channel],
-                labels=work.labels,
-                meta=work.meta,
-            )
+            imfs = _merge_rows(imfs, lo, hi)
             continue
-        rows = _imf_rows(op.imfs, work.imf_count)
-        for ch in channels:
-            target = work.per_channel[ch]
-            if op.kind == "trend_exchange":
-                target.trend = donor.per_channel[ch].trend.copy()
-                continue
-            for row in rows:
-                if op.kind == "scale":
-                    target.imfs[row] = target.imfs[row] * op.alpha
-                elif op.kind == "zero":
-                    target.imfs[row] = np.zeros_like(target.imfs[row])
-                elif op.kind == "swap":
-                    if row >= donor.imf_count:
-                        raise SpecOutOfBounds(
-                            f"IMF index {row + 1} missing from donor"
-                        )
-                    target.imfs[row] = donor.per_channel[ch].imfs[row].copy()
-                elif op.kind == "blend":
-                    if row >= donor.imf_count:
-                        raise SpecOutOfBounds(
-                            f"IMF index {row + 1} missing from donor"
-                        )
-                    target.imfs[row] = (
-                        op.alpha * target.imfs[row]
-                        + (1.0 - op.alpha) * donor.per_channel[ch].imfs[row]
-                    )
-    return work
+        rows = _imf_rows(op.imfs, count)
+        if op.kind == "trend_exchange":
+            trend[channels] = donor.trend[channels]
+            continue
+        for cells in _passes(channels, rows):
+            if op.kind == "scale":
+                imfs[cells] = imfs[cells] * op.alpha
+            elif op.kind == "zero":
+                imfs[cells] = 0.0
+            elif op.kind == "swap":
+                imfs[cells] = donor.imfs[cells]
+            else:
+                donated = (1.0 - op.alpha) * donor.imfs[cells]
+                imfs[cells] = op.alpha * imfs[cells] + donated
+    return MultivariateDecomposition(
+        imfs=imfs, trend=trend, rate=pair.a.rate, labels=list(pair.a.labels),
+        meta=dict(pair.a.meta),
+    )
 
 
 def reconstruct(d: MultivariateDecomposition) -> MultivariateSeries:
     """Per-channel sum of IMFs plus trend."""
-    matrix = np.stack([dec.reconstruct() for dec in d.per_channel], axis=1)
-    return MultivariateSeries.from_matrix(matrix, rate=d.rate, labels=d.labels)
+    return MultivariateSeries.from_matrix(
+        sum_modes(d.imfs, d.trend).T, rate=d.rate, labels=d.labels
+    )
 
 
 def synthesize_clip(
@@ -308,11 +320,7 @@ def blend_spec_from_dict(obj: dict) -> BlendSpec:
                 source=entry.get("source", "b"),
             )
         )
-    target_rate = obj.get("target_rate")
-    return BlendSpec(
-        operations=operations,
-        target_rate=float(target_rate) if target_rate is not None else None,
-    )
+    return BlendSpec(operations=operations, target_rate=obj.get("target_rate"))
 
 
 def blend_spec_to_dict(spec: BlendSpec) -> dict:

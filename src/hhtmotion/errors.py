@@ -5,6 +5,14 @@ class HhtMotionError(Exception):
     """Base class for all hhtmotion errors."""
 
 
+class InvalidValue(HhtMotionError, ValueError):
+    """A parameter value outside the range the function accepts."""
+
+
+class InputFormatError(HhtMotionError):
+    """An input file that cannot be read or breaks its documented format."""
+
+
 # --- signal / decomposition ---
 
 class SignalTooShort(HhtMotionError):
@@ -38,20 +46,24 @@ class BadDimension(HhtMotionError):
     pass
 
 
+class ArchiveFormatError(InputFormatError):
+    """A decomposition archive that is not one of the two documented shapes."""
+
+
 # --- motion-capture I/O ---
 
-class BvhSyntaxError(HhtMotionError):
+class BvhSyntaxError(InputFormatError):
     def __init__(self, line, expected):
         super().__init__(f"line {line}: expected {expected}")
         self.line = line
         self.expected = expected
 
 
-class FrameCountMismatch(HhtMotionError):
+class FrameCountMismatch(InputFormatError):
     pass
 
 
-class UnknownChannelName(HhtMotionError):
+class UnknownChannelName(InputFormatError):
     pass
 
 
@@ -71,7 +83,11 @@ class BadTempo(HhtMotionError):
     pass
 
 
-class AudioTooShort(HhtMotionError):
+class UnusableAudio(HhtMotionError):
+    """Audio that onset detection cannot use: too short, or sampled below 8 kHz."""
+
+
+class AudioTooShort(UnusableAudio):
     pass
 
 
@@ -87,8 +103,12 @@ class GridOutsideClip(HhtMotionError):
     pass
 
 
-class WavFormatError(HhtMotionError):
+class WavFormatError(InputFormatError):
     pass
+
+
+class GridFormatError(InputFormatError):
+    """A beat grid with a missing or malformed field, or gaps off its tempo."""
 
 
 # --- analysis ---

@@ -19,8 +19,23 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import BadDimension, LengthMismatch, NoConvergence, TooFewExtrema
-from .signal_core import Decomposition, TimeSeries, _extrema, _sd
+from .errors import (
+    ArchiveFormatError,
+    BadDimension,
+    InvalidValue,
+    LengthMismatch,
+    NoConvergence,
+    TooFewExtrema,
+)
+from .signal_core import (
+    Decomposition,
+    TimeSeries,
+    _extrema,
+    _sd,
+    check_sd_threshold,
+    finite_array,
+    is_number,
+)
 from .spline import mirrored_envelopes
 
 __all__ = [
@@ -93,32 +108,48 @@ class DirectionSet:
 
 @dataclass
 class MultivariateDecomposition:
-    """Per-channel decompositions with mode-aligned IMF counts."""
+    """Mode-aligned decompositions of several channels sharing one grid.
 
-    per_channel: list
+    ``imfs[c, k]`` is IMF k+1 of channel c, an array of shape (channels,
+    IMFs, samples); ``trend[c]`` is channel c's trend, shape (channels,
+    samples).  One channel is a zero-copy slice.
+    """
+
+    imfs: np.ndarray
+    trend: np.ndarray
+    rate: float
     labels: list
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        counts = {d.imf_count for d in self.per_channel}
-        if len(counts) > 1:
-            raise ValueError("channels must have equal IMF counts")
-        if len({d.trend.size for d in self.per_channel}) > 1:
+        self.imfs = np.asarray(self.imfs, dtype=np.float64)
+        self.trend = np.asarray(self.trend, dtype=np.float64)
+        if self.trend.ndim != 2 or self.imfs.ndim != 3:
+            raise ValueError("imfs must be (channels, IMFs, samples), trend 2-D")
+        if self.imfs.shape[::2] != self.trend.shape:
             raise LengthMismatch("channels must have equal lengths")
-        if len(self.labels) != len(self.per_channel):
+        if len(self.labels) != self.trend.shape[0]:
             raise ValueError("one label per channel required")
 
     @property
-    def rate(self) -> float:
-        return self.per_channel[0].rate
-
-    @property
     def imf_count(self) -> int:
-        return self.per_channel[0].imf_count
+        return self.imfs.shape[1]
 
     @property
     def n_channels(self) -> int:
-        return len(self.per_channel)
+        return self.trend.shape[0]
+
+    @property
+    def n_samples(self) -> int:
+        return self.trend.shape[1]
+
+    @property
+    def per_channel(self) -> list:
+        """One :class:`Decomposition` view per channel, sharing this one's arrays."""
+        return [
+            Decomposition(imfs=imfs, trend=trend, rate=self.rate, meta=self.meta)
+            for imfs, trend in zip(self.imfs, self.trend)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +177,12 @@ def _primes(count: int):
     return primes
 
 
+def _philox(seed):
+    if not 0 <= seed < 2**128:
+        raise InvalidValue(f"seed must lie in [0, 2**128), got {seed}")
+    return np.random.Philox(key=seed)
+
+
 def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
     """Low-discrepancy unit directions in ``n_dims`` dimensions.
 
@@ -165,7 +202,7 @@ def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
     points[:, 0] = (indices - 0.5) / count
     for dim, base in enumerate(_primes(n_dims - 1)):
         points[:, dim + 1] = _radical_inverse(indices, base)
-    shift_rng = np.random.Generator(np.random.Philox(key=seed))
+    shift_rng = np.random.Generator(_philox(seed))
     points = (points + shift_rng.uniform(0.0, 1.0, n_dims)) % 1.0
     points = np.clip(points, 1e-12, 1.0 - 1e-12)
     inv_cdf = NormalDist().inv_cdf
@@ -260,6 +297,7 @@ def memd(
     """
     if x.n_channels < 2:
         raise BadDimension("multivariate decomposition needs >= 2 channels")
+    check_sd_threshold(sd_threshold)
     if dirs is None:
         dirs = direction_set(x.n_channels)
     if dirs.vectors.shape[1] != x.n_channels:
@@ -298,18 +336,14 @@ def memd(
         "noise_channels": None,
         "seed": None,
     }
-    per_channel = []
-    for k in range(x.n_channels):
-        per_channel.append(
-            Decomposition(
-                imfs=[layer[:, k] for layer in imf_layers],
-                trend=residual[:, k],
-                rate=x.rate,
-                meta=dict(meta),
-            )
-        )
+    # layers are (samples, channels); the decomposition is channel-major
+    layers = np.array(imf_layers).reshape(-1, *frames.shape)
     return MultivariateDecomposition(
-        per_channel=per_channel, labels=list(x.labels), meta=meta
+        imfs=np.ascontiguousarray(layers.transpose(2, 0, 1)),
+        trend=np.ascontiguousarray(residual.T),
+        rate=x.rate,
+        labels=list(x.labels),
+        meta=meta,
     )
 
 
@@ -332,9 +366,9 @@ def na_memd(
     channel draws from its own counter-based stream keyed by ``seed``.
     """
     if not 0.0 < noise_pct < 1.0:
-        raise ValueError("noise_pct must lie in (0, 1)")
+        raise InvalidValue(f"noise_pct must lie in (0, 1), got {noise_pct}")
     if noise_channels < 1:
-        raise ValueError("need at least one noise channel")
+        raise InvalidValue(f"need at least one noise channel, got {noise_channels}")
 
     frames = x.to_matrix()
     mean_rms = float(np.mean(np.sqrt(np.mean(np.square(frames), axis=0))))
@@ -342,7 +376,7 @@ def na_memd(
     n = len(x)
     noise_cols = []
     for k in range(noise_channels):
-        stream = np.random.Generator(np.random.Philox(key=seed).jumped(k))
+        stream = np.random.Generator(_philox(seed).jumped(k))
         noise_cols.append(std * stream.standard_normal(n))
 
     extended = MultivariateSeries.from_matrix(
@@ -367,16 +401,13 @@ def na_memd(
         noise_channels=noise_channels,
         seed=seed,
     )
-    kept = full.per_channel[: x.n_channels]
-    for d in kept:
-        d.meta.update(
-            source="na_memd",
-            noise_pct=noise_pct,
-            noise_channels=noise_channels,
-            seed=seed,
-        )
+    kept = x.n_channels
     return MultivariateDecomposition(
-        per_channel=kept, labels=list(x.labels), meta=meta
+        imfs=full.imfs[:kept],
+        trend=full.trend[:kept],
+        rate=full.rate,
+        labels=list(x.labels),
+        meta=meta,
     )
 
 
@@ -390,12 +421,8 @@ def multivariate_to_dict(md: MultivariateDecomposition) -> dict:
         "rate": float(md.rate),
         "sd_threshold": md.meta.get("sd_threshold"),
         "channels": [
-            {
-                "label": label,
-                "imfs": [c.tolist() for c in d.imfs],
-                "trend": d.trend.tolist(),
-            }
-            for label, d in zip(md.labels, md.per_channel)
+            {"label": label, "imfs": imfs.tolist(), "trend": trend.tolist()}
+            for label, imfs, trend in zip(md.labels, md.imfs, md.trend)
         ],
         "direction_count": md.meta.get("direction_count"),
         "noise_pct": md.meta.get("noise_pct"),
@@ -406,20 +433,40 @@ def multivariate_to_dict(md: MultivariateDecomposition) -> dict:
 
 
 def multivariate_from_dict(obj: dict) -> MultivariateDecomposition:
-    meta = dict(obj.get("meta") or {})
+    """Read an archive in either documented shape.
+
+    The multichannel shape is ``{rate, channels: [{label, imfs, trend}],
+    meta, ...}``; the flat single-channel shape ``{rate, sd_threshold, imfs,
+    trend, meta}`` reads as one channel labelled ``signal``.  Anything else
+    raises :class:`ArchiveFormatError`: a missing field, a rate that is not
+    a positive finite number, or sample arrays that hold non-numbers, are
+    ragged, or differ in length or IMF count between channels.
+    """
+    if not isinstance(obj, dict):
+        raise ArchiveFormatError("an archive must be a JSON object")
+    entries = obj["channels"] if "channels" in obj else [dict(obj, label="signal")]
+    fields = {"label", "imfs", "trend"}
+    if not (isinstance(entries, list) and entries
+            and all(isinstance(e, dict) and fields <= set(e) for e in entries)):
+        raise ArchiveFormatError("an archive needs channels with label, imfs and trend")
+    rate = obj.get("rate")
+    if not (is_number(rate) and rate > 0):
+        raise ArchiveFormatError(f"rate must be a positive number, got {rate!r:.40}")
+    meta = obj.get("meta") or {}
+    labels = [e["label"] for e in entries]
+    if not isinstance(meta, dict) or not all(isinstance(label, str) for label in labels):
+        raise ArchiveFormatError("meta must be an object and every label a string")
+    meta = dict(meta)
     for key in ("sd_threshold", "direction_count", "noise_pct", "noise_channels", "seed"):
         meta.setdefault(key, obj.get(key))
-    rate = float(obj["rate"])
-    per_channel = []
-    labels = []
-    for entry in obj["channels"]:
-        labels.append(entry["label"])
-        per_channel.append(
-            Decomposition(
-                imfs=[np.asarray(c, dtype=np.float64) for c in entry["imfs"]],
-                trend=np.asarray(entry["trend"], dtype=np.float64),
-                rate=rate,
-                meta=dict(meta),
-            )
-        )
-    return MultivariateDecomposition(per_channel=per_channel, labels=labels, meta=meta)
+
+    trend = finite_array([e["trend"] for e in entries], "trends", ArchiveFormatError)
+    imfs = finite_array([e["imfs"] for e in entries], "IMFs", ArchiveFormatError)
+    if imfs.shape == (len(entries), 0):
+        imfs = imfs.reshape(len(entries), 0, trend.shape[-1])
+    aligned = (trend.ndim, imfs.ndim) == (2, 3) and imfs.shape[::2] == trend.shape
+    if not aligned or trend.shape[1] < 2:
+        raise ArchiveFormatError("each trend needs 2 or more samples, each IMF as many")
+    return MultivariateDecomposition(
+        imfs=imfs, trend=trend, rate=float(rate), labels=labels, meta=meta
+    )

@@ -15,7 +15,9 @@ import numpy as np
 from .errors import (
     BvhSyntaxError,
     FrameCountMismatch,
+    InvalidValue,
     LengthMismatch,
+    NonFiniteSample,
     UnknownChannel,
     UnknownChannelName,
 )
@@ -332,7 +334,10 @@ def extract_channels(clip: MotionClip, selection) -> MultivariateSeries:
     channels = []
     for label in selection:
         # built before unwrapping, so NaN or Inf is rejected before any arithmetic
-        series = TimeSeries(clip.frames[:, clip.column(label)], rate=clip.rate)
+        try:
+            series = TimeSeries(clip.frames[:, clip.column(label)], rate=clip.rate)
+        except NonFiniteSample as exc:
+            raise NonFiniteSample(f"{label}: {exc}") from None
         if _is_rotation(label):
             series.samples = unwrap_degrees(series.samples)
         channels.append(series)
@@ -367,8 +372,8 @@ def resample(clip: MotionClip, target_fps: float) -> MotionClip:
     Rotations are interpolated on their unwrapped values and wrapped back to
     (-180, 180]; positions are interpolated raw.
     """
-    if target_fps <= 0:
-        raise ValueError("target_fps must be positive")
+    if not 0 < target_fps < np.inf:
+        raise InvalidValue(f"target_fps must be a positive number, got {target_fps}")
     n_in = clip.frame_count
     n_out = max(2, int(round(clip.duration * target_fps)))
     t_in = np.arange(n_in) * clip.frame_time

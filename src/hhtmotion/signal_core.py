@@ -10,12 +10,15 @@ frequency.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .errors import (
     DegenerateSignal,
+    InvalidValue,
     NoConvergence,
     NonFiniteSample,
     SignalTooShort,
@@ -78,6 +81,29 @@ class TimeSeries:
         return self.start_time + np.arange(self.samples.size) / self.rate
 
 
+def is_number(value) -> bool:
+    """A real number, not a bool, within the finite float range."""
+    return (
+        isinstance(value, Real)
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def finite_array(value, what, error):
+    """``value`` as a float64 array of finite numbers; anything else raises ``error``."""
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        raise error(f"{what} has rows of unequal lengths") from None
+    if array.size and array.dtype.kind not in "iuf":
+        raise error(f"{what} holds something other than numbers")
+    array = np.asarray(array, dtype=np.float64)
+    if not np.all(np.isfinite(array)):
+        raise error(f"{what} holds NaN or Inf")
+    return array
+
+
 @dataclass
 class AnalyticSignal:
     """Real signal plus its Hilbert-transform quadrature component."""
@@ -122,30 +148,43 @@ class ImfReport:
 
 @dataclass
 class Decomposition:
-    """Ordered IMFs (index 0 = highest frequency) plus the residual trend."""
+    """Ordered IMFs plus the residual trend.
 
-    imfs: list
+    ``imfs`` is a (K, N) array whose row 0 is the highest-frequency IMF.
+    """
+
+    imfs: np.ndarray
     trend: np.ndarray
     rate: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.imfs = [np.asarray(c, dtype=np.float64) for c in self.imfs]
         self.trend = np.asarray(self.trend, dtype=np.float64)
-        n = self.trend.size
-        if any(c.size != n for c in self.imfs):
+        self.imfs = np.asarray(self.imfs, dtype=np.float64)
+        if self.imfs.size == 0:
+            self.imfs = self.imfs.reshape(0, self.trend.size)
+        if self.imfs.ndim != 2 or self.imfs.shape[1] != self.trend.size:
             raise ValueError("all member series must share one length")
 
     @property
     def imf_count(self) -> int:
-        return len(self.imfs)
+        return self.imfs.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         """Sum of all IMFs plus the trend."""
-        total = self.trend.copy()
-        for c in self.imfs:
-            total += c
-        return total
+        return sum_modes(self.imfs, self.trend)
+
+
+def sum_modes(imfs: np.ndarray, trend: np.ndarray) -> np.ndarray:
+    """``trend`` plus every IMF along axis -2, added one at a time in order.
+
+    The fixed order keeps reconstructions identical bit for bit wherever
+    they are computed.
+    """
+    total = trend.copy()
+    for k in range(imfs.shape[-2]):
+        total += imfs[..., k, :]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +365,11 @@ def _sd(c_old: np.ndarray, c_new: np.ndarray) -> float:
     return float(np.sum(np.square(diff)) / denom)
 
 
+def check_sd_threshold(sd_threshold: float):
+    if not 0.0 < sd_threshold < 1.0:
+        raise InvalidValue(f"sd_threshold must lie in (0, 1), got {sd_threshold}")
+
+
 # sift-internal envelope-mean tolerance, tighter than the 0.1 used by
 # imf_check so accepted IMFs clear the published criterion with margin
 _SIFT_MEAN_TOL = 0.05
@@ -379,8 +423,7 @@ def emd(
     """
     if len(x) < 4:
         raise SignalTooShort("decomposition needs at least 4 samples")
-    if not 0.0 < sd_threshold < 1.0:
-        raise ValueError("sd_threshold must lie in (0, 1)")
+    check_sd_threshold(sd_threshold)
 
     residual = x.samples.copy()
     scale = np.max(np.abs(residual))
@@ -424,19 +467,14 @@ def decomposition_to_dict(d: Decomposition) -> dict:
     return {
         "rate": float(d.rate),
         "sd_threshold": d.meta.get("sd_threshold"),
-        "imfs": [c.tolist() for c in d.imfs],
+        "imfs": d.imfs.tolist(),
         "trend": d.trend.tolist(),
         "meta": dict(d.meta),
     }
 
 
 def decomposition_from_dict(obj: dict) -> Decomposition:
-    meta = dict(obj.get("meta") or {})
-    if "sd_threshold" not in meta:
-        meta["sd_threshold"] = obj.get("sd_threshold")
-    return Decomposition(
-        imfs=[np.asarray(c, dtype=np.float64) for c in obj["imfs"]],
-        trend=np.asarray(obj["trend"], dtype=np.float64),
-        rate=float(obj["rate"]),
-        meta=meta,
-    )
+    """Read the flat archive shape through :func:`memd.multivariate_from_dict`."""
+    from .memd import multivariate_from_dict  # memd imports this module
+
+    return multivariate_from_dict(obj).per_channel[0]

@@ -285,7 +285,12 @@ def _random_multivariate(rng, n=300, rate=40.0, n_imfs=4):
     ]
     from hhtmotion.memd import MultivariateDecomposition
 
-    return MultivariateDecomposition(per_channel=per_channel, labels=labels)
+    return MultivariateDecomposition(
+        imfs=[d.imfs for d in per_channel],
+        trend=[d.trend for d in per_channel],
+        rate=rate,
+        labels=labels,
+    )
 
 
 def test_criterion_8_editing_laws():

@@ -136,7 +136,7 @@ class TestSegmentByBeats:
     def test_one_second_segments(self):
         clip = self.make_clip()
         grid = fixed_grid(60.0, 10.0)
-        segments = segment_by_beats(clip, grid)
+        segments = segment_by_beats(clip.frame_count, clip.rate, grid)
         assert len(segments) == 9
         for seg in segments:
             assert abs((seg.end_frame - seg.start_frame) - 40) <= 1
@@ -144,19 +144,19 @@ class TestSegmentByBeats:
     def test_four_beat_groups(self):
         clip = self.make_clip()
         grid = fixed_grid(60.0, 10.0)
-        segments = segment_by_beats(clip, grid, beats_per_segment=4)
+        segments = segment_by_beats(clip.frame_count, clip.rate, grid, beats_per_segment=4)
         assert len(segments) == 2
 
     def test_grid_outside_clip(self):
         clip = self.make_clip()
         grid = fixed_grid(60.0, 5.0, offset=50.0)
         with pytest.raises(GridOutsideClip):
-            segment_by_beats(clip, grid)
+            segment_by_beats(clip.frame_count, clip.rate, grid)
 
     def test_segments_tile_contiguously(self):
         clip = self.make_clip(duration=8.3)
         grid = fixed_grid(90.0, 8.3)
-        segments = segment_by_beats(clip, grid)
+        segments = segment_by_beats(clip.frame_count, clip.rate, grid)
         for a, b in zip(segments[:-1], segments[1:]):
             assert a.end_frame == b.start_frame
             assert a.end_frame > a.start_frame

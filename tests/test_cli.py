@@ -492,3 +492,111 @@ def test_import_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def failure_inputs(tmp_path_factory):
+    """One good archive, grid, spec and clip, plus the malformed inputs the
+    failure cases below feed the CLI."""
+    from hhtmotion.signal_core import TimeSeries
+
+    root = tmp_path_factory.mktemp("failures")
+    bvh = make_two_tone_bvh(root / "dance.bvh")
+    archive = root / "archive.json"
+    result = CliRunner().invoke(
+        main,
+        ["decompose", str(bvh), "--channels", "hips.Xrotation,hips.Yrotation",
+         "--method", "memd", "--directions", "8", "--out", str(archive)],
+    )
+    assert result.exit_code == 0, result.output
+    negative_rate = json.loads(archive.read_text())
+    negative_rate["rate"] = -40
+    files = {
+        "bvh": bvh,
+        "archive": archive,
+        "negative_rate": root / "negative_rate.json",
+        "grid": root / "grid.json",
+        "grid_without_beats": root / "grid_without_beats.json",
+        "spec": root / "spec.json",
+        "alpha_x": root / "alpha_x.json",
+        "merge_a": root / "merge_a.json",
+        "wav_100_samples": root / "short.wav",
+        "wav_1_hz": root / "one_hertz.wav",
+        "deep": root / "deep.json",
+        "deep_bvh": root / "deep.bvh",
+        "out": root / "out.json",
+        "missing_dir": root / "missing" / "out.json",
+    }
+    files["negative_rate"].write_text(json.dumps(negative_rate))
+    files["deep"].write_text("[" * 100000 + "]" * 100000)
+    files["deep_bvh"].write_text(
+        "HIERARCHY ROOT a { OFFSET 0 0 0 " + "JOINT b { OFFSET 0 0 0 " * 5000)
+    files["grid"].write_text(json.dumps({"bpm": 60.0, "beats": [0.0, 1.0, 2.0],
+                                         "strong": [True, False, False]}))
+    files["grid_without_beats"].write_text(json.dumps({"bpm": 60.0, "strong": [True]}))
+    files["spec"].write_text(json.dumps({"operations": []}))
+    files["alpha_x"].write_text(
+        json.dumps({"operations": [{"kind": "scale", "imfs": [1], "alpha": "x"}]}))
+    files["merge_a"].write_text(
+        json.dumps({"operations": [{"kind": "merge", "imfs": [1, "a"]}]}))
+    write_wav_pcm16(files["wav_100_samples"], TimeSeries(np.zeros(100), 22050.0))
+    write_wav_pcm16(files["wav_1_hz"], TimeSeries(np.zeros(100), 1.0))
+    return {name: str(path) for name, path in files.items()}
+
+
+def _decompose(f, *options, out="out"):
+    return ["decompose", f["bvh"], "--channels", "hips.Xrotation,hips.Yrotation",
+            *options, "--out", f[out]]
+
+
+def _blend(f, *options, spec="spec", out="out"):
+    return ["blend", f["archive"], f["archive"], "--spec", f[spec],
+            "--template", f["bvh"], *options, "--out", f[out]]
+
+
+FAILURES = {
+    "grid-without-beats": (2, lambda f: ["analyze", f["archive"], "--beats",
+                                         f["grid_without_beats"], "--out", f["out"]]),
+    "beats-per-segment-0": (64, lambda f: ["analyze", f["archive"], "--beats", f["grid"],
+                                           "--beats-per-segment", "0", "--out", f["out"]]),
+    "time-bin-0": (64, lambda f: ["spectrum", f["archive"], "--time-bin", "0",
+                                  "--out", f["out"]]),
+    "freq-bins-0": (64, lambda f: ["spectrum", f["archive"], "--freq-bins", "0",
+                                   "--out", f["out"]]),
+    "freq-max-above-nyquist": (64, lambda f: ["spectrum", f["archive"], "--freq-max", "21",
+                                              "--out", f["out"]]),
+    "analyze-negative-rate": (2, lambda f: ["analyze", f["negative_rate"], "--out", f["out"]]),
+    "spectrum-negative-rate": (2, lambda f: ["spectrum", f["negative_rate"],
+                                             "--out", f["out"]]),
+    "spec-alpha-not-a-number": (6, lambda f: _blend(f, spec="alpha_x")),
+    "spec-merge-imf-not-a-number": (6, lambda f: _blend(f, spec="merge_a")),
+    "target-fps-negative": (64, lambda f: _blend(f, "--target-fps", "-5")),
+    "noise-pct-2": (64, lambda f: _decompose(f, "--noise-pct", "2")),
+    "noise-channels-0": (64, lambda f: _decompose(f, "--noise-channels", "0")),
+    "sd-threshold-5": (64, lambda f: _decompose(f, "--method", "emd", "--sd-threshold", "5")),
+    "strong-period-0": (64, lambda f: ["beats", "--bpm", "120", "--duration", "5",
+                                       "--strong-period", "0", "--out", f["out"]]),
+    "wav-100-samples": (2, lambda f: ["beats", f["wav_100_samples"], "--out", f["out"]]),
+    "wav-1-hz": (2, lambda f: ["beats", f["wav_1_hz"], "--out", f["out"]]),
+    "decompose-out-missing-dir": (64, lambda f: _decompose(f, out="missing_dir")),
+    "beats-out-missing-dir": (64, lambda f: ["beats", "--bpm", "120", "--duration", "5",
+                                             "--out", f["missing_dir"]]),
+    "analyze-out-missing-dir": (64, lambda f: ["analyze", f["archive"],
+                                               "--out", f["missing_dir"]]),
+    "spectrum-out-missing-dir": (64, lambda f: ["spectrum", f["archive"],
+                                                "--out", f["missing_dir"]]),
+    "blend-out-missing-dir": (64, lambda f: _blend(f, out="missing_dir")),
+    "archive-nested-too-deep": (2, lambda f: ["analyze", f["deep"], "--out", f["out"]]),
+    "bvh-nested-too-deep": (2, lambda f: ["decompose", f["deep_bvh"], "--channels",
+                                          "b.Xrotation", "--out", f["out"]]),
+}
+
+
+@pytest.mark.parametrize("name", list(FAILURES))
+def test_failure_exits_with_its_code_and_one_line(runner, failure_inputs, name):
+    code, argv = FAILURES[name]
+    result = runner.invoke(main, argv(failure_inputs))
+    assert result.exit_code == code, result.output
+    assert result.output.startswith("error: ")
+    assert result.output.count("\n") == 1
+    assert "Traceback" not in result.output

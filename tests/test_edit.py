@@ -32,7 +32,12 @@ def random_md(rng, n=400, rate=40.0, n_channels=2, n_imfs=3, labels=None):
         per_channel.append(
             Decomposition(imfs=imfs, trend=rng.standard_normal(n), rate=rate)
         )
-    return MultivariateDecomposition(per_channel=per_channel, labels=labels)
+    return MultivariateDecomposition(
+        imfs=[d.imfs for d in per_channel],
+        trend=[d.trend for d in per_channel],
+        rate=rate,
+        labels=labels,
+    )
 
 
 def md_equal(a, b, atol=0.0):
@@ -156,10 +161,7 @@ class TestApplyBlend:
         ramp_a = 0.5 * t
         ramp_b = -1.0 + 0.2 * t**2
         make = lambda ramp: MultivariateDecomposition(
-            per_channel=[
-                Decomposition(imfs=[tone.copy()], trend=ramp.copy(), rate=rate)
-            ],
-            labels=["j.Xrotation"],
+            imfs=[[tone.copy()]], trend=[ramp.copy()], rate=rate, labels=["j.Xrotation"]
         )
         pair = align(make(ramp_a), make(ramp_b), target_rate=rate)
         out = apply_blend(
@@ -229,6 +231,25 @@ class TestApplyBlend:
         assert out.imf_count == pair.a.imf_count - 1
         counts = {d.imf_count for d in out.per_channel}
         assert len(counts) == 1
+
+    def test_repeated_selection_applies_twice(self):
+        # an IMF or a channel listed twice gets the operation twice, as in a loop
+        pair, _, _ = self.make_pair()
+        out = apply_blend(
+            pair,
+            BlendSpec(
+                operations=[
+                    BlendOp(kind="scale", imfs=[1, 1], alpha=2.0),
+                    BlendOp(kind="blend", imfs=[2], channels=["ch0", "ch0"], alpha=0.5),
+                ]
+            ),
+        )
+        (a0, a1), b0 = pair.a.per_channel, pair.b.per_channel[0]
+        once = 0.5 * a0.imfs[1] + (1.0 - 0.5) * b0.imfs[1]
+        assert np.array_equal(out.per_channel[0].imfs[0], a0.imfs[0] * 2.0 * 2.0)
+        assert np.array_equal(out.per_channel[1].imfs[0], a1.imfs[0] * 2.0 * 2.0)
+        assert np.array_equal(out.per_channel[0].imfs[1], 0.5 * once + 0.5 * b0.imfs[1])
+        assert np.array_equal(out.per_channel[1].imfs[1], a1.imfs[1])
 
     def test_out_of_bounds(self):
         pair, _, _ = self.make_pair()

@@ -123,12 +123,17 @@ def test_align_matches_per_series_fits():
                       trend=rng.standard_normal(n) * 40, rate=rate)
         for _ in range(4)
     ]
-    md = MultivariateDecomposition(per_channel=per_channel, labels=list("abcd"))
+    md = MultivariateDecomposition(
+        imfs=[d.imfs for d in per_channel],
+        trend=[d.trend for d in per_channel],
+        rate=rate,
+        labels=list("abcd"),
+    )
     pair = align(md, md, target_rate=target)
     t_in = np.arange(n) / rate
     times_out = np.arange(pair.a.per_channel[0].trend.size) / target
     for src, out in zip(md.per_channel, pair.a.per_channel):
-        for series, got in zip(src.imfs + [src.trend], out.imfs + [out.trend]):
+        for series, got in zip(list(src.imfs) + [src.trend], list(out.imfs) + [out.trend]):
             want = interpolate.CubicSpline(t_in, series)(times_out)
             assert_close(got, want, np.max(np.abs(series)))
 
