@@ -3,6 +3,12 @@ motion-capture signals."""
 
 __version__ = "0.1.0"
 
+import os
+
+# Set before numpy loads: the only BLAS call is a 13x64 projection, and an idle
+# OpenBLAS pool burned CPU beside it (2 cores: decompose 1.9 -> 1.0 s CPU).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (
     FibonacciReport,
     HilbertSpectrum,
@@ -12,6 +18,7 @@ from .analysis import (
     fibonacci_relations,
     hilbert_spectrum,
     summarize,
+    trend_rms_fraction,
     wafa,
 )
 from .beat import (

@@ -32,6 +32,7 @@ __all__ = [
     "hilbert_spectrum",
     "wafa",
     "summarize",
+    "trend_rms_fraction",
     "fibonacci_relations",
     "detect_singular_imfs",
     "spectrum_to_csv",
@@ -207,40 +208,52 @@ def wafa(d: Decomposition, segments=None) -> WafaReport:
     )
 
 
-def summarize(d) -> Summary:
+def _channels(d) -> list:
+    return d.per_channel if hasattr(d, "per_channel") else [d]
+
+
+def trend_rms_fraction(d) -> float:
+    """RMS of the trend over RMS of the input, both rebuilt from ``d``.
+
+    Accepts a :class:`Decomposition` or a multivariate decomposition, whose
+    channels are stacked.  Needs no Hilbert transform.
+    """
+    trend_sq = 0.0
+    input_sq = 0.0
+    for dec in _channels(d):
+        trend_sq += float(np.sum(np.square(dec.trend)))
+        input_sq += float(np.sum(np.square(dec.reconstruct())))
+    return float(np.sqrt(trend_sq / input_sq)) if input_sq > 0 else 0.0
+
+
+def summarize(d, overall=None) -> Summary:
     """IMF count, overall weighted-frequency range, and trend energy share.
 
     Accepts a :class:`Decomposition` or a multivariate decomposition; for the
     latter the range spans all channels and the RMS ratio stacks channels.
     The frequency range covers only IMFs carrying at least 1% of the input
-    RMS, so near-empty residue modes do not stretch it.
+    RMS, so near-empty residue modes do not stretch it.  ``overall`` lists
+    each channel's ``wafa(...).per_imf_overall``, which segments do not
+    change, for a caller that has them; by default they are computed here.
     """
-    if hasattr(d, "per_channel"):
-        decomps = d.per_channel
-        imf_count = d.imf_count
-    else:
-        decomps = [d]
-        imf_count = d.imf_count
-
+    decomps = _channels(d)
+    if overall is None:
+        overall = [wafa(dec).per_imf_overall for dec in decomps]
     freqs = []
-    trend_sq = 0.0
-    input_sq = 0.0
-    for dec in decomps:
-        overall = wafa(dec).per_imf_overall
+    for dec, channel_freqs in zip(decomps, overall):
         input_rms = float(np.sqrt(np.mean(np.square(dec.reconstruct()))))
-        for c, f in zip(dec.imfs, overall):
+        for c, f in zip(dec.imfs, channel_freqs):
             imf_rms = float(np.sqrt(np.mean(np.square(c))))
             if f > 0 and imf_rms >= 0.01 * input_rms:
                 freqs.append(f)
-        trend_sq += float(np.sum(np.square(dec.trend)))
-        input_sq += float(np.sum(np.square(dec.reconstruct())))
     if freqs:
         freq_range = (float(min(freqs)), float(max(freqs)))
     else:
         freq_range = (0.0, 0.0)
-    fraction = float(np.sqrt(trend_sq / input_sq)) if input_sq > 0 else 0.0
     return Summary(
-        imf_count=imf_count, freq_range=freq_range, trend_rms_fraction=fraction
+        imf_count=d.imf_count,
+        freq_range=freq_range,
+        trend_rms_fraction=trend_rms_fraction(d),
     )
 
 

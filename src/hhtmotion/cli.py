@@ -12,6 +12,8 @@ A failure prints one ``error:`` line and exits with the code that
 4 decomposition did not converge, 5 no periodicity in audio, 6 blend-spec
 schema error, 64 invalid option value or unwritable ``--out``.  click's own
 usage errors (an unknown option, a missing or mistyped value) exit 2.
+An option value that would size an array beyond ``MAX_ELEMENTS`` counts as
+invalid and is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .analysis import (
     spectrum_sidecar,
     spectrum_to_csv,
     summarize,
+    trend_rms_fraction,
     wafa,
 )
 from .beat import (
@@ -78,6 +81,18 @@ EXIT_CODES = {
     errors.BadTempo: 64,
     errors.BadBinning: 64,
 }
+
+
+# The largest array an option value may ask for: 2**27 elements, 1 GiB of
+# float64.  A value past it exits 64 before anything is allocated.
+MAX_ELEMENTS = 2**27
+
+
+def _check_size(elements, what):
+    if elements > MAX_ELEMENTS:
+        raise errors.InvalidValue(
+            f"{what} asks for {elements:.3g} array elements; the limit is {MAX_ELEMENTS}"
+        )
 
 
 class _Pipeline(click.Group):
@@ -192,11 +207,16 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
     elif method == "memd":
         if series.n_channels < 2:
             raise errors.BadDimension("memd needs at least 2 channels")
+        _check_size(directions * max(len(series), series.n_channels),
+                    f"--directions {directions}")
         dirs = direction_set(series.n_channels, directions, seed=seed)
         decomp = memd(series, dirs=dirs, sd_threshold=sd_threshold)
     else:
         dims = series.n_channels + noise_channels
-        dirs = direction_set(dims, max(directions, 2 * dims), seed=seed)
+        count = max(directions, 2 * dims)
+        _check_size(2 * dims * max(len(series), dims), f"--noise-channels {noise_channels}")
+        _check_size(count * max(len(series), dims), f"--directions {directions}")
+        dirs = direction_set(dims, count, seed=seed)
         decomp = na_memd(
             series,
             noise_channels=noise_channels,
@@ -221,10 +241,9 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
         seed,
         [out],
     )
-    report = summarize(decomp)
     click.echo(
         f"{decomp.imf_count} IMFs; trend RMS fraction "
-        f"{report.trend_rms_fraction:.4f}"
+        f"{trend_rms_fraction(decomp):.4f}"
     )
 
 
@@ -262,6 +281,7 @@ def cmd_beats(wav_path, bpm, duration, offset, strong_period, tightness, out):
     if bpm is not None:
         if duration is None:
             raise errors.InvalidValue("--bpm needs --duration")
+        _check_size(duration * bpm / 60.0, f"--duration {duration:g} at --bpm {bpm:g}")
         grid = fixed_grid(bpm, duration, offset=offset, strong_period=strong_period)
     else:
         inputs = [wav_path]
@@ -311,8 +331,10 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
 
     channels_report = []
     warnings = []
+    overall_freqs = []
     for label, d in zip(decomp.labels, decomp.per_channel):
         report = wafa(d, segments)
+        overall_freqs.append(report.per_imf_overall)
         entry = {
             "label": label,
             "wafa": {
@@ -339,7 +361,7 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
             warnings.append(f"{label}: {exc}")
         channels_report.append(entry)
 
-    overall = summarize(decomp)
+    overall = summarize(decomp, overall_freqs)
     payload = {
         "summary": {
             "imf_count": overall.imf_count,
@@ -387,6 +409,9 @@ def cmd_spectrum(archive_path, channel, time_bin, freq_bins, freq_max, out):
         if channel not in decomp.labels:
             raise errors.UnknownChannel(channel)
         d = decomp.per_channel[decomp.labels.index(channel)]
+    if time_bin > 0:  # hilbert_spectrum refuses the rest
+        _check_size(decomp.n_samples / decomp.rate / time_bin * freq_bins,
+                    f"--time-bin {time_bin:g} with --freq-bins {freq_bins}")
     spectrum = hilbert_spectrum(d, time_bin=time_bin, freq_max=freq_max,
                                 freq_bins=freq_bins)
     sidecar_path = os.path.splitext(out)[0] + ".json"
@@ -428,6 +453,9 @@ def cmd_blend(archive_a, archive_b, spec_path, template_path, target_fps, out):
     template = _load_bvh(template_path)
 
     rate = target_fps or spec.target_rate or template.rate
+    seconds = min(a.n_samples / a.rate, b.n_samples / b.rate)
+    rows = a.n_channels * (max(a.imf_count, b.imf_count) + 1)
+    _check_size(seconds * rate * rows, f"target rate {rate:g}")
     pair = align(a, b, target_rate=rate)
     edited = apply_blend(pair, spec)
     clip = synthesize_clip(template, edited)

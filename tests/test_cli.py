@@ -478,20 +478,69 @@ class TestBlend:
         assert len(manifest["inputs"]) == 4
 
 
-def test_import_loads_no_scipy():
-    """The CLI's import path stays numpy, click and the standard library."""
+def _run_probe(probe, **env_overrides):
     src = os.path.dirname(os.path.dirname(os.path.abspath(hhtmotion.__file__)))
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = (
-        "import sys, hhtmotion.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.split()
+
+
+def test_import_loads_no_scipy():
+    """The CLI's import path stays numpy, click and the standard library."""
+    probe = (
+        "import sys, hhtmotion.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _run_probe(probe) == ["[]"]
+
+
+# prints the BLAS thread variable and the process's thread count after the import
+_THREAD_PROBE = (
+    "import os, hhtmotion.cli; task = '/proc/self/task'; "
+    "print(os.environ['OPENBLAS_NUM_THREADS'], "
+    "len(os.listdir(task)) if os.path.isdir(task) else 'absent')"
+)
+
+
+def test_import_starts_no_blas_threads():
+    """Importing the package pins OpenBLAS to one thread before numpy loads."""
+    value, threads = _run_probe(_THREAD_PROBE)
+    assert value == "1"
+    if threads == "absent":
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == "1"
+
+
+def test_preset_blas_threads_kept():
+    value, _ = _run_probe(_THREAD_PROBE, OPENBLAS_NUM_THREADS="2")
+    assert value == "2"
+
+
+def test_analyze_transforms_each_imf_once(runner, failure_inputs, monkeypatch):
+    """One analytic signal per IMF per channel: the summary reuses wafa's frequencies."""
+    import hhtmotion.analysis as analysis
+
+    original = analysis.analytic_signal
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(analysis, "analytic_signal", counted)
+    with open(failure_inputs["archive"]) as handle:
+        archive = json.load(handle)
+    result = runner.invoke(main, ["analyze", failure_inputs["archive"], "--beats",
+                                  failure_inputs["grid"], "--out", failure_inputs["out"]])
+    assert result.exit_code == 0, result.output
+    imfs = [imf for channel in archive["channels"] for imf in channel["imfs"] if any(imf)]
+    assert len(calls) == len(imfs) > 0
 
 
 @pytest.fixture(scope="module")
@@ -586,6 +635,17 @@ FAILURES = {
     "spectrum-out-missing-dir": (64, lambda f: ["spectrum", f["archive"],
                                                 "--out", f["missing_dir"]]),
     "blend-out-missing-dir": (64, lambda f: _blend(f, out="missing_dir")),
+    # option values whose arrays would exceed cli.MAX_ELEMENTS; refused before allocating
+    "directions-too-many": (64, lambda f: _decompose(f, "--directions", "100000000000")),
+    "noise-channels-too-many": (64, lambda f: _decompose(f, "--noise-channels",
+                                                         "100000000000")),
+    "duration-too-long": (64, lambda f: ["beats", "--bpm", "120", "--duration", "1e12",
+                                         "--out", f["out"]]),
+    "freq-bins-too-many": (64, lambda f: ["spectrum", f["archive"], "--freq-bins",
+                                          "1000000000000", "--out", f["out"]]),
+    "time-bin-too-small": (64, lambda f: ["spectrum", f["archive"], "--time-bin", "1e-12",
+                                          "--out", f["out"]]),
+    "target-fps-too-high": (64, lambda f: _blend(f, "--target-fps", "1e12")),
     "archive-nested-too-deep": (2, lambda f: ["analyze", f["deep"], "--out", f["out"]]),
     "bvh-nested-too-deep": (2, lambda f: ["decompose", f["deep_bvh"], "--channels",
                                           "b.Xrotation", "--out", f["out"]]),

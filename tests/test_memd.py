@@ -12,6 +12,8 @@ from hhtmotion.memd import (
     multivariate_to_dict,
     na_memd,
 )
+from hhtmotion.signal_core import _extrema
+from hhtmotion.spline import mirrored_envelopes
 
 
 def stack(rate, *columns, labels=None):
@@ -69,6 +71,22 @@ class TestMeanEnvelope:
         means = env[k:-k].mean(axis=0)
         assert abs(means[0] - 5.0) < 0.5
         assert abs(means[1] + 3.0) < 0.3
+
+    @pytest.mark.parametrize("count", [8, 40, 64])
+    def test_blocks_equal_one_direction_at_a_time(self, count):
+        """Solving the directions in blocks changes no bit of the mean envelope."""
+        rng = np.random.default_rng(7)
+        x = stack(100.0, *np.cumsum(rng.standard_normal((4, 600)), axis=1))
+        dirs = direction_set(4, count, seed=1)
+        frames = x.to_matrix()
+        projections = frames @ dirs.vectors.T
+        columns = np.ascontiguousarray(frames.T)
+        total = np.zeros_like(columns)
+        for k in range(count):
+            (envelope,) = mirrored_envelopes([_extrema(projections[:, k])[0]], columns)
+            total += envelope
+        env = multivariate_mean_envelope(x, dirs).to_matrix()
+        assert np.array_equal(env, total.T / count)
 
     def test_monotone_projection_raises(self):
         rate = 10.0
