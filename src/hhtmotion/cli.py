@@ -59,7 +59,7 @@ from .memd import (
     na_memd,
 )
 from .mocap_io import extract_channels, parse_bvh, write_bvh
-from .signal_core import emd
+from .signal_core import TimeSeries, emd
 
 # Exit code of each error type, looked up along the raised type's MRO.
 EXIT_CODES = {
@@ -249,7 +249,8 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
 
 def _emd_multichannel(series, sd_threshold):
     """Independent univariate decompositions, zero-padded to a common count."""
-    decomps = [emd(ch, sd_threshold=sd_threshold) for ch in series.channels]
+    decomps = [emd(TimeSeries(row, series.rate), sd_threshold=sd_threshold)
+               for row in series.samples]
     imfs = np.zeros((len(decomps), max(d.imf_count for d in decomps), len(series)))
     for channel, d in zip(imfs, decomps):
         channel[: d.imf_count] = d.imfs

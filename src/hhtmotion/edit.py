@@ -270,9 +270,7 @@ def apply_blend(pair: AlignedPair, spec: BlendSpec) -> MultivariateDecomposition
 
 def reconstruct(d: MultivariateDecomposition) -> MultivariateSeries:
     """Per-channel sum of IMFs plus trend."""
-    return MultivariateSeries.from_matrix(
-        sum_modes(d.imfs, d.trend).T, rate=d.rate, labels=d.labels
-    )
+    return MultivariateSeries(sum_modes(d.imfs, d.trend), rate=d.rate, labels=d.labels)
 
 
 def synthesize_clip(

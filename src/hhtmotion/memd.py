@@ -24,14 +24,14 @@ from .errors import (
     BadDimension,
     InvalidValue,
     LengthMismatch,
-    NoConvergence,
+    NonFiniteSample,
+    SignalTooShort,
     TooFewExtrema,
 )
 from .signal_core import (
     Decomposition,
-    TimeSeries,
     _extrema,
-    _sd,
+    _sift,
     check_sd_threshold,
     finite_array,
     is_number,
@@ -53,57 +53,52 @@ __all__ = [
 
 @dataclass
 class MultivariateSeries:
-    """Channels sharing one sample grid, e.g. a set of joint-angle signals."""
+    """Channels sharing one sample grid, e.g. a set of joint-angle signals.
 
-    channels: list
+    ``samples`` is a (channels, samples) array, so ``samples[c]`` is channel
+    c; ``labels`` names the rows and ``rate`` is in samples per second.
+    """
+
+    samples: np.ndarray
+    rate: float
     labels: list
 
     def __post_init__(self):
-        if len(self.channels) < 1:
-            raise ValueError("at least one channel required")
-        if len(self.labels) != len(self.channels):
+        self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        if self.samples.ndim != 2 or self.samples.shape[0] < 1:
+            raise ValueError("samples must be a (channels, samples) array")
+        if self.samples.shape[1] < 2:
+            raise SignalTooShort("a series needs at least 2 samples")
+        if not np.all(np.isfinite(self.samples)):
+            raise NonFiniteSample("samples contain NaN or Inf")
+        if not self.rate > 0:
+            raise ValueError("rate must be positive")
+        if len(self.labels) != self.samples.shape[0]:
             raise ValueError("one label per channel required")
-        first = self.channels[0]
-        for ch in self.channels[1:]:
-            if len(ch) != len(first) or ch.rate != first.rate:
-                raise ValueError("channels must share length and rate")
-
-    @property
-    def rate(self) -> float:
-        return self.channels[0].rate
 
     @property
     def n_channels(self) -> int:
-        return len(self.channels)
+        return self.samples.shape[0]
 
     def __len__(self):
-        return len(self.channels[0])
-
-    def to_matrix(self) -> np.ndarray:
-        """Samples as an (n_samples, n_channels) matrix."""
-        return np.stack([ch.samples for ch in self.channels], axis=1)
-
-    @classmethod
-    def from_matrix(cls, matrix, rate, labels, start_time=0.0):
-        channels = [
-            TimeSeries(matrix[:, k], rate=rate, start_time=start_time)
-            for k in range(matrix.shape[1])
-        ]
-        return cls(channels=channels, labels=list(labels))
+        return self.samples.shape[1]
 
 
 @dataclass
 class DirectionSet:
-    """Unit vectors sampling the (n-1)-sphere for envelope projections."""
+    """Unit vectors sampling the (n-1)-sphere for envelope projections, one per row."""
 
     vectors: np.ndarray
-    count: int
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         norms = np.linalg.norm(self.vectors, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("direction vectors must have unit norm")
+
+    @property
+    def count(self) -> int:
+        return self.vectors.shape[0]
 
 
 @dataclass
@@ -208,7 +203,7 @@ def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
     inv_cdf = NormalDist().inv_cdf
     gauss = np.array([inv_cdf(p) for p in points.ravel()]).reshape(points.shape)
     vectors = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-    return DirectionSet(vectors=vectors, count=count)
+    return DirectionSet(vectors=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +216,26 @@ def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
 _DIRECTION_BLOCK = 16
 
 
-def _mean_envelope_matrix(frames: np.ndarray, dirs: DirectionSet) -> np.ndarray:
-    projections = frames @ dirs.vectors.T
+def _mean_envelope_matrix(samples: np.ndarray, dirs: DirectionSet) -> np.ndarray:
+    if dirs.vectors.shape[1] != samples.shape[0]:
+        raise BadDimension(
+            f"direction set is {dirs.vectors.shape[1]}-dimensional, "
+            f"signal has {samples.shape[0]} channels"
+        )
+    # the (samples, directions) operand order fixes the projections' last bits,
+    # and with them which samples are extrema: archives stay byte-identical
+    projections = samples.T @ dirs.vectors.T
     maxima = []
-    for k in range(dirs.count):
-        idx, _ = _extrema(projections[:, k])
+    for k, projection in enumerate(projections.T):
+        idx, _ = _extrema(projection)
         if idx.size < 2:
             raise TooFewExtrema(f"projection {k} has {idx.size} maxima", direction=k)
         maxima.append(idx)
-    columns = np.ascontiguousarray(frames.T)
-    total = np.zeros_like(columns)
+    total = np.zeros_like(samples)
     for lo in range(0, dirs.count, _DIRECTION_BLOCK):
-        for envelope in mirrored_envelopes(maxima[lo : lo + _DIRECTION_BLOCK], columns):
+        for envelope in mirrored_envelopes(maxima[lo : lo + _DIRECTION_BLOCK], samples):
             total += envelope
-    return total.T / dirs.count
+    return total / dirs.count
 
 
 def multivariate_mean_envelope(
@@ -248,44 +249,8 @@ def multivariate_mean_envelope(
     :class:`TooFewExtrema` naming the first direction whose projection has
     fewer than two maxima.
     """
-    if dirs.vectors.shape[1] != x.n_channels:
-        raise BadDimension(
-            f"direction set is {dirs.vectors.shape[1]}-dimensional, "
-            f"signal has {x.n_channels} channels"
-        )
-    env = _mean_envelope_matrix(x.to_matrix(), dirs)
-    return MultivariateSeries.from_matrix(
-        env, rate=x.rate, labels=x.labels, start_time=x.channels[0].start_time
-    )
-
-
-def _projections_have_extrema(frames: np.ndarray, dirs: DirectionSet) -> bool:
-    projections = frames @ dirs.vectors.T
-    for k in range(dirs.count):
-        maxima, minima = _extrema(projections[:, k])
-        if maxima.size + minima.size >= 3:
-            return True
-    return False
-
-
-def _extract_multivariate_imf(
-    residual: np.ndarray, dirs: DirectionSet, sd_threshold: float, max_sifts: int
-):
-    c = residual.copy()
-    sd = np.inf
-    for iteration in range(max_sifts):
-        try:
-            mean_env = _mean_envelope_matrix(c, dirs)
-        except TooFewExtrema:
-            if iteration == 0:
-                return None, True
-            return c, True
-        c_new = c - mean_env
-        sd = _sd(c.ravel(), c_new.ravel())
-        c = c_new
-        if sd < sd_threshold:
-            return c, True
-    return c, sd <= 10.0 * sd_threshold
+    env = _mean_envelope_matrix(x.samples, dirs)
+    return MultivariateSeries(env, rate=x.rate, labels=x.labels)
 
 
 def memd(
@@ -299,7 +264,8 @@ def memd(
 
     Sifting follows the univariate scheme with the multivariate mean
     envelope; the stopping measure sums the normalized squared change across
-    channels and samples.  All channels yield the same IMF count by
+    channels and samples, and an IMF is accepted on it alone, with no
+    per-channel mode test.  All channels yield the same IMF count by
     construction.
     """
     if x.n_channels < 2:
@@ -307,32 +273,13 @@ def memd(
     check_sd_threshold(sd_threshold)
     if dirs is None:
         dirs = direction_set(x.n_channels)
-    if dirs.vectors.shape[1] != x.n_channels:
-        raise BadDimension(
-            f"direction set is {dirs.vectors.shape[1]}-dimensional, "
-            f"signal has {x.n_channels} channels"
-        )
-    frames = x.to_matrix()
-    residual = frames.copy()
-    scale = np.max(np.abs(residual))
-    imf_layers = []
-    for _ in range(max_imfs):
-        if scale == 0.0 or np.max(np.abs(residual)) < 1e-10 * scale:
-            break
-        if not _projections_have_extrema(residual, dirs):
-            break
-        imf, converged = _extract_multivariate_imf(
-            residual, dirs, sd_threshold, max_sifts
-        )
-        if imf is None:
-            break
-        if not converged:
-            raise NoConvergence(
-                f"multivariate sifting did not settle within {max_sifts} iterations"
-            )
-        imf_layers.append(imf)
-        residual = residual - imf
-
+    imfs, trend = _sift(
+        x.samples,
+        lambda c: _mean_envelope_matrix(c, dirs),
+        sd_threshold,
+        max_sifts,
+        max_imfs,
+    )
     meta = {
         "source": "memd",
         "sd_threshold": sd_threshold,
@@ -343,11 +290,9 @@ def memd(
         "noise_channels": None,
         "seed": None,
     }
-    # layers are (samples, channels); the decomposition is channel-major
-    layers = np.array(imf_layers).reshape(-1, *frames.shape)
     return MultivariateDecomposition(
-        imfs=np.ascontiguousarray(layers.transpose(2, 0, 1)),
-        trend=np.ascontiguousarray(residual.T),
+        imfs=np.ascontiguousarray(imfs.transpose(1, 0, 2)),
+        trend=trend,
         rate=x.rate,
         labels=list(x.labels),
         meta=meta,
@@ -377,20 +322,19 @@ def na_memd(
     if noise_channels < 1:
         raise InvalidValue(f"need at least one noise channel, got {noise_channels}")
 
-    frames = x.to_matrix()
+    # mean squares summed sample by sample: the order fixes the noise level's
+    # last bits, so a seed gives the same noise samples in every version
+    frames = x.samples.T.copy()
     mean_rms = float(np.mean(np.sqrt(np.mean(np.square(frames), axis=0))))
     std = noise_pct * mean_rms if mean_rms > 0 else noise_pct
-    n = len(x)
-    noise_cols = []
-    for k in range(noise_channels):
-        stream = np.random.Generator(_philox(seed).jumped(k))
-        noise_cols.append(std * stream.standard_normal(n))
-
-    extended = MultivariateSeries.from_matrix(
-        np.column_stack([frames] + noise_cols),
+    noise = [
+        std * np.random.Generator(_philox(seed).jumped(k)).standard_normal(len(x))
+        for k in range(noise_channels)
+    ]
+    extended = MultivariateSeries(
+        np.vstack([x.samples, *noise]),
         rate=x.rate,
         labels=list(x.labels) + [f"noise{k}" for k in range(noise_channels)],
-        start_time=x.channels[0].start_time,
     )
     if dirs is None:
         dirs = direction_set(extended.n_channels, seed=seed)

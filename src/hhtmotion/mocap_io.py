@@ -22,7 +22,6 @@ from .errors import (
     UnknownChannelName,
 )
 from .memd import MultivariateSeries
-from .signal_core import TimeSeries
 from .spline import cubic_spline
 
 __all__ = [
@@ -331,17 +330,14 @@ def extract_channels(clip: MotionClip, selection) -> MultivariateSeries:
     Rotation channels are unwrapped into continuous series; position channels
     pass through unchanged.
     """
-    channels = []
+    rows = []
     for label in selection:
-        # built before unwrapping, so NaN or Inf is rejected before any arithmetic
-        try:
-            series = TimeSeries(clip.frames[:, clip.column(label)], rate=clip.rate)
-        except NonFiniteSample as exc:
-            raise NonFiniteSample(f"{label}: {exc}") from None
-        if _is_rotation(label):
-            series.samples = unwrap_degrees(series.samples)
-        channels.append(series)
-    return MultivariateSeries(channels=channels, labels=list(selection))
+        row = clip.frames[:, clip.column(label)]
+        # checked before unwrapping, so NaN or Inf is rejected before any arithmetic
+        if not np.all(np.isfinite(row)):
+            raise NonFiniteSample(f"{label}: samples contain NaN or Inf")
+        rows.append(unwrap_degrees(row) if _is_rotation(label) else row)
+    return MultivariateSeries(np.array(rows), rate=clip.rate, labels=list(selection))
 
 
 def apply_channels(clip: MotionClip, series: MultivariateSeries, selection) -> MotionClip:
@@ -359,9 +355,8 @@ def apply_channels(clip: MotionClip, series: MultivariateSeries, selection) -> M
             f"series length {len(series)} != frame count {clip.frame_count}"
         )
     frames = clip.frames.copy()
-    for label, channel in zip(selection, series.channels):
+    for label, values in zip(selection, series.samples):
         col = clip.column(label)
-        values = channel.samples
         frames[:, col] = wrap_degrees(values) if _is_rotation(label) else values
     return MotionClip(skeleton=clip.skeleton, frames=frames, frame_time=clip.frame_time)
 

@@ -276,6 +276,11 @@ def _envelopes(s: np.ndarray):
     return upper, lower
 
 
+def _mean_envelope(s: np.ndarray) -> np.ndarray:
+    upper, lower = _envelopes(s)
+    return 0.5 * (upper + lower)
+
+
 def envelope_pair(x: TimeSeries) -> EnvelopePair:
     """Natural cubic-spline envelopes through the maxima and minima of ``x``.
 
@@ -289,8 +294,7 @@ def envelope_pair(x: TimeSeries) -> EnvelopePair:
 
 def sift(c: TimeSeries) -> TimeSeries:
     """One sifting step: subtract the mean of the upper and lower envelopes."""
-    upper, lower = _envelopes(c.samples)
-    sifted = c.samples - 0.5 * (upper + lower)
+    sifted = c.samples - _mean_envelope(c.samples)
     return TimeSeries(sifted, rate=c.rate, start_time=c.start_time)
 
 
@@ -307,11 +311,6 @@ def _zero_crossings(s: np.ndarray) -> int:
 
 def _rms(s: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(s))))
-
-
-def _counts_ok(s: np.ndarray) -> bool:
-    maxima, minima = _extrema(s)
-    return abs((maxima.size + minima.size) - _zero_crossings(s)) <= 1
 
 
 def imf_check(c: TimeSeries, mean_env_tol: float = 0.1) -> ImfReport:
@@ -375,35 +374,58 @@ def check_sd_threshold(sd_threshold: float):
 _SIFT_MEAN_TOL = 0.05
 
 
-def _extract_imf(residual: np.ndarray, sd_threshold: float, max_sifts: int):
-    """Sift one IMF out of ``residual``.
+def _is_mode(c: np.ndarray, mean_env: np.ndarray) -> bool:
+    """EMD's mode test: extrema and zero-crossing counts within one, and the
+    envelope mean over the span of the extrema small against the RMS of ``c``."""
+    maxima, minima = _extrema(c)
+    if abs((maxima.size + minima.size) - _zero_crossings(c)) > 1:
+        return False
+    lo = int(min(maxima[0], minima[0]))
+    hi = int(max(maxima[-1], minima[-1])) + 1
+    return _rms(mean_env[lo:hi]) <= _SIFT_MEAN_TOL * _rms(c)
 
-    A candidate is accepted once the iterate-to-iterate change (SD) is below
-    ``sd_threshold`` and the candidate itself satisfies the mode criteria:
-    extrema/zero-crossing counts within one, envelope mean small relative to
-    the candidate RMS.  Returns ``(imf, converged)``; ``imf`` is None when
-    the residual cannot be enveloped at all and should be treated as trend.
+
+def _sift(residual, mean_envelope, sd_threshold, max_sifts, max_imfs, is_mode=None):
+    """Sift IMFs out of ``residual`` one after another; returns ``(imfs, trend)``.
+
+    ``mean_envelope(c)`` is the envelope mean of an iterate ``c`` (any shape)
+    and raises :class:`TooFewExtrema` when ``c`` cannot be enveloped.  An IMF
+    is accepted once the iterate-to-iterate change (SD) is below
+    ``sd_threshold`` and, when ``is_mode`` is given, ``is_mode(c, mean_env)``
+    holds; an iterate that can no longer be enveloped is accepted as it is.
+    Decomposition ends when the residual cannot be enveloped at all, has
+    decayed to rounding dust, or ``max_imfs`` IMFs are out; the residual is
+    the trend.  ``imfs`` stacks the IMFs along a new first axis.
     """
-    c = residual.copy()
-    sd = np.inf
-    for iteration in range(max_sifts):
-        try:
-            upper, lower = _envelopes(c)
-        except TooFewExtrema:
-            if iteration == 0:
-                return None, True
-            return c, True
-        mean_env = 0.5 * (upper + lower)
-        if iteration > 0 and sd < sd_threshold and _counts_ok(c):
-            maxima, minima = _extrema(c)
-            lo = int(min(maxima[0], minima[0]))
-            hi = int(max(maxima[-1], minima[-1])) + 1
-            if _rms(mean_env[lo:hi]) <= _SIFT_MEAN_TOL * _rms(c):
-                return c, True
-        c_new = c - mean_env
-        sd = _sd(c, c_new)
-        c = c_new
-    return c, sd <= 10.0 * sd_threshold
+    residual = residual.copy()
+    scale = np.max(np.abs(residual))
+    imfs = []
+    # machine-precision dust produces spurious extrema; stop before sifting it
+    while len(imfs) < max_imfs and np.max(np.abs(residual)) >= 1e-10 * scale:
+        c, sd = residual, np.inf
+        for _ in range(max_sifts):
+            if sd < sd_threshold and is_mode is None:
+                break
+            try:
+                mean_env = mean_envelope(c)
+            except TooFewExtrema:
+                break
+            if sd < sd_threshold and is_mode(c, mean_env):
+                break
+            c_new = c - mean_env
+            sd = _sd(c, c_new)
+            c = c_new
+        else:
+            if sd > 10.0 * sd_threshold:
+                raise NoConvergence(
+                    f"IMF {len(imfs) + 1}: sifting did not settle within {max_sifts} "
+                    f"iterations (SD {sd:.4g}, threshold {sd_threshold:g})"
+                )
+        if c is residual:  # not one sift was possible: the residual is the trend
+            break
+        imfs.append(c)
+        residual = residual - c
+    return np.array(imfs).reshape(-1, *residual.shape), residual
 
 
 def emd(
@@ -414,38 +436,19 @@ def emd(
 ) -> Decomposition:
     """Decompose ``x`` into IMFs plus a trend by iterative sifting.
 
-    The inner loop sifts until the normalized squared change between
-    iterates drops below ``sd_threshold`` (conventionally 0.2-0.3) and the
-    result satisfies the extrema/zero-crossing criterion.  The outer loop
-    stops when the residual has fewer than 3 extrema or ``max_imfs`` is
-    reached; the remaining residual is the trend.  Reconstruction is exact
-    by construction up to float rounding.
+    Each IMF is sifted until the normalized squared change between iterates
+    drops below ``sd_threshold`` (conventionally 0.2-0.3) and the result
+    satisfies the extrema/zero-crossing and envelope-mean criteria.
+    Decomposition stops when the residual has too few extrema for envelopes
+    or ``max_imfs`` is reached; the remaining residual is the trend.
+    Reconstruction is exact by construction up to float rounding.
     """
     if len(x) < 4:
         raise SignalTooShort("decomposition needs at least 4 samples")
     check_sd_threshold(sd_threshold)
-
-    residual = x.samples.copy()
-    scale = np.max(np.abs(residual))
-    imfs = []
-    for _ in range(max_imfs):
-        # machine-precision dust produces spurious extrema; stop before
-        # trying to sift it
-        if np.max(np.abs(residual)) < 1e-10 * scale:
-            break
-        maxima, minima = _extrema(residual)
-        if maxima.size + minima.size < 3:
-            break
-        imf, converged = _extract_imf(residual, sd_threshold, max_sifts)
-        if imf is None:
-            break
-        if not converged:
-            raise NoConvergence(
-                f"sifting did not settle within {max_sifts} iterations"
-            )
-        imfs.append(imf)
-        residual = residual - imf
-
+    imfs, trend = _sift(
+        x.samples, _mean_envelope, sd_threshold, max_sifts, max_imfs, is_mode=_is_mode
+    )
     meta = {
         "source": "emd",
         "sd_threshold": sd_threshold,
@@ -455,7 +458,7 @@ def emd(
         "noise_channels": None,
         "seed": None,
     }
-    return Decomposition(imfs=imfs, trend=residual, rate=x.rate, meta=meta)
+    return Decomposition(imfs=imfs, trend=trend, rate=x.rate, meta=meta)
 
 
 # ---------------------------------------------------------------------------

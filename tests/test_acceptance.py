@@ -104,7 +104,9 @@ def corpus_results():
             + 0.1 * np.sin(np.arange(x.samples.size) * 0.05),
             x.rate,
         )
-        pair = MultivariateSeries(channels=[x, companion], labels=["a", "b"])
+        pair = MultivariateSeries(
+            np.stack([x.samples, companion.samples]), x.rate, labels=["a", "b"]
+        )
         uni = emd(x)
         multi = memd(pair, dirs=direction_set(2, ACCEPT_DIRECTIONS, seed=i))
         assisted = na_memd(
@@ -123,7 +125,7 @@ def test_criterion_1_perfect_reconstruction(corpus_results):
         worst = max(worst, np.max(np.abs(uni.reconstruct() - x.samples)) / scale)
         for md in (multi, assisted):
             for ch, d in enumerate(md.per_channel):
-                target = pair.channels[ch].samples
+                target = pair.samples[ch]
                 err = np.max(np.abs(d.reconstruct() - target))
                 worst = max(worst, err / np.max(np.abs(target)))
     ok = worst <= 1e-8 and elapsed < 60.0
@@ -169,11 +171,7 @@ def test_criterion_3_tone_separation():
             worst = min(worst, best)
 
         pair = MultivariateSeries(
-            channels=[
-                TimeSeries(low + high, rate),
-                TimeSeries(0.7 * low + 1.2 * high, rate),
-            ],
-            labels=["a", "b"],
+            np.stack([low + high, 0.7 * low + 1.2 * high]), rate, labels=["a", "b"]
         )
         md = na_memd(pair, seed=seed, dirs=direction_set(3, 64, seed=seed))
         for ch in range(2):
@@ -226,8 +224,8 @@ def test_criterion_5_filter_bank():
     ratios = {n: [] for n in range(1, 5)}
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        x = MultivariateSeries.from_matrix(
-            rng.standard_normal((1000, 2)), 100.0, ["a", "b"]
+        x = MultivariateSeries(
+            rng.standard_normal((1000, 2)).T, 100.0, ["a", "b"]
         )
         md = memd(x, dirs=direction_set(2, 64, seed=seed))
         for d in md.per_channel:

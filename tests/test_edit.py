@@ -168,7 +168,7 @@ class TestApplyBlend:
             pair, BlendSpec(operations=[BlendOp(kind="trend_exchange")])
         )
         expected = tone + ramp_b
-        got = reconstruct(out).channels[0].samples
+        got = reconstruct(out).samples[0]
         assert np.max(np.abs(got - expected)) < 1e-6
 
     def test_blend_half_of_identical_pair(self):
@@ -202,7 +202,7 @@ class TestApplyBlend:
                 BlendOp(kind="blend", imfs=[3], alpha=0.25),
             ]
         )
-        out = reconstruct(apply_blend(pair, spec)).to_matrix()
+        out = reconstruct(apply_blend(pair, spec)).samples.T
         expected = np.zeros_like(out)
         for ch in range(pair.a.n_channels):
             da, db = pair.a.per_channel[ch], pair.b.per_channel[ch]
@@ -286,7 +286,7 @@ class TestReconstructAndSynthesize:
         series = extract_channels(clip, sel)
         md = memd(series, dirs=direction_set(2, 8, seed=0))
         back = reconstruct(md)
-        assert np.max(np.abs(back.to_matrix() - series.to_matrix())) < 1e-8
+        assert np.max(np.abs(back.samples.T - series.samples.T)) < 1e-8
 
         out = synthesize_clip(clip, md, sel)
         assert np.max(np.abs(out.frames - clip.frames)) < 1e-6
@@ -298,7 +298,7 @@ class TestReconstructAndSynthesize:
         zeroed = apply_blend(
             pair, BlendSpec(operations=[BlendOp(kind="zero", imfs=[1])])
         )
-        diff = reconstruct(pair.a).to_matrix() - reconstruct(zeroed).to_matrix()
+        diff = reconstruct(pair.a).samples.T - reconstruct(zeroed).samples.T
         for ch in range(2):
             assert np.allclose(diff[:, ch], pair.a.per_channel[ch].imfs[0], atol=1e-9)
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from hhtmotion.errors import BadDimension, TooFewExtrema
+from hhtmotion.errors import (
+    BadDimension,
+    NoConvergence,
+    NonFiniteSample,
+    SignalTooShort,
+    TooFewExtrema,
+)
 from hhtmotion.memd import (
     DirectionSet,
     MultivariateSeries,
@@ -19,7 +25,7 @@ from hhtmotion.spline import mirrored_envelopes
 def stack(rate, *columns, labels=None):
     matrix = np.stack(columns, axis=1)
     labels = labels or [f"ch{i}" for i in range(matrix.shape[1])]
-    return MultivariateSeries.from_matrix(matrix, rate, labels)
+    return MultivariateSeries(matrix.T, rate, labels)
 
 
 class TestDirectionSet:
@@ -41,11 +47,44 @@ class TestDirectionSet:
         c = direction_set(3, 16, seed=12)
         assert not np.array_equal(a.vectors, c.vectors)
 
+    def test_count_is_the_number_of_vectors(self):
+        vectors = direction_set(2, 8, seed=0).vectors
+        with pytest.raises(TypeError):
+            DirectionSet(vectors=vectors, count=4)
+        dirs = DirectionSet(vectors=vectors)
+        assert dirs.count == 8
+        rng = np.random.default_rng(3)
+        x = stack(50.0, *rng.standard_normal((2, 400)))
+        md = memd(x, dirs=dirs)
+        assert md.meta["direction_count"] == 8
+        assert np.array_equal(md.imfs, memd(x, dirs=direction_set(2, 8, seed=0)).imfs)
+
     def test_bad_dimension(self):
         with pytest.raises(BadDimension):
             direction_set(1, 8)
         with pytest.raises(BadDimension):
             direction_set(4, 6)
+
+
+class TestMultivariateSeries:
+    def test_rows_are_channels(self):
+        x = MultivariateSeries(np.arange(6.0).reshape(2, 3), 10.0, ["a", "b"])
+        assert (x.n_channels, len(x)) == (2, 3)
+        assert np.array_equal(x.samples[1], [3.0, 4.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "samples, rate, labels, error",
+        [
+            ([[0.0, np.nan]], 10.0, ["a"], NonFiniteSample),
+            ([[0.0], [1.0]], 10.0, ["a", "b"], SignalTooShort),
+            ([0.0, 1.0], 10.0, ["a"], ValueError),
+            ([[0.0, 1.0]], 0.0, ["a"], ValueError),
+            ([[0.0, 1.0]], 10.0, ["a", "b"], ValueError),
+        ],
+    )
+    def test_rejects(self, samples, rate, labels, error):
+        with pytest.raises(error):
+            MultivariateSeries(samples, rate, labels)
 
 
 class TestMeanEnvelope:
@@ -54,7 +93,7 @@ class TestMeanEnvelope:
         t = np.arange(0, 5, 1 / rate)
         x = stack(rate, np.cos(2 * np.pi * t), np.sin(2 * np.pi * t))
         env = multivariate_mean_envelope(x, direction_set(2, 64, seed=0))
-        norms = np.linalg.norm(env.to_matrix(), axis=1)
+        norms = np.linalg.norm(env.samples.T, axis=1)
         k = len(t) // 10
         assert np.max(norms[k:-k]) < 0.1
 
@@ -66,7 +105,7 @@ class TestMeanEnvelope:
             5.0 + np.sin(2 * np.pi * 2 * t),
             -3.0 + np.sin(2 * np.pi * 2 * t + 1.0),
         )
-        env = multivariate_mean_envelope(x, direction_set(2, 64, seed=0)).to_matrix()
+        env = multivariate_mean_envelope(x, direction_set(2, 64, seed=0)).samples.T
         k = len(t) // 10
         means = env[k:-k].mean(axis=0)
         assert abs(means[0] - 5.0) < 0.5
@@ -78,21 +117,21 @@ class TestMeanEnvelope:
         rng = np.random.default_rng(7)
         x = stack(100.0, *np.cumsum(rng.standard_normal((4, 600)), axis=1))
         dirs = direction_set(4, count, seed=1)
-        frames = x.to_matrix()
+        frames = x.samples.T
         projections = frames @ dirs.vectors.T
         columns = np.ascontiguousarray(frames.T)
         total = np.zeros_like(columns)
         for k in range(count):
             (envelope,) = mirrored_envelopes([_extrema(projections[:, k])[0]], columns)
             total += envelope
-        env = multivariate_mean_envelope(x, dirs).to_matrix()
+        env = multivariate_mean_envelope(x, dirs).samples.T
         assert np.array_equal(env, total.T / count)
 
     def test_monotone_projection_raises(self):
         rate = 10.0
         ramp = np.linspace(0.0, 1.0, 40)
         x = stack(rate, ramp, 2 * ramp)
-        single = DirectionSet(vectors=np.array([[1.0, 0.0]]), count=1)
+        single = DirectionSet(vectors=np.array([[1.0, 0.0]]))
         with pytest.raises(TooFewExtrema) as exc:
             multivariate_mean_envelope(x, single)
         assert exc.value.direction == 0
@@ -107,7 +146,7 @@ class TestMemd:
         md = memd(x, dirs=direction_set(3, 8, seed=0))
         for k, d in enumerate(md.per_channel):
             best = max(
-                abs(np.corrcoef(c, x.channels[k].samples)[0, 1]) for c in d.imfs
+                abs(np.corrcoef(c, x.samples[k])[0, 1]) for c in d.imfs
             )
             assert best > 0.95
 
@@ -123,26 +162,38 @@ class TestMemd:
         i_low = int(np.argmax(corrs))
         assert corrs[i_low] > 0.9
         rms = np.sqrt(np.mean(md.per_channel[1].imfs[i_low] ** 2))
-        assert rms < 0.2 * np.sqrt(np.mean(x.channels[1].samples ** 2))
+        assert rms < 0.2 * np.sqrt(np.mean(x.samples[1] ** 2))
 
     def test_per_channel_reconstruction(self):
         rng = np.random.default_rng(0)
-        x = MultivariateSeries.from_matrix(
-            rng.standard_normal((600, 2)), 50.0, ["a", "b"]
+        x = MultivariateSeries(
+            rng.standard_normal((600, 2)).T, 50.0, ["a", "b"]
         )
         md = memd(x, dirs=direction_set(2, 8, seed=0))
         for k, d in enumerate(md.per_channel):
-            err = np.max(np.abs(d.reconstruct() - x.channels[k].samples))
-            assert err < 1e-8 * np.max(np.abs(x.channels[k].samples))
+            err = np.max(np.abs(d.reconstruct() - x.samples[k]))
+            assert err < 1e-8 * np.max(np.abs(x.samples[k]))
 
     def test_mode_alignment(self):
         rng = np.random.default_rng(5)
-        x = MultivariateSeries.from_matrix(
-            rng.standard_normal((500, 3)), 50.0, ["a", "b", "c"]
+        x = MultivariateSeries(
+            rng.standard_normal((500, 3)).T, 50.0, ["a", "b", "c"]
         )
         md = memd(x, dirs=direction_set(3, 8, seed=0))
         counts = {d.imf_count for d in md.per_channel}
         assert len(counts) == 1
+
+    def test_no_envelope_leaves_all_to_the_trend(self):
+        ramp = np.linspace(0.0, 1.0, 60)
+        x = stack(10.0, ramp, 2 * ramp)
+        md = memd(x, dirs=direction_set(2, 8, seed=0))
+        assert md.imfs.shape == (2, 0, 60)
+        assert np.array_equal(md.trend, x.samples)
+
+    def test_no_convergence_names_imf_and_sd(self):
+        x = stack(100.0, *np.random.default_rng(0).standard_normal((2, 500)))
+        with pytest.raises(NoConvergence, match=r"^IMF 1: .* \(SD \d[\d.e+-]*, threshold 0.01\)$"):
+            memd(x, dirs=direction_set(2, 8, seed=0), sd_threshold=0.01, max_sifts=1)
 
     def test_requires_two_channels(self):
         x = stack(10.0, np.sin(np.linspace(0, 20, 100)))
@@ -212,8 +263,8 @@ class TestNaMemd:
         ratios = {n: [] for n in range(1, 5)}
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            x = MultivariateSeries.from_matrix(
-                rng.standard_normal((1000, 2)), 100.0, ["a", "b"]
+            x = MultivariateSeries(
+                rng.standard_normal((1000, 2)).T, 100.0, ["a", "b"]
             )
             md = memd(x, dirs=direction_set(2, 8, seed=seed))
             for d in md.per_channel:

@@ -5,6 +5,7 @@ from helpers import cosine, pv_hilbert_oracle, tone
 
 from hhtmotion.errors import (
     DegenerateSignal,
+    NoConvergence,
     NonFiniteSample,
     SignalTooShort,
     TooFewExtrema,
@@ -289,6 +290,19 @@ class TestEmd:
                 if a >= b:
                     ordered += 1
         assert ordered / pairs >= 0.9
+
+    @pytest.mark.parametrize(
+        "samples", [np.linspace(0.0, 1.0, 50), np.linspace(-1, 1, 50) ** 2, np.zeros(50)]
+    )
+    def test_no_envelope_leaves_all_to_the_trend(self, samples):
+        d = emd(TimeSeries(samples, 10.0))
+        assert d.imfs.shape == (0, 50)
+        assert np.array_equal(d.trend, samples)
+
+    def test_no_convergence_names_imf_and_sd(self):
+        x = TimeSeries(np.random.default_rng(0).standard_normal(500), 100.0)
+        with pytest.raises(NoConvergence, match=r"^IMF 1: .* \(SD \d[\d.e+-]*, threshold 0.01\)$"):
+            emd(x, sd_threshold=0.01, max_sifts=1)
 
     def test_archive_round_trip(self):
         d = emd(tone(2.0, 5.0, 50.0))
