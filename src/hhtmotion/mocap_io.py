@@ -145,23 +145,41 @@ def wrap_degrees(values: np.ndarray) -> np.ndarray:
 
 
 class _Tokens:
+    """Whitespace-separated tokens of BVH text, split a line at a time.
+
+    Only the lines the header needs are split; :meth:`rest` hands over every
+    token after the current one.  Line numbers count as
+    :meth:`str.splitlines` does.
+    """
+
     def __init__(self, text):
-        self.items = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            for token in line.split():
-                self.items.append((token, line_no))
+        self.lines = text.splitlines()
+        # lines split so far; ``words`` and the token handed out last come
+        # from the last of them
+        self.line_no = 0
+        self.words = []
         self.pos = 0
+        self.token_line = 0  # line of the next token, else of the last one
+
+    def _fill(self):
+        """Split lines until a token is waiting; False at the end of the text."""
+        while self.pos >= len(self.words):
+            if self.line_no == len(self.lines):
+                return False
+            self.words = self.lines[self.line_no].split()
+            self.pos = 0
+            self.line_no += 1
+            if self.words:
+                self.token_line = self.line_no
+        return True
 
     @property
     def line(self):
-        if self.pos < len(self.items):
-            return self.items[self.pos][1]
-        return self.items[-1][1] if self.items else 0
+        self._fill()
+        return self.token_line
 
     def peek(self):
-        if self.pos >= len(self.items):
-            return None
-        return self.items[self.pos][0]
+        return self.words[self.pos] if self._fill() else None
 
     def next(self, expected=None):
         token = self.peek()
@@ -173,7 +191,7 @@ class _Tokens:
     def expect(self, literal):
         token = self.next(expected=repr(literal))
         if token != literal:
-            raise BvhSyntaxError(self.items[self.pos - 1][1], repr(literal))
+            raise BvhSyntaxError(self.line_no, repr(literal))
         return token
 
     def number(self, what="a number"):
@@ -181,14 +199,27 @@ class _Tokens:
         try:
             return float(token)
         except ValueError:
-            raise BvhSyntaxError(self.items[self.pos - 1][1], what) from None
+            raise BvhSyntaxError(self.line_no, what) from None
 
     def integer(self, what="an integer"):
         token = self.next(expected=what)
         try:
             return int(token)
         except ValueError:
-            raise BvhSyntaxError(self.items[self.pos - 1][1], what) from None
+            raise BvhSyntaxError(self.line_no, what) from None
+
+    def rest(self):
+        """Every token not handed out yet, in order."""
+        return self.words[self.pos:] + "\n".join(self.lines[self.line_no:]).split()
+
+    def line_of(self, index):
+        """Line of token ``index`` of :meth:`rest`; counts lines only when asked."""
+        index -= len(self.words) - self.pos
+        line_no = self.line_no
+        while index >= 0:
+            index -= len(self.lines[line_no].split())
+            line_no += 1
+        return line_no
 
 
 def _parse_offset(tokens):
@@ -233,6 +264,14 @@ def _parse_joint(tokens, names_seen):
             raise BvhSyntaxError(tokens.line, "'JOINT', 'End Site', or '}'")
 
 
+def _is_number(word):
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_bvh(text: str) -> MotionClip:
     """Parse BVH source into a motion clip.
 
@@ -240,7 +279,8 @@ def parse_bvh(text: str) -> MotionClip:
     frame count must match the number of data rows.  Duplicate joint names
     get numeric suffixes.  A skeleton without channels, fewer than two
     frames and a frame time that is not positive raise
-    :class:`BvhSyntaxError`.
+    :class:`BvhSyntaxError`.  The motion block is read in one pass; a value
+    that ``float`` rejects and a short last row raise it with their line.
     """
     tokens = _Tokens(text)
     tokens.expect("HIERARCHY")
@@ -266,12 +306,16 @@ def parse_bvh(text: str) -> MotionClip:
     if not 0.0 < frame_time < float("inf"):
         raise BvhSyntaxError(line, "a positive frame time")
 
-    values = []
-    while tokens.peek() is not None:
-        values.append(tokens.number("a channel value"))
+    words = tokens.rest()
+    try:
+        values = np.array(list(map(float, words)))
+    except ValueError:
+        bad = next(i for i, word in enumerate(words) if not _is_number(word))
+        raise BvhSyntaxError(tokens.line_of(bad), "a channel value") from None
     if len(values) % width != 0:
-        raise BvhSyntaxError(tokens.line, f"rows of {width} channel values")
-    frames = np.array(values).reshape(-1, width)
+        last = tokens.line_of(len(words) - 1)
+        raise BvhSyntaxError(last, f"rows of {width} channel values")
+    frames = values.reshape(-1, width)
     if frames.shape[0] != frame_count:
         raise FrameCountMismatch(
             f"declared {frame_count} frames, found {frames.shape[0]}"
@@ -311,8 +355,9 @@ def write_bvh(clip: MotionClip) -> str:
     lines.append("MOTION")
     lines.append(f"Frames: {clip.frame_count}")
     lines.append(f"Frame Time: {clip.frame_time:.6f}")
-    for row in clip.frames:
-        lines.append(" ".join(f"{v:.6f}" for v in row))
+    row = " ".join(["%.6f"] * clip.frames.shape[1])
+    values = tuple(clip.frames.ravel().tolist())
+    lines.append("\n".join([row] * clip.frame_count) % values)
     return "\n".join(lines) + "\n"
 
 

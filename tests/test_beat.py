@@ -3,6 +3,7 @@ import pytest
 
 from helpers import bvh_text, click_signal, write_wav_float32, write_wav_pcm16
 
+from hhtmotion import beat
 from hhtmotion.beat import (
     Segment,
     estimate_tempo,
@@ -75,6 +76,14 @@ class TestOnsetEnvelope:
     def test_too_short(self):
         with pytest.raises(AudioTooShort):
             onset_envelope(TimeSeries(np.zeros(8000 // 2), 8000.0))
+
+    @pytest.mark.parametrize("block_bytes", [1, 50_000, 1 << 30])
+    def test_block_size_does_not_change_the_envelope(self, monkeypatch, block_bytes):
+        # 1 byte gives one frame per block, 1 GiB one block for the whole clip
+        audio = click_signal(130.0, 7.0, 22050)
+        reference = onset_envelope(audio).samples
+        monkeypatch.setattr(beat, "_BLOCK_BYTES", block_bytes)
+        assert onset_envelope(audio).samples.tobytes() == reference.tobytes()
 
 
 class TestEstimateTempo:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import MINI_BVH, bvh_text, random_skeleton_bvh
 
@@ -11,6 +13,7 @@ from hhtmotion.errors import (
     UnknownChannelName,
 )
 from hhtmotion.mocap_io import (
+    MotionClip,
     apply_channels,
     extract_channels,
     parse_bvh,
@@ -86,6 +89,132 @@ class TestWrite:
         text1 = write_bvh(clip)
         text2 = write_bvh(parse_bvh(text1))
         assert text1 == text2
+
+
+EXAMPLES = settings(max_examples=80, derandomize=True, database=None, deadline=None)
+
+MINI_HIERARCHY = MINI_BVH[: MINI_BVH.index("MOTION")].split()
+MINI_HEAD = MINI_BVH[: MINI_BVH.index("0.000000 0.000000 0.000000 10")]  # through Frame Time
+LINE_BREAKS = ["\n", "\r\n", "\u2028", " \n\t"]
+SPACES = [" ", "\t", "\xa0", "\u2003", "\u3000"]
+VALUE_SPELLINGS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_0", "\u0661\u0662", "nan", "-inf", "+1.5", ".5", "-0", "1E3"]),
+)
+
+
+@st.composite
+def motion_texts(draw):
+    """MINI_BVH's hierarchy and 2-5 frames, laid out with varied whitespace."""
+    rows = draw(st.integers(2, 5))
+    values = draw(st.lists(VALUE_SPELLINGS, min_size=6 * rows, max_size=6 * rows))
+    tokens = MINI_HIERARCHY + ["MOTION", "Frames:", str(rows), "Frame", "Time:", "0.025"]
+    layout = draw(st.sampled_from(["one line", "mixed", "frame time alone"]))
+    gaps = SPACES if layout == "one line" else SPACES + LINE_BREAKS
+    seps = draw(st.lists(st.sampled_from(gaps), min_size=len(tokens) + len(values),
+                         max_size=len(tokens) + len(values)))
+    if layout == "frame time alone":
+        seps[len(tokens) - 2] = draw(st.sampled_from(LINE_BREAKS))
+        seps[len(tokens) - 1] = draw(st.sampled_from(LINE_BREAKS))
+    return "".join(t + sep for t, sep in zip(tokens + values, seps))
+
+
+def reference_frames(text, width):
+    """The motion block read one token at a time, as ``float`` reads it."""
+    tokens = text.split()
+    values = [float(t) for t in tokens[tokens.index("Time:") + 2:]]
+    return np.array(values).reshape(-1, width)
+
+
+def reference_rows(frames):
+    """The motion block written one f-string per value."""
+    return "\n".join(" ".join(f"{v:.6f}" for v in row) for row in frames) + "\n"
+
+
+# odd multiples of 1/128 are exact ties at the sixth decimal
+WRITE_SPECIALS = [-0.0, -1e-9, 1e300, -1e300, float("inf"), float("-inf"), float("nan"),
+                  1 / 128, 3 / 128, -5 / 128, 1e6 + 1 / 128, 0.0000005, 5e-324, 179.9999995]
+
+
+class TestMotionBlock:
+    @EXAMPLES
+    @given(motion_texts())
+    def test_frames_equal_a_token_scan(self, text):
+        clip = parse_bvh(text)
+        assert np.array_equal(clip.frames, reference_frames(text, 6), equal_nan=True)
+        assert clip.frame_time == 0.025
+        assert clip.skeleton.channel_labels() == parse_bvh(MINI_BVH).skeleton.channel_labels()
+
+    @EXAMPLES
+    @given(st.integers(2, 5).flatmap(lambda rows: st.lists(
+        st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(WRITE_SPECIALS),
+        min_size=6 * rows, max_size=6 * rows)))
+    def test_write_equals_per_value_format(self, values):
+        frames = np.reshape(values, (-1, 6))
+        clip = MotionClip(parse_bvh(MINI_BVH).skeleton, frames, 0.025)
+        assert write_bvh(clip).endswith("Frame Time: 0.025000\n" + reference_rows(frames))
+
+    def test_write_special_values(self):
+        frames = np.reshape(WRITE_SPECIALS + [0.0] * 4, (-1, 6))
+        text = write_bvh(MotionClip(parse_bvh(MINI_BVH).skeleton, frames, 0.025))
+        assert text.endswith("Frame Time: 0.025000\n" + reference_rows(frames))
+        assert "-0.000000 -0.000000 1" in text
+        assert "0.007812 0.023438 -0.039062 1000000.007812" in text
+
+
+# each message is the one the line-by-line token scanner gave
+MALFORMED_MOTION = {
+    "bad token mid-block": (
+        MINI_HEAD + "0 0 0 10 20 30\n1 2 x 11 21 31\n",
+        BvhSyntaxError, "line 15: expected a channel value"),
+    "bad token on the frame time line": (
+        MINI_HEAD.replace("0.025000\n", "0.025000 0 0 0 10 20 oops\n") + "1 2 3 11 21 31\n",
+        BvhSyntaxError, "line 13: expected a channel value"),
+    "first bad token wins over a short row": (
+        MINI_HEAD + "0 0 0 10 20 30 1\n1 2 3 y 21 31\n",
+        BvhSyntaxError, "line 15: expected a channel value"),
+    "short last row": (
+        MINI_HEAD + "0 0 0 10 20 30\n1 2 3 11 21\n",
+        BvhSyntaxError, "line 15: expected rows of 6 channel values"),
+    "short last row before blank lines": (
+        MINI_HEAD + "0 0 0 10 20 30\n1 2 3 11 21\n\n  \n\t\n",
+        BvhSyntaxError, "line 15: expected rows of 6 channel values"),
+    "rows merged onto one line, one value short": (
+        MINI_HEAD + "0 0 0 10 20 30 1 2 3 11 21\n",
+        BvhSyntaxError, "line 14: expected rows of 6 channel values"),
+    "frame-count mismatch": (
+        MINI_BVH.replace("Frames: 2", "Frames: 3"),
+        FrameCountMismatch, "declared 3 frames, found 2"),
+    "one row too many": (
+        MINI_HEAD + "0 0 0 10 20 30\n1 2 3 11 21 31\n1 2 3 11 21 31\n",
+        FrameCountMismatch, "declared 2 frames, found 3"),
+    "Frames: with no values": (
+        MINI_HEAD, FrameCountMismatch, "declared 2 frames, found 0"),
+    "Frames: with only blank lines": (
+        MINI_HEAD + "\n \n\t\n", FrameCountMismatch, "declared 2 frames, found 0"),
+    "U+2028 breaks a line, U+3000 does not": (
+        MINI_HEAD + "0 0 0 10 20 30\u20281\u30002\u30003 11 21 x\n",
+        BvhSyntaxError, "line 15: expected a channel value"),
+    "NBSP layout, CRLF, short row": (
+        MINI_HEAD + "0\xa00\xa00\xa010\xa020\xa030\r\n1 2 3 11 21\r\n",
+        BvhSyntaxError, "line 15: expected rows of 6 channel values"),
+    "CRLF throughout, bad token": (
+        MINI_HEAD.replace("\n", "\r\n") + "0 0 0 10 20 30\r\n1 2 3 11 2.1.1 31\r\n",
+        BvhSyntaxError, "line 15: expected a channel value"),
+    "lone CR lines, bad token": (
+        MINI_HEAD.replace("\n", "\r") + "0 0 0 10 20 30\r1 2 3 11 21 3O\r",
+        BvhSyntaxError, "line 15: expected a channel value"),
+}
+
+
+@pytest.mark.parametrize("text, error, message", MALFORMED_MOTION.values(),
+                         ids=list(MALFORMED_MOTION))
+def test_malformed_motion_block(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_bvh(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 class TestWrapping:
