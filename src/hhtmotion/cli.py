@@ -453,7 +453,7 @@ def cmd_blend(archive_a, archive_b, spec_path, template_path, target_fps, out):
         spec = blend_spec_from_dict(json.load(handle))
     template = _load_bvh(template_path)
 
-    rate = target_fps or spec.target_rate or template.rate
+    rate = target_fps if target_fps is not None else spec.target_rate or template.rate
     seconds = min(a.n_samples / a.rate, b.n_samples / b.rate)
     rows = a.n_channels * (max(a.imf_count, b.imf_count) + 1)
     _check_size(seconds * rate * rows, f"target rate {rate:g}")

@@ -47,7 +47,7 @@ class BadDimension(HhtMotionError):
 
 
 class ArchiveFormatError(InputFormatError):
-    """A decomposition archive that is not one of the two documented shapes."""
+    """A decomposition archive that is not of the documented shape."""
 
 
 # --- motion-capture I/O ---

@@ -367,35 +367,31 @@ def na_memd(
 
 
 def multivariate_to_dict(md: MultivariateDecomposition) -> dict:
-    """Archive form: per-channel IMF/trend arrays plus decomposition settings."""
+    """Archive form: ``{rate, channels: [{label, imfs, trend}], meta}``."""
     return {
         "rate": float(md.rate),
-        "sd_threshold": md.meta.get("sd_threshold"),
         "channels": [
             {"label": label, "imfs": imfs.tolist(), "trend": trend.tolist()}
             for label, imfs, trend in zip(md.labels, md.imfs, md.trend)
         ],
-        "direction_count": md.meta.get("direction_count"),
-        "noise_pct": md.meta.get("noise_pct"),
-        "noise_channels": md.meta.get("noise_channels"),
-        "seed": md.meta.get("seed"),
         "meta": dict(md.meta),
     }
 
 
 def multivariate_from_dict(obj: dict) -> MultivariateDecomposition:
-    """Read an archive in either documented shape.
+    """Read an archive of the shape ``{rate, channels: [{label, imfs, trend}],
+    meta}``.  Other top-level keys are ignored, so archives of earlier
+    versions, which also copied the settings in ``meta`` to the top level,
+    still read.
 
-    The multichannel shape is ``{rate, channels: [{label, imfs, trend}],
-    meta, ...}``; the flat single-channel shape ``{rate, sd_threshold, imfs,
-    trend, meta}`` reads as one channel labelled ``signal``.  Anything else
-    raises :class:`ArchiveFormatError`: a missing field, a rate that is not
-    a positive finite number, or sample arrays that hold non-numbers, are
-    ragged, or differ in length or IMF count between channels.
+    Anything else raises :class:`ArchiveFormatError`: a missing field, a
+    rate that is not a positive finite number, or sample arrays that hold
+    non-numbers, are ragged, or differ in length or IMF count between
+    channels.
     """
     if not isinstance(obj, dict):
         raise ArchiveFormatError("an archive must be a JSON object")
-    entries = obj["channels"] if "channels" in obj else [dict(obj, label="signal")]
+    entries = obj.get("channels")
     fields = {"label", "imfs", "trend"}
     if not (isinstance(entries, list) and entries
             and all(isinstance(e, dict) and fields <= set(e) for e in entries)):
@@ -407,9 +403,6 @@ def multivariate_from_dict(obj: dict) -> MultivariateDecomposition:
     labels = [e["label"] for e in entries]
     if not isinstance(meta, dict) or not all(isinstance(label, str) for label in labels):
         raise ArchiveFormatError("meta must be an object and every label a string")
-    meta = dict(meta)
-    for key in ("sd_threshold", "direction_count", "noise_pct", "noise_channels", "seed"):
-        meta.setdefault(key, obj.get(key))
 
     trend = finite_array([e["trend"] for e in entries], "trends", ArchiveFormatError)
     imfs = finite_array([e["imfs"] for e in entries], "IMFs", ArchiveFormatError)
@@ -419,5 +412,5 @@ def multivariate_from_dict(obj: dict) -> MultivariateDecomposition:
     if not aligned or trend.shape[1] < 2:
         raise ArchiveFormatError("each trend needs 2 or more samples, each IMF as many")
     return MultivariateDecomposition(
-        imfs=imfs, trend=trend, rate=float(rate), labels=labels, meta=meta
+        imfs=imfs, trend=trend, rate=float(rate), labels=labels, meta=dict(meta)
     )

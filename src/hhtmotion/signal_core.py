@@ -40,8 +40,6 @@ __all__ = [
     "sift",
     "imf_check",
     "emd",
-    "decomposition_to_dict",
-    "decomposition_from_dict",
 ]
 
 
@@ -460,24 +458,3 @@ def emd(
     }
     return Decomposition(imfs=imfs, trend=trend, rate=x.rate, meta=meta)
 
-
-# ---------------------------------------------------------------------------
-# JSON archive
-
-
-def decomposition_to_dict(d: Decomposition) -> dict:
-    """Plain-JSON form of a decomposition: {rate, sd_threshold, imfs, trend, meta}."""
-    return {
-        "rate": float(d.rate),
-        "sd_threshold": d.meta.get("sd_threshold"),
-        "imfs": d.imfs.tolist(),
-        "trend": d.trend.tolist(),
-        "meta": dict(d.meta),
-    }
-
-
-def decomposition_from_dict(obj: dict) -> Decomposition:
-    """Read the flat archive shape through :func:`memd.multivariate_from_dict`."""
-    from .memd import multivariate_from_dict  # memd imports this module
-
-    return multivariate_from_dict(obj).per_channel[0]

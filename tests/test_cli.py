@@ -278,10 +278,14 @@ class TestAnalyze:
             json.dumps(
                 {
                     "rate": 40.0,
-                    "sd_threshold": 0.25,
-                    "imfs": [list(np.sin(2 * np.pi * t))],
-                    "trend": list(np.zeros(t.size)),
-                    "meta": {},
+                    "channels": [
+                        {
+                            "label": "hips.Xrotation",
+                            "imfs": [list(np.sin(2 * np.pi * t))],
+                            "trend": list(np.zeros(t.size)),
+                        }
+                    ],
+                    "meta": {"sd_threshold": 0.25},
                 }
             )
         )
@@ -564,6 +568,7 @@ def failure_inputs(tmp_path_factory):
         "bvh": bvh,
         "archive": archive,
         "negative_rate": root / "negative_rate.json",
+        "flat": root / "flat.json",
         "grid": root / "grid.json",
         "grid_without_beats": root / "grid_without_beats.json",
         "spec": root / "spec.json",
@@ -577,6 +582,10 @@ def failure_inputs(tmp_path_factory):
         "missing_dir": root / "missing" / "out.json",
     }
     files["negative_rate"].write_text(json.dumps(negative_rate))
+    # the single-channel shape of earlier versions, which no longer reads
+    files["flat"].write_text(json.dumps({"rate": 40.0, "sd_threshold": 0.25,
+                                         "imfs": [[0, 1, 0, -1]], "trend": [0, 0, 0, 0],
+                                         "meta": {}}))
     files["deep"].write_text("[" * 100000 + "]" * 100000)
     files["deep_bvh"].write_text(
         "HIERARCHY ROOT a { OFFSET 0 0 0 " + "JOINT b { OFFSET 0 0 0 " * 5000)
@@ -598,8 +607,8 @@ def _decompose(f, *options, out="out"):
             *options, "--out", f[out]]
 
 
-def _blend(f, *options, spec="spec", out="out"):
-    return ["blend", f["archive"], f["archive"], "--spec", f[spec],
+def _blend(f, *options, archive="archive", spec="spec", out="out"):
+    return ["blend", f[archive], f["archive"], "--spec", f[spec],
             "--template", f["bvh"], *options, "--out", f[out]]
 
 
@@ -620,6 +629,10 @@ FAILURES = {
     "spec-alpha-not-a-number": (6, lambda f: _blend(f, spec="alpha_x")),
     "spec-merge-imf-not-a-number": (6, lambda f: _blend(f, spec="merge_a")),
     "target-fps-negative": (64, lambda f: _blend(f, "--target-fps", "-5")),
+    "target-fps-zero": (64, lambda f: _blend(f, "--target-fps", "0")),
+    "analyze-flat-archive": (2, lambda f: ["analyze", f["flat"], "--out", f["out"]]),
+    "spectrum-flat-archive": (2, lambda f: ["spectrum", f["flat"], "--out", f["out"]]),
+    "blend-flat-archive": (2, lambda f: _blend(f, archive="flat")),
     "noise-pct-2": (64, lambda f: _decompose(f, "--noise-pct", "2")),
     "noise-channels-0": (64, lambda f: _decompose(f, "--noise-channels", "0")),
     "sd-threshold-5": (64, lambda f: _decompose(f, "--method", "emd", "--sd-threshold", "5")),
@@ -660,3 +673,10 @@ def test_failure_exits_with_its_code_and_one_line(runner, failure_inputs, name):
     assert result.output.startswith("error: ")
     assert result.output.count("\n") == 1
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("name", [name for name in FAILURES if name.endswith("flat-archive")])
+def test_flat_archive_error_names_the_file(runner, failure_inputs, name):
+    result = runner.invoke(main, FAILURES[name][1](failure_inputs))
+    assert result.output == (f"error: {failure_inputs['flat']}: "
+                             "an archive needs channels with label, imfs and trend\n")

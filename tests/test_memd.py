@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -278,19 +280,39 @@ class TestNaMemd:
 
 
 class TestArchive:
-    def test_round_trip(self):
+    # the decomposition settings the archive keeps in meta
+    SETTINGS = ("sd_threshold", "direction_count", "noise_pct", "noise_channels", "seed")
+
+    @staticmethod
+    def decomposition():
         rate = 50.0
         t = np.arange(0, 5, 1 / rate)
         x = stack(rate, np.sin(2 * np.pi * t), np.cos(2 * np.pi * t),
                   labels=["hips.Xrotation", "hips.Yrotation"])
-        md = na_memd(x, seed=1, dirs=direction_set(3, 8, seed=1))
+        return na_memd(x, seed=1, dirs=direction_set(3, 8, seed=1))
+
+    def test_round_trip(self):
+        md = self.decomposition()
         obj = multivariate_to_dict(md)
-        for key in ("rate", "sd_threshold", "channels", "direction_count",
-                    "noise_pct", "noise_channels", "seed"):
-            assert key in obj
-        back = multivariate_from_dict(obj)
+        assert set(obj) == {"rate", "channels", "meta"}
+        assert {key: obj["meta"][key] for key in self.SETTINGS} == {
+            "sd_threshold": 0.25, "direction_count": 8, "noise_pct": 0.09,
+            "noise_channels": 1, "seed": 1}
+        back = multivariate_from_dict(json.loads(json.dumps(obj)))
+        assert back.rate == md.rate
         assert back.labels == md.labels
-        assert back.imf_count == md.imf_count
-        for da, db in zip(back.per_channel, md.per_channel):
-            assert np.allclose(da.trend, db.trend)
-            assert all(np.allclose(u, v) for u, v in zip(da.imfs, db.imfs))
+        assert back.meta == md.meta
+        assert np.array_equal(back.imfs, md.imfs)
+        assert np.array_equal(back.trend, md.trend)
+
+    def test_reads_archives_of_earlier_versions(self):
+        """Earlier versions also copied the settings to the top level."""
+        md = self.decomposition()
+        obj = multivariate_to_dict(md)
+        earlier = dict(obj, **{key: md.meta[key] for key in self.SETTINGS})
+        new = multivariate_from_dict(json.loads(json.dumps(obj)))
+        old = multivariate_from_dict(json.loads(json.dumps(earlier)))
+        assert old.labels == new.labels
+        assert old.meta == new.meta
+        assert np.array_equal(old.imfs, new.imfs)
+        assert np.array_equal(old.trend, new.trend)

@@ -14,8 +14,6 @@ from hhtmotion.signal_core import (
     Decomposition,
     TimeSeries,
     analytic_signal,
-    decomposition_from_dict,
-    decomposition_to_dict,
     emd,
     envelope_pair,
     find_extrema,
@@ -303,12 +301,3 @@ class TestEmd:
         x = TimeSeries(np.random.default_rng(0).standard_normal(500), 100.0)
         with pytest.raises(NoConvergence, match=r"^IMF 1: .* \(SD \d[\d.e+-]*, threshold 0.01\)$"):
             emd(x, sd_threshold=0.01, max_sifts=1)
-
-    def test_archive_round_trip(self):
-        d = emd(tone(2.0, 5.0, 50.0))
-        obj = decomposition_to_dict(d)
-        assert set(obj) == {"rate", "sd_threshold", "imfs", "trend", "meta"}
-        back = decomposition_from_dict(obj)
-        assert back.rate == d.rate
-        assert np.allclose(back.trend, d.trend)
-        assert all(np.allclose(a, b) for a, b in zip(back.imfs, d.imfs))
