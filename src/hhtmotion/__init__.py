@@ -38,12 +38,10 @@ from .edit import (
     align,
     apply_blend,
     merge_imfs,
-    reconstruct,
     synthesize_clip,
 )
 from .memd import (
     DirectionSet,
-    MultivariateDecomposition,
     MultivariateSeries,
     direction_set,
     memd,

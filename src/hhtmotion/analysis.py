@@ -115,7 +115,8 @@ def hilbert_spectrum(
     freq_max: float | None = None,
     freq_bins: int = 100,
 ) -> HilbertSpectrum:
-    """Deposit per-IMF instantaneous energy into a time x frequency grid."""
+    """Deposit per-IMF instantaneous energy of one channel into a time x
+    frequency grid."""
     if freq_max is None:
         freq_max = d.rate / 2.0
     if not 0 < time_bin < np.inf or freq_bins < 1 or not 0 < freq_max <= d.rate / 2.0:
@@ -148,7 +149,8 @@ def hilbert_spectrum(
 
 
 def wafa(d: Decomposition, segments=None) -> WafaReport:
-    """Energy-weighted mean frequency of each IMF, per segment and overall.
+    """Energy-weighted mean frequency of each IMF of one channel, per segment
+    and overall.
 
     Weighted mean = sum(A^2 f) / sum(A^2) over samples with positive
     frequency and non-negligible amplitude.  ``segments`` is a list of
@@ -208,35 +210,30 @@ def wafa(d: Decomposition, segments=None) -> WafaReport:
     )
 
 
-def _channels(d) -> list:
-    return d.per_channel if hasattr(d, "per_channel") else [d]
-
-
-def trend_rms_fraction(d) -> float:
+def trend_rms_fraction(d: Decomposition) -> float:
     """RMS of the trend over RMS of the input, both rebuilt from ``d``.
 
-    Accepts a :class:`Decomposition` or a multivariate decomposition, whose
-    channels are stacked.  Needs no Hilbert transform.
+    The channels of a decomposition with a channel axis are stacked.  Needs
+    no Hilbert transform.
     """
     trend_sq = 0.0
     input_sq = 0.0
-    for dec in _channels(d):
+    for dec in d.per_channel:
         trend_sq += float(np.sum(np.square(dec.trend)))
         input_sq += float(np.sum(np.square(dec.reconstruct())))
     return float(np.sqrt(trend_sq / input_sq)) if input_sq > 0 else 0.0
 
 
-def summarize(d, overall=None) -> Summary:
+def summarize(d: Decomposition, overall=None) -> Summary:
     """IMF count, overall weighted-frequency range, and trend energy share.
 
-    Accepts a :class:`Decomposition` or a multivariate decomposition; for the
-    latter the range spans all channels and the RMS ratio stacks channels.
-    The frequency range covers only IMFs carrying at least 1% of the input
-    RMS, so near-empty residue modes do not stretch it.  ``overall`` lists
+    With a channel axis the range spans all channels and the RMS ratio
+    stacks channels.  The frequency range covers only IMFs carrying at least
+    1% of the input RMS, so near-empty residue modes do not stretch it.  ``overall`` lists
     each channel's ``wafa(...).per_imf_overall``, which segments do not
     change, for a caller that has them; by default they are computed here.
     """
-    decomps = _channels(d)
+    decomps = d.per_channel
     if overall is None:
         overall = [wafa(dec).per_imf_overall for dec in decomps]
     freqs = []

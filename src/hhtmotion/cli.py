@@ -51,7 +51,6 @@ from .beat import (
 )
 from .edit import align, apply_blend, blend_spec_from_dict, synthesize_clip
 from .memd import (
-    MultivariateDecomposition,
     direction_set,
     memd,
     multivariate_from_dict,
@@ -59,7 +58,7 @@ from .memd import (
     na_memd,
 )
 from .mocap_io import extract_channels, parse_bvh, write_bvh
-from .signal_core import TimeSeries, emd
+from .signal_core import Decomposition, TimeSeries, emd
 
 # Exit code of each error type, looked up along the raised type's MRO.
 EXIT_CODES = {
@@ -187,7 +186,9 @@ def main():
               default="na-memd", show_default=True)
 @click.option("--sd-threshold", type=float, default=0.25, show_default=True)
 @click.option("--directions", type=int, default=64, show_default=True,
-              help="Projection direction count for memd/na-memd")
+              help="Projection direction count for memd/na-memd; raised to "
+                   "2 x dimensions (channels, plus noise channels for na-memd) "
+                   "when below that")
 @click.option("--noise-pct", type=float, default=0.09, show_default=True)
 @click.option("--noise-channels", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -204,27 +205,27 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
 
     if method == "emd":
         decomp = _emd_multichannel(series, sd_threshold)
-    elif method == "memd":
-        if series.n_channels < 2:
-            raise errors.BadDimension("memd needs at least 2 channels")
-        _check_size(directions * max(len(series), series.n_channels),
-                    f"--directions {directions}")
-        dirs = direction_set(series.n_channels, directions, seed=seed)
-        decomp = memd(series, dirs=dirs, sd_threshold=sd_threshold)
     else:
-        dims = series.n_channels + noise_channels
+        # one direction set over the channels plus na-memd's noise channels,
+        # with at least 2 directions per dimension
+        noise = noise_channels if method == "na-memd" else 0
+        dims = series.n_channels + noise
         count = max(directions, 2 * dims)
-        _check_size(2 * dims * max(len(series), dims), f"--noise-channels {noise_channels}")
+        if noise:
+            _check_size(2 * dims * max(len(series), dims), f"--noise-channels {noise}")
         _check_size(count * max(len(series), dims), f"--directions {directions}")
         dirs = direction_set(dims, count, seed=seed)
-        decomp = na_memd(
-            series,
-            noise_channels=noise_channels,
-            noise_pct=noise_pct,
-            seed=seed,
-            dirs=dirs,
-            sd_threshold=sd_threshold,
-        )
+        if method == "memd":
+            decomp = memd(series, dirs=dirs, sd_threshold=sd_threshold)
+        else:
+            decomp = na_memd(
+                series,
+                noise_channels=noise_channels,
+                noise_pct=noise_pct,
+                seed=seed,
+                dirs=dirs,
+                sd_threshold=sd_threshold,
+            )
 
     _atomic_write(out, _dump_json(multivariate_to_dict(decomp)))
     _write_manifest(
@@ -254,7 +255,7 @@ def _emd_multichannel(series, sd_threshold):
     imfs = np.zeros((len(decomps), max(d.imf_count for d in decomps), len(series)))
     for channel, d in zip(imfs, decomps):
         channel[: d.imf_count] = d.imfs
-    return MultivariateDecomposition(
+    return Decomposition(
         imfs=imfs,
         trend=[d.trend for d in decomps],
         rate=series.rate,

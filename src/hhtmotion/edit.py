@@ -23,9 +23,9 @@ from .errors import (
     LengthMismatch,
     SpecOutOfBounds,
 )
-from .memd import MultivariateDecomposition, MultivariateSeries
+from .memd import MultivariateSeries
 from .mocap_io import MotionClip, apply_channels
-from .signal_core import Decomposition, is_number, sum_modes
+from .signal_core import Decomposition, is_number
 from .spline import cubic_spline
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "align",
     "merge_imfs",
     "apply_blend",
-    "reconstruct",
     "synthesize_clip",
     "blend_spec_from_dict",
     "blend_spec_to_dict",
@@ -106,42 +105,38 @@ class BlendSpec:
 class AlignedPair:
     """Two decompositions with identical shape: rate, length, labels, IMF count."""
 
-    a: MultivariateDecomposition
-    b: MultivariateDecomposition
+    a: Decomposition
+    b: Decomposition
 
 
 # ---------------------------------------------------------------------------
 # alignment
 
 
-def _conform(md, times_out, imf_count):
-    """Resample ``md`` onto ``times_out`` in one spline call; pad to ``imf_count`` IMFs.
+def _conform(d, times_out, imf_count):
+    """Resample ``d`` onto ``times_out`` in one spline call; pad to ``imf_count`` IMFs.
 
     All channels of a decomposition share one rate and length, so their
     IMFs and trends are fitted as columns of a single not-a-knot spline.
     """
-    k = md.imf_count
-    series = np.concatenate([md.imfs, md.trend[:, None]], axis=1)
-    t_in = np.arange(md.n_samples) / md.rate
+    k = d.imf_count
+    series = np.concatenate([d.imfs, d.trend[..., None, :]], axis=-2)
+    t_in = np.arange(d.n_samples) / d.rate
     resampled = cubic_spline(t_in, series, times_out)
-    imfs = resampled[:, :k]
+    imfs = resampled[..., :k, :]
     if imf_count > k:
-        padding = np.zeros((md.n_channels, imf_count - k, times_out.size))
-        imfs = np.concatenate([imfs, padding], axis=1)
-    return MultivariateDecomposition(
+        padding = np.zeros((*d.trend.shape[:-1], imf_count - k, times_out.size))
+        imfs = np.concatenate([imfs, padding], axis=-2)
+    return Decomposition(
         imfs=imfs,
-        trend=resampled[:, k],
+        trend=resampled[..., k, :],
         rate=1.0 / (times_out[1] - times_out[0]),
-        labels=list(md.labels),
-        meta=dict(md.meta),
+        meta=dict(d.meta),
+        labels=d.labels,
     )
 
 
-def align(
-    a: MultivariateDecomposition,
-    b: MultivariateDecomposition,
-    target_rate: float,
-) -> AlignedPair:
+def align(a: Decomposition, b: Decomposition, target_rate: float) -> AlignedPair:
     """Bring two decompositions onto a common grid and IMF count.
 
     Every series is cubically resampled to ``target_rate``, both sides are
@@ -150,10 +145,10 @@ def align(
     """
     if not 0 < target_rate < np.inf:
         raise InvalidValue(f"target rate must be a positive number, got {target_rate}")
-    if list(a.labels) != list(b.labels):
+    if a.labels != b.labels:
         raise ChannelMismatch(
             f"channel labels differ: {a.labels} vs {b.labels}",
-            labels=(list(a.labels), list(b.labels)),
+            labels=(a.labels, b.labels),
         )
     duration = min(a.n_samples / a.rate, b.n_samples / b.rate)
     n_out = max(2, int(round(duration * target_rate)))
@@ -185,7 +180,7 @@ def merge_imfs(d: Decomposition, imf_range) -> Decomposition:
     if not (1 <= i < j <= d.imf_count):
         raise BadRange(f"range [{i}, {j}] invalid for {d.imf_count} IMFs")
     return Decomposition(imfs=_merge_rows(d.imfs, i, j), trend=d.trend.copy(),
-                         rate=d.rate, meta=dict(d.meta))
+                         rate=d.rate, meta=dict(d.meta), labels=d.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +223,10 @@ def _passes(channels, rows):
         yield ch[i], row[j]
 
 
-def apply_blend(pair: AlignedPair, spec: BlendSpec) -> MultivariateDecomposition:
+def apply_blend(pair: AlignedPair, spec: BlendSpec) -> Decomposition:
     """Apply the operations in order to a working copy of ``pair.a``.
 
-    Overlapping selections compose last-writer-wins.  ``merge`` always acts
+    Both decompositions need a channel axis.  Overlapping selections compose last-writer-wins.  ``merge`` always acts
     on every channel so the result stays mode-aligned.
     """
     imfs, trend = pair.a.imfs.copy(), pair.a.trend.copy()
@@ -239,7 +234,7 @@ def apply_blend(pair: AlignedPair, spec: BlendSpec) -> MultivariateDecomposition
     for op in spec.operations:
         channels = _channel_indices(pair.a.labels, op.channels)
         donor = donors[op.source]
-        count = imfs.shape[1]
+        count = imfs.shape[-2]
         if op.kind == "merge":
             lo, hi = min(op.imfs), max(op.imfs)
             if not (1 <= lo < hi <= count):
@@ -262,28 +257,20 @@ def apply_blend(pair: AlignedPair, spec: BlendSpec) -> MultivariateDecomposition
             else:
                 donated = (1.0 - op.alpha) * donor.imfs[cells]
                 imfs[cells] = op.alpha * imfs[cells] + donated
-    return MultivariateDecomposition(
-        imfs=imfs, trend=trend, rate=pair.a.rate, labels=list(pair.a.labels),
-        meta=dict(pair.a.meta),
-    )
+    return Decomposition(imfs=imfs, trend=trend, rate=pair.a.rate, meta=dict(pair.a.meta),
+                         labels=pair.a.labels)
 
 
-def reconstruct(d: MultivariateDecomposition) -> MultivariateSeries:
-    """Per-channel sum of IMFs plus trend."""
-    return MultivariateSeries(sum_modes(d.imfs, d.trend), rate=d.rate, labels=d.labels)
-
-
-def synthesize_clip(
-    template: MotionClip, d: MultivariateDecomposition, selection=None
-) -> MotionClip:
-    """Write the reconstruction of ``d`` into ``template``'s channels.
+def synthesize_clip(template: MotionClip, d: Decomposition, selection=None) -> MotionClip:
+    """Write the reconstruction of ``d``, which has a channel axis, into
+    ``template``'s channels.
 
     ``selection`` defaults to the decomposition's channel labels.  The
     decomposition length must match the template frame count (resample
     first if it does not).
     """
     selection = list(selection) if selection is not None else list(d.labels)
-    series = reconstruct(d)
+    series = MultivariateSeries(d.reconstruct(), rate=d.rate, labels=d.labels)
     if len(series) != template.frame_count:
         raise LengthMismatch(
             f"decomposition length {len(series)} != template frames "

@@ -14,7 +14,7 @@ sifting toward its dyadic filter-bank behavior and suppresses mode mixing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -23,7 +23,6 @@ from .errors import (
     ArchiveFormatError,
     BadDimension,
     InvalidValue,
-    LengthMismatch,
     NonFiniteSample,
     SignalTooShort,
     TooFewExtrema,
@@ -41,7 +40,6 @@ from .spline import mirrored_envelopes
 __all__ = [
     "MultivariateSeries",
     "DirectionSet",
-    "MultivariateDecomposition",
     "direction_set",
     "multivariate_mean_envelope",
     "memd",
@@ -99,52 +97,6 @@ class DirectionSet:
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
-
-
-@dataclass
-class MultivariateDecomposition:
-    """Mode-aligned decompositions of several channels sharing one grid.
-
-    ``imfs[c, k]`` is IMF k+1 of channel c, an array of shape (channels,
-    IMFs, samples); ``trend[c]`` is channel c's trend, shape (channels,
-    samples).  One channel is a zero-copy slice.
-    """
-
-    imfs: np.ndarray
-    trend: np.ndarray
-    rate: float
-    labels: list
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.imfs = np.asarray(self.imfs, dtype=np.float64)
-        self.trend = np.asarray(self.trend, dtype=np.float64)
-        if self.trend.ndim != 2 or self.imfs.ndim != 3:
-            raise ValueError("imfs must be (channels, IMFs, samples), trend 2-D")
-        if self.imfs.shape[::2] != self.trend.shape:
-            raise LengthMismatch("channels must have equal lengths")
-        if len(self.labels) != self.trend.shape[0]:
-            raise ValueError("one label per channel required")
-
-    @property
-    def imf_count(self) -> int:
-        return self.imfs.shape[1]
-
-    @property
-    def n_channels(self) -> int:
-        return self.trend.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.trend.shape[1]
-
-    @property
-    def per_channel(self) -> list:
-        """One :class:`Decomposition` view per channel, sharing this one's arrays."""
-        return [
-            Decomposition(imfs=imfs, trend=trend, rate=self.rate, meta=self.meta)
-            for imfs, trend in zip(self.imfs, self.trend)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +211,7 @@ def memd(
     sd_threshold: float = 0.25,
     max_sifts: int = 100,
     max_imfs: int = 16,
-) -> MultivariateDecomposition:
+) -> Decomposition:
     """Jointly decompose all channels of ``x`` into mode-aligned IMFs.
 
     Sifting follows the univariate scheme with the multivariate mean
@@ -275,7 +227,7 @@ def memd(
         dirs = direction_set(x.n_channels)
     imfs, trend = _sift(
         x.samples,
-        lambda c: _mean_envelope_matrix(c, dirs),
+        lambda c, settled: None if settled else _mean_envelope_matrix(c, dirs),
         sd_threshold,
         max_sifts,
         max_imfs,
@@ -290,7 +242,7 @@ def memd(
         "noise_channels": None,
         "seed": None,
     }
-    return MultivariateDecomposition(
+    return Decomposition(
         imfs=np.ascontiguousarray(imfs.transpose(1, 0, 2)),
         trend=trend,
         rate=x.rate,
@@ -308,7 +260,7 @@ def na_memd(
     sd_threshold: float = 0.25,
     max_sifts: int = 100,
     max_imfs: int = 16,
-) -> MultivariateDecomposition:
+) -> Decomposition:
     """Noise-assisted variant: decompose with extra white-noise channels.
 
     Appends ``noise_channels`` channels of zero-mean Gaussian noise whose
@@ -353,7 +305,7 @@ def na_memd(
         seed=seed,
     )
     kept = x.n_channels
-    return MultivariateDecomposition(
+    return Decomposition(
         imfs=full.imfs[:kept],
         trend=full.trend[:kept],
         rate=full.rate,
@@ -366,8 +318,9 @@ def na_memd(
 # JSON archive
 
 
-def multivariate_to_dict(md: MultivariateDecomposition) -> dict:
-    """Archive form: ``{rate, channels: [{label, imfs, trend}], meta}``."""
+def multivariate_to_dict(md: Decomposition) -> dict:
+    """Archive form of a decomposition with a channel axis:
+    ``{rate, channels: [{label, imfs, trend}], meta}``."""
     return {
         "rate": float(md.rate),
         "channels": [
@@ -378,7 +331,7 @@ def multivariate_to_dict(md: MultivariateDecomposition) -> dict:
     }
 
 
-def multivariate_from_dict(obj: dict) -> MultivariateDecomposition:
+def multivariate_from_dict(obj: dict) -> Decomposition:
     """Read an archive of the shape ``{rate, channels: [{label, imfs, trend}],
     meta}``.  Other top-level keys are ignored, so archives of earlier
     versions, which also copied the settings in ``meta`` to the top level,
@@ -406,11 +359,11 @@ def multivariate_from_dict(obj: dict) -> MultivariateDecomposition:
 
     trend = finite_array([e["trend"] for e in entries], "trends", ArchiveFormatError)
     imfs = finite_array([e["imfs"] for e in entries], "IMFs", ArchiveFormatError)
-    if imfs.shape == (len(entries), 0):
-        imfs = imfs.reshape(len(entries), 0, trend.shape[-1])
-    aligned = (trend.ndim, imfs.ndim) == (2, 3) and imfs.shape[::2] == trend.shape
-    if not aligned or trend.shape[1] < 2:
+    try:
+        decomp = Decomposition(imfs=imfs, trend=trend, rate=float(rate), meta=dict(meta),
+                               labels=labels)
+    except ValueError:
+        decomp = None
+    if decomp is None or decomp.n_samples < 2:
         raise ArchiveFormatError("each trend needs 2 or more samples, each IMF as many")
-    return MultivariateDecomposition(
-        imfs=imfs, trend=trend, rate=float(rate), labels=labels, meta=dict(meta)
-    )
+    return decomp

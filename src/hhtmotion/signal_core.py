@@ -146,30 +146,60 @@ class ImfReport:
 
 @dataclass
 class Decomposition:
-    """Ordered IMFs plus the residual trend.
+    """Ordered IMFs plus the residual trend, of one channel or of several.
 
-    ``imfs`` is a (K, N) array whose row 0 is the highest-frequency IMF.
+    ``imfs`` is (..., IMFs, samples) with IMF 1, the highest-frequency one,
+    first along axis -2, and ``trend`` is (..., samples).  An optional leading
+    axis runs over channels, mode-aligned when they come from MEMD:
+    ``imfs[c]`` and ``trend[c]`` are channel c, and ``labels`` names them, one
+    per channel.  Without that axis ``labels`` is None.
     """
 
     imfs: np.ndarray
     trend: np.ndarray
     rate: float
     meta: dict = field(default_factory=dict)
+    labels: list | None = None
 
     def __post_init__(self):
         self.trend = np.asarray(self.trend, dtype=np.float64)
         self.imfs = np.asarray(self.imfs, dtype=np.float64)
-        if self.imfs.size == 0:
-            self.imfs = self.imfs.reshape(0, self.trend.size)
-        if self.imfs.ndim != 2 or self.imfs.shape[1] != self.trend.size:
-            raise ValueError("all member series must share one length")
+        if self.trend.ndim not in (1, 2):
+            raise ValueError("trend must be (samples,) or (channels, samples)")
+        if self.imfs.shape == self.trend.shape[:-1] + (0,):  # no IMFs, given as []
+            self.imfs = self.imfs.reshape(*self.trend.shape[:-1], 0, self.trend.shape[-1])
+        if (self.imfs.ndim != self.trend.ndim + 1
+                or self.imfs.shape[:-2] + self.imfs.shape[-1:] != self.trend.shape):
+            raise ValueError("imfs must be (..., IMFs, samples) beside a (..., samples) trend")
+        labelled = self.labels is not None
+        if labelled != (self.trend.ndim == 2) or labelled and len(self.labels) != len(self.trend):
+            raise ValueError("one label per channel required, and none without a channel axis")
 
     @property
     def imf_count(self) -> int:
-        return self.imfs.shape[0]
+        return self.imfs.shape[-2]
+
+    @property
+    def n_channels(self) -> int:
+        return 1 if self.labels is None else len(self.labels)
+
+    @property
+    def n_samples(self) -> int:
+        return self.trend.shape[-1]
+
+    @property
+    def per_channel(self) -> list:
+        """One single-channel decomposition per channel, viewing this one's
+        arrays without a copy; ``[self]`` when there is no channel axis."""
+        if self.labels is None:
+            return [self]
+        return [
+            Decomposition(imfs=imfs, trend=trend, rate=self.rate, meta=self.meta)
+            for imfs, trend in zip(self.imfs, self.trend)
+        ]
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of all IMFs plus the trend."""
+        """Sum of all IMFs plus the trend, per channel: shaped like ``trend``."""
         return sum_modes(self.imfs, self.trend)
 
 
@@ -264,18 +294,16 @@ def find_extrema(x: TimeSeries):
     return _extrema(x.samples)
 
 
-def _envelopes(s: np.ndarray):
-    maxima, minima = _extrema(s)
+def _envelopes(s: np.ndarray, maxima: np.ndarray, minima: np.ndarray):
     if maxima.size < 2 or minima.size < 2:
         raise TooFewExtrema(
             f"need >= 2 maxima and >= 2 minima, found {maxima.size}/{minima.size}"
         )
-    upper, lower = mirrored_envelopes((maxima, minima), s)
-    return upper, lower
+    return mirrored_envelopes((maxima, minima), s)
 
 
-def _mean_envelope(s: np.ndarray) -> np.ndarray:
-    upper, lower = _envelopes(s)
+def _mean_envelope(s: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.ndarray:
+    upper, lower = _envelopes(s, maxima, minima)
     return 0.5 * (upper + lower)
 
 
@@ -286,13 +314,13 @@ def envelope_pair(x: TimeSeries) -> EnvelopePair:
     end are reflected across the signal boundary before fitting, and the
     splines are evaluated only on the original domain.
     """
-    upper, lower = _envelopes(x.samples)
+    upper, lower = _envelopes(x.samples, *_extrema(x.samples))
     return EnvelopePair(upper=upper, lower=lower)
 
 
 def sift(c: TimeSeries) -> TimeSeries:
     """One sifting step: subtract the mean of the upper and lower envelopes."""
-    sifted = c.samples - _mean_envelope(c.samples)
+    sifted = c.samples - _mean_envelope(c.samples, *_extrema(c.samples))
     return TimeSeries(sifted, rate=c.rate, start_time=c.start_time)
 
 
@@ -311,6 +339,26 @@ def _rms(s: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(s))))
 
 
+def _criteria(s, maxima, minima, mean_env, mean_env_tol) -> ImfReport:
+    """``s`` checked against the two IMF criteria, given its extrema and its
+    envelope mean (None when there are too few extrema to fit envelopes)."""
+    extrema_count = int(maxima.size + minima.size)
+    crossings = _zero_crossings(s)
+    if mean_env is None:
+        mean_env_rms = abs(float(np.mean(s)))
+    else:
+        lo = int(min(maxima[0], minima[0]))
+        hi = int(max(maxima[-1], minima[-1])) + 1
+        mean_env_rms = _rms(mean_env[lo:hi])
+    return ImfReport(
+        extrema_count=extrema_count,
+        zero_crossings=crossings,
+        count_ok=abs(extrema_count - crossings) <= 1,
+        mean_env_rms=mean_env_rms,
+        mean_ok=mean_env_rms <= mean_env_tol * _rms(s),
+    )
+
+
 def imf_check(c: TimeSeries, mean_env_tol: float = 0.1) -> ImfReport:
     """Check ``c`` against the two IMF criteria.
 
@@ -320,28 +368,12 @@ def imf_check(c: TimeSeries, mean_env_tol: float = 0.1) -> ImfReport:
     ``mean_env_tol`` times the RMS of ``c``.  When there are too few extrema
     to fit envelopes, the signal mean stands in for the envelope mean.
     """
-    s = c.samples
-    maxima, minima = _extrema(s)
-    extrema_count = int(maxima.size + minima.size)
-    crossings = _zero_crossings(s)
-    count_ok = abs(extrema_count - crossings) <= 1
-
+    maxima, minima = _extrema(c.samples)
     try:
-        upper, lower = _envelopes(s)
-        all_idx = np.sort(np.concatenate((maxima, minima)))
-        lo, hi = int(all_idx[0]), int(all_idx[-1]) + 1
-        mean_env_rms = _rms(0.5 * (upper[lo:hi] + lower[lo:hi]))
+        mean_env = _mean_envelope(c.samples, maxima, minima)
     except TooFewExtrema:
-        mean_env_rms = abs(float(np.mean(s)))
-
-    mean_ok = mean_env_rms <= mean_env_tol * _rms(s)
-    return ImfReport(
-        extrema_count=extrema_count,
-        zero_crossings=crossings,
-        count_ok=count_ok,
-        mean_env_rms=mean_env_rms,
-        mean_ok=mean_ok,
-    )
+        mean_env = None
+    return _criteria(c.samples, maxima, minima, mean_env, mean_env_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -372,28 +404,30 @@ def check_sd_threshold(sd_threshold: float):
 _SIFT_MEAN_TOL = 0.05
 
 
-def _is_mode(c: np.ndarray, mean_env: np.ndarray) -> bool:
-    """EMD's mode test: extrema and zero-crossing counts within one, and the
-    envelope mean over the span of the extrema small against the RMS of ``c``."""
+def _emd_step(c: np.ndarray, settled: bool):
+    """EMD's sift step: None when ``c`` is settled and meets the IMF criteria
+    (tolerance ``_SIFT_MEAN_TOL``), else its envelope mean."""
     maxima, minima = _extrema(c)
-    if abs((maxima.size + minima.size) - _zero_crossings(c)) > 1:
-        return False
-    lo = int(min(maxima[0], minima[0]))
-    hi = int(max(maxima[-1], minima[-1])) + 1
-    return _rms(mean_env[lo:hi]) <= _SIFT_MEAN_TOL * _rms(c)
+    mean_env = _mean_envelope(c, maxima, minima)
+    if settled:
+        report = _criteria(c, maxima, minima, mean_env, _SIFT_MEAN_TOL)
+        if report.count_ok and report.mean_ok:
+            return None
+    return mean_env
 
 
-def _sift(residual, mean_envelope, sd_threshold, max_sifts, max_imfs, is_mode=None):
+def _sift(residual, step, sd_threshold, max_sifts, max_imfs):
     """Sift IMFs out of ``residual`` one after another; returns ``(imfs, trend)``.
 
-    ``mean_envelope(c)`` is the envelope mean of an iterate ``c`` (any shape)
-    and raises :class:`TooFewExtrema` when ``c`` cannot be enveloped.  An IMF
-    is accepted once the iterate-to-iterate change (SD) is below
-    ``sd_threshold`` and, when ``is_mode`` is given, ``is_mode(c, mean_env)``
-    holds; an iterate that can no longer be enveloped is accepted as it is.
-    Decomposition ends when the residual cannot be enveloped at all, has
-    decayed to rounding dust, or ``max_imfs`` IMFs are out; the residual is
-    the trend.  ``imfs`` stacks the IMFs along a new first axis.
+    ``step(c, settled)`` is the envelope mean of an iterate ``c`` (any shape),
+    or None to accept ``c`` as an IMF; ``settled`` tells it whether the
+    iterate-to-iterate change (SD) is below ``sd_threshold``, and a method
+    with no mode test of its own returns None on that alone.  ``step`` raises
+    :class:`TooFewExtrema` when ``c`` cannot be enveloped, and such an
+    iterate is accepted as it is.  Decomposition ends when the residual
+    cannot be enveloped at all, has decayed to rounding dust, or
+    ``max_imfs`` IMFs are out; the residual is the trend.  ``imfs`` stacks
+    the IMFs along a new first axis.
     """
     residual = residual.copy()
     scale = np.max(np.abs(residual))
@@ -402,13 +436,11 @@ def _sift(residual, mean_envelope, sd_threshold, max_sifts, max_imfs, is_mode=No
     while len(imfs) < max_imfs and np.max(np.abs(residual)) >= 1e-10 * scale:
         c, sd = residual, np.inf
         for _ in range(max_sifts):
-            if sd < sd_threshold and is_mode is None:
-                break
             try:
-                mean_env = mean_envelope(c)
+                mean_env = step(c, sd < sd_threshold)
             except TooFewExtrema:
                 break
-            if sd < sd_threshold and is_mode(c, mean_env):
+            if mean_env is None:
                 break
             c_new = c - mean_env
             sd = _sd(c, c_new)
@@ -444,9 +476,7 @@ def emd(
     if len(x) < 4:
         raise SignalTooShort("decomposition needs at least 4 samples")
     check_sd_threshold(sd_threshold)
-    imfs, trend = _sift(
-        x.samples, _mean_envelope, sd_threshold, max_sifts, max_imfs, is_mode=_is_mode
-    )
+    imfs, trend = _sift(x.samples, _emd_step, sd_threshold, max_sifts, max_imfs)
     meta = {
         "source": "emd",
         "sd_threshold": sd_threshold,

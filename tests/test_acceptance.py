@@ -21,7 +21,6 @@ from hhtmotion.edit import (
     align,
     apply_blend,
     merge_imfs,
-    reconstruct,
 )
 from hhtmotion.memd import (
     MultivariateSeries,
@@ -273,22 +272,11 @@ def test_criterion_7_fibonacci_chain():
 
 def _random_multivariate(rng, n=300, rate=40.0, n_imfs=4):
     labels = ["j.Xrotation", "j.Yrotation"]
-    per_channel = [
-        Decomposition(
-            imfs=[rng.standard_normal(n) for _ in range(n_imfs)],
-            trend=rng.standard_normal(n),
-            rate=rate,
-        )
-        for _ in labels
-    ]
-    from hhtmotion.memd import MultivariateDecomposition
-
-    return MultivariateDecomposition(
-        imfs=[d.imfs for d in per_channel],
-        trend=[d.trend for d in per_channel],
-        rate=rate,
-        labels=labels,
-    )
+    imfs, trend = [], []
+    for _ in labels:
+        imfs.append([rng.standard_normal(n) for _ in range(n_imfs)])
+        trend.append(rng.standard_normal(n))
+    return Decomposition(imfs=imfs, trend=trend, rate=rate, labels=labels)
 
 
 def test_criterion_8_editing_laws():

@@ -187,6 +187,33 @@ class TestDecompose:
         assert result.exit_code == 2, result.output
         assert result.output.count("\n") == 1
 
+    def test_memd_raises_directions_to_two_per_channel(self, runner, tmp_path):
+        """36 channels need 72 directions, above the default 64, as in na-memd."""
+        joints = [f"j{k}" for k in range(12)]
+        labels = [f"{joint}.{axis}rotation" for joint in joints for axis in "ZXY"]
+        t = np.arange(200) / 40.0
+        motion = np.stack([30 * np.sin(2 * np.pi * (0.5 + 0.1 * c) * t + c)
+                           for c in range(len(labels))], axis=1)
+        lines = ["HIERARCHY"]
+        for k, joint in enumerate(joints):
+            lines += ["JOINT " + joint if k else "ROOT " + joint, "{", "OFFSET 0 1 0",
+                      "CHANNELS 3 Zrotation Xrotation Yrotation"]
+        lines += ["End Site", "{", "OFFSET 0 1 0", "}"] + ["}"] * len(joints)
+        lines += ["MOTION", f"Frames: {t.size}", "Frame Time: 0.025"]
+        lines += [" ".join(f"{v:.6f}" for v in row) for row in motion]
+        bvh = tmp_path / "wide.bvh"
+        bvh.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "wide.json"
+        result = runner.invoke(
+            main,
+            ["decompose", str(bvh), "--channels", ",".join(labels), "--method", "memd",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        archive = json.loads(out.read_text())
+        assert len(archive["channels"]) == 36
+        assert archive["meta"]["direction_count"] == 72
+
     def test_empty_channel_list_exits_64(self, runner, tmp_path):
         bvh = make_two_tone_bvh(tmp_path / "dance.bvh")
         result = runner.invoke(
@@ -635,6 +662,8 @@ FAILURES = {
     "blend-flat-archive": (2, lambda f: _blend(f, archive="flat")),
     "noise-pct-2": (64, lambda f: _decompose(f, "--noise-pct", "2")),
     "noise-channels-0": (64, lambda f: _decompose(f, "--noise-channels", "0")),
+    "memd-one-channel": (64, lambda f: ["decompose", f["bvh"], "--channels", "hips.Xrotation",
+                                        "--method", "memd", "--out", f["out"]]),
     "sd-threshold-5": (64, lambda f: _decompose(f, "--method", "emd", "--sd-threshold", "5")),
     "strong-period-0": (64, lambda f: ["beats", "--bpm", "120", "--duration", "5",
                                        "--strong-period", "0", "--out", f["out"]]),

@@ -10,7 +10,6 @@ from hhtmotion.edit import (
     blend_spec_from_dict,
     blend_spec_to_dict,
     merge_imfs,
-    reconstruct,
     synthesize_clip,
 )
 from hhtmotion.errors import (
@@ -20,24 +19,16 @@ from hhtmotion.errors import (
     LengthMismatch,
     SpecOutOfBounds,
 )
-from hhtmotion.memd import MultivariateDecomposition
 from hhtmotion.signal_core import Decomposition
 
 
 def random_md(rng, n=400, rate=40.0, n_channels=2, n_imfs=3, labels=None):
     labels = labels or [f"ch{i}" for i in range(n_channels)]
-    per_channel = []
+    imfs, trend = [], []
     for _ in range(n_channels):
-        imfs = [rng.standard_normal(n) for _ in range(n_imfs)]
-        per_channel.append(
-            Decomposition(imfs=imfs, trend=rng.standard_normal(n), rate=rate)
-        )
-    return MultivariateDecomposition(
-        imfs=[d.imfs for d in per_channel],
-        trend=[d.trend for d in per_channel],
-        rate=rate,
-        labels=labels,
-    )
+        imfs.append([rng.standard_normal(n) for _ in range(n_imfs)])
+        trend.append(rng.standard_normal(n))
+    return Decomposition(imfs=imfs, trend=trend, rate=rate, labels=labels)
 
 
 def md_equal(a, b, atol=0.0):
@@ -83,6 +74,16 @@ class TestAlign:
         n = pair.a.per_channel[0].trend.size
         assert n == pair.b.per_channel[0].trend.size
         assert n == 400  # 10 s at 40 fps
+
+    def test_single_channel_decompositions(self):
+        rng = np.random.default_rng(7)
+        a = Decomposition(imfs=rng.standard_normal((3, 300)), trend=np.zeros(300), rate=30.0)
+        b = Decomposition(imfs=rng.standard_normal((2, 400)), trend=np.ones(400), rate=40.0)
+        pair = align(a, b, target_rate=40.0)
+        assert pair.a.imfs.shape == pair.b.imfs.shape == (3, 400)
+        assert pair.a.labels is None and np.all(pair.b.imfs[2] == 0)
+        merged = merge_imfs(pair.a, (1, 3)).imfs[0]
+        assert np.array_equal(merged, pair.a.imfs[0] + pair.a.imfs[1] + pair.a.imfs[2])
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(3)
@@ -160,7 +161,7 @@ class TestApplyBlend:
         tone = np.sin(2 * np.pi * 2.0 * t)
         ramp_a = 0.5 * t
         ramp_b = -1.0 + 0.2 * t**2
-        make = lambda ramp: MultivariateDecomposition(
+        make = lambda ramp: Decomposition(
             imfs=[[tone.copy()]], trend=[ramp.copy()], rate=rate, labels=["j.Xrotation"]
         )
         pair = align(make(ramp_a), make(ramp_b), target_rate=rate)
@@ -168,7 +169,7 @@ class TestApplyBlend:
             pair, BlendSpec(operations=[BlendOp(kind="trend_exchange")])
         )
         expected = tone + ramp_b
-        got = reconstruct(out).samples[0]
+        got = out.reconstruct()[0]
         assert np.max(np.abs(got - expected)) < 1e-6
 
     def test_blend_half_of_identical_pair(self):
@@ -202,7 +203,7 @@ class TestApplyBlend:
                 BlendOp(kind="blend", imfs=[3], alpha=0.25),
             ]
         )
-        out = reconstruct(apply_blend(pair, spec)).samples.T
+        out = apply_blend(pair, spec).reconstruct().T
         expected = np.zeros_like(out)
         for ch in range(pair.a.n_channels):
             da, db = pair.a.per_channel[ch], pair.b.per_channel[ch]
@@ -285,8 +286,8 @@ class TestReconstructAndSynthesize:
         sel = ["hips.Xrotation", "chest.Zrotation"]
         series = extract_channels(clip, sel)
         md = memd(series, dirs=direction_set(2, 8, seed=0))
-        back = reconstruct(md)
-        assert np.max(np.abs(back.samples.T - series.samples.T)) < 1e-8
+        back = md.reconstruct()
+        assert np.max(np.abs(back.T - series.samples.T)) < 1e-8
 
         out = synthesize_clip(clip, md, sel)
         assert np.max(np.abs(out.frames - clip.frames)) < 1e-6
@@ -298,7 +299,7 @@ class TestReconstructAndSynthesize:
         zeroed = apply_blend(
             pair, BlendSpec(operations=[BlendOp(kind="zero", imfs=[1])])
         )
-        diff = reconstruct(pair.a).samples.T - reconstruct(zeroed).samples.T
+        diff = pair.a.reconstruct().T - zeroed.reconstruct().T
         for ch in range(2):
             assert np.allclose(diff[:, ch], pair.a.per_channel[ch].imfs[0], atol=1e-9)
 

@@ -1,0 +1,24 @@
+"""The README's library quickstart runs as written."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+from helpers import bvh_text
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_quickstart_runs(tmp_path, monkeypatch):
+    section = README.read_text().split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    t = np.arange(400) / 40.0
+    hips = {
+        "hips.Xrotation": 30 * np.sin(2 * np.pi * 1.0 * t),
+        "hips.Yrotation": 20 * np.sin(2 * np.pi * 0.5 * t) + 5 * np.sin(2 * np.pi * 3 * t),
+        "hips.Zrotation": 10 * np.cos(2 * np.pi * 2.0 * t) + 0.5 * t,
+    }
+    (tmp_path / "dance.bvh").write_text(bvh_text(hips, frame_time=1 / 40.0))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, str(README), "exec"), {})

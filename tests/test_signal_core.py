@@ -33,6 +33,60 @@ def interior(a, frac=0.1):
     return a[k : n - k]
 
 
+class TestDecomposition:
+    @staticmethod
+    def channels(n_channels=3, n_imfs=2, n=50):
+        rng = np.random.default_rng(0)
+        return Decomposition(
+            imfs=rng.standard_normal((n_channels, n_imfs, n)),
+            trend=rng.standard_normal((n_channels, n)),
+            rate=10.0,
+            labels=[f"ch{c}" for c in range(n_channels)],
+        )
+
+    def test_per_channel_views_share_memory(self):
+        d = self.channels()
+        assert d.n_channels == len(d.per_channel) == 3
+        for c, view in enumerate(d.per_channel):
+            assert np.shares_memory(view.imfs, d.imfs)
+            assert np.shares_memory(view.trend, d.trend)
+            assert np.array_equal(view.imfs, d.imfs[c])
+            assert np.array_equal(view.trend, d.trend[c])
+            assert (view.rate, view.labels) == (d.rate, None)
+            assert np.array_equal(view.reconstruct(), d.reconstruct()[c])
+
+    def test_one_channel_is_its_own_per_channel(self):
+        d = emd(tone(2.0, 5.0, 50.0))
+        assert d.n_channels == 1
+        assert len(d.per_channel) == 1 and d.per_channel[0] is d
+
+    @pytest.mark.parametrize(
+        "imfs_shape, trend_shape",
+        [
+            ((4, 49), (50,)),
+            ((50,), (50,)),
+            ((2, 3, 50), (2, 49)),
+            ((2, 3, 50), (3, 50)),
+            ((3, 50), (2, 50)),
+            ((1, 2, 3, 50), (1, 2, 50)),
+        ],
+    )
+    def test_mismatched_shapes_are_refused(self, imfs_shape, trend_shape):
+        labels = ["a"] * trend_shape[0] if len(trend_shape) == 2 else None
+        with pytest.raises(ValueError):
+            Decomposition(imfs=np.zeros(imfs_shape), trend=np.zeros(trend_shape),
+                          rate=10.0, labels=labels)
+
+    @pytest.mark.parametrize(
+        "trend_shape, labels",
+        [((2, 50), ["a"]), ((2, 50), ["a", "b", "c"]), ((2, 50), None), ((50,), ["a"])],
+    )
+    def test_label_count_must_match_the_channel_axis(self, trend_shape, labels):
+        imfs = np.zeros(trend_shape[:-1] + (3, 50))
+        with pytest.raises(ValueError, match="one label per channel"):
+            Decomposition(imfs=imfs, trend=np.zeros(trend_shape), rate=10.0, labels=labels)
+
+
 class TestTimeSeries:
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteSample):

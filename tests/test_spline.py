@@ -14,7 +14,6 @@ from helpers import bvh_text  # noqa: E402
 
 from hhtmotion.edit import align  # noqa: E402
 from hhtmotion.memd import (  # noqa: E402
-    MultivariateDecomposition,
     _primes,
     _radical_inverse,
     direction_set,
@@ -118,17 +117,11 @@ def test_align_matches_per_series_fits():
     """One multi-column spline per decomposition equals one fit per series."""
     rng = np.random.default_rng(3)
     n, rate, target = 357, 30.0, 47.0
-    per_channel = [
-        Decomposition(imfs=[rng.standard_normal(n) * 10 for _ in range(3)],
-                      trend=rng.standard_normal(n) * 40, rate=rate)
-        for _ in range(4)
-    ]
-    md = MultivariateDecomposition(
-        imfs=[d.imfs for d in per_channel],
-        trend=[d.trend for d in per_channel],
-        rate=rate,
-        labels=list("abcd"),
-    )
+    imfs, trend = [], []
+    for _ in range(4):
+        imfs.append([rng.standard_normal(n) * 10 for _ in range(3)])
+        trend.append(rng.standard_normal(n) * 40)
+    md = Decomposition(imfs=imfs, trend=trend, rate=rate, labels=list("abcd"))
     pair = align(md, md, target_rate=target)
     t_in = np.arange(n) / rate
     times_out = np.arange(pair.a.per_channel[0].trend.size) / target
