@@ -42,7 +42,6 @@ from .edit import (
 )
 from .memd import (
     DirectionSet,
-    MultivariateSeries,
     direction_set,
     memd,
     multivariate_mean_envelope,

@@ -20,6 +20,7 @@ from .signal_core import (
     TimeSeries,
     analytic_signal,
     instantaneous_attributes,
+    require_form,
 )
 
 logger = logging.getLogger(__name__)
@@ -117,6 +118,7 @@ def hilbert_spectrum(
 ) -> HilbertSpectrum:
     """Deposit per-IMF instantaneous energy of one channel into a time x
     frequency grid."""
+    require_form(d, False, "hilbert_spectrum")
     if freq_max is None:
         freq_max = d.rate / 2.0
     if not 0 < time_bin < np.inf or freq_bins < 1 or not 0 < freq_max <= d.rate / 2.0:
@@ -157,6 +159,7 @@ def wafa(d: Decomposition, segments=None) -> WafaReport:
     objects with half-open ``start_frame``/``end_frame`` spans; None means
     one whole-clip segment.
     """
+    require_form(d, False, "wafa")
     n = d.trend.size
     if segments is None:
         spans = [(0, n)]

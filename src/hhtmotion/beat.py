@@ -25,7 +25,7 @@ from .errors import (
     UnusableAudio,
     WavFormatError,
 )
-from .signal_core import TimeSeries, finite_array, is_number
+from .signal_core import TimeSeries, finite_array, is_number, require_form
 
 __all__ = [
     "BeatGrid",
@@ -124,6 +124,7 @@ def onset_envelope(audio: TimeSeries) -> TimeSeries:
     are stamped at the midpoint of that interval (half a hop before the
     window end), which lines spikes up with onsets.
     """
+    require_form(audio, False, "onset_envelope")
     if audio.rate < 8000:
         raise UnusableAudio(f"audio rate must be at least 8000 Hz, got {audio.rate:g}")
     if audio.duration < 1.0:
@@ -172,6 +173,7 @@ def estimate_tempo(onset: TimeSeries, bpm_range=(60.0, 240.0)) -> float:
     120 BPM with a one-octave standard deviation, which settles octave
     ambiguities.  The winning lag is refined by parabolic interpolation.
     """
+    require_form(onset, False, "estimate_tempo")
     o = onset.samples
     n = o.size
     spectrum = np.fft.rfft(o, 2 * n)
@@ -213,6 +215,7 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
     backtracks from the best final beat.  The grid's bpm field reports the
     median inter-beat interval.
     """
+    require_form(onset, False, "track_beats")
     if not 20.0 <= bpm <= 400.0:
         raise BadTempo(f"bpm {bpm} outside [20, 400]")
     if not 0.0 <= tightness < np.inf:

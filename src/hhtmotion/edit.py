@@ -20,12 +20,10 @@ from .errors import (
     BlendSpecError,
     ChannelMismatch,
     InvalidValue,
-    LengthMismatch,
     SpecOutOfBounds,
 )
-from .memd import MultivariateSeries
 from .mocap_io import MotionClip, apply_channels
-from .signal_core import Decomposition, is_number
+from .signal_core import Decomposition, TimeSeries, is_number, require_form
 from .spline import cubic_spline
 
 __all__ = [
@@ -226,9 +224,12 @@ def _passes(channels, rows):
 def apply_blend(pair: AlignedPair, spec: BlendSpec) -> Decomposition:
     """Apply the operations in order to a working copy of ``pair.a``.
 
-    Both decompositions need a channel axis.  Overlapping selections compose last-writer-wins.  ``merge`` always acts
-    on every channel so the result stays mode-aligned.
+    Both decompositions need a channel axis.  Overlapping selections compose
+    last-writer-wins.  ``merge`` always acts on every channel so the result
+    stays mode-aligned.
     """
+    for d in (pair.a, pair.b):
+        require_form(d, True, "apply_blend")
     imfs, trend = pair.a.imfs.copy(), pair.a.trend.copy()
     donors = {"a": pair.a, "b": pair.b}
     for op in spec.operations:
@@ -261,22 +262,15 @@ def apply_blend(pair: AlignedPair, spec: BlendSpec) -> Decomposition:
                          labels=pair.a.labels)
 
 
-def synthesize_clip(template: MotionClip, d: Decomposition, selection=None) -> MotionClip:
-    """Write the reconstruction of ``d``, which has a channel axis, into
-    ``template``'s channels.
+def synthesize_clip(template: MotionClip, d: Decomposition) -> MotionClip:
+    """Write the reconstruction of ``d``, which has a channel axis, into the
+    ``template`` channels that ``d.labels`` names.
 
-    ``selection`` defaults to the decomposition's channel labels.  The
-    decomposition length must match the template frame count (resample
+    The decomposition length must match the template frame count (resample
     first if it does not).
     """
-    selection = list(selection) if selection is not None else list(d.labels)
-    series = MultivariateSeries(d.reconstruct(), rate=d.rate, labels=d.labels)
-    if len(series) != template.frame_count:
-        raise LengthMismatch(
-            f"decomposition length {len(series)} != template frames "
-            f"{template.frame_count}"
-        )
-    return apply_channels(template, series, selection)
+    require_form(d, True, "synthesize_clip")
+    return apply_channels(template, TimeSeries(d.reconstruct(), d.rate, labels=d.labels))
 
 
 # ---------------------------------------------------------------------------

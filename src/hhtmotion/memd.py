@@ -19,26 +19,20 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (
-    ArchiveFormatError,
-    BadDimension,
-    InvalidValue,
-    NonFiniteSample,
-    SignalTooShort,
-    TooFewExtrema,
-)
+from .errors import ArchiveFormatError, BadDimension, InvalidValue, TooFewExtrema
 from .signal_core import (
     Decomposition,
+    TimeSeries,
     _extrema,
     _sift,
     check_sd_threshold,
     finite_array,
     is_number,
+    require_form,
 )
 from .spline import mirrored_envelopes
 
 __all__ = [
-    "MultivariateSeries",
     "DirectionSet",
     "direction_set",
     "multivariate_mean_envelope",
@@ -47,39 +41,6 @@ __all__ = [
     "multivariate_to_dict",
     "multivariate_from_dict",
 ]
-
-
-@dataclass
-class MultivariateSeries:
-    """Channels sharing one sample grid, e.g. a set of joint-angle signals.
-
-    ``samples`` is a (channels, samples) array, so ``samples[c]`` is channel
-    c; ``labels`` names the rows and ``rate`` is in samples per second.
-    """
-
-    samples: np.ndarray
-    rate: float
-    labels: list
-
-    def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 2 or self.samples.shape[0] < 1:
-            raise ValueError("samples must be a (channels, samples) array")
-        if self.samples.shape[1] < 2:
-            raise SignalTooShort("a series needs at least 2 samples")
-        if not np.all(np.isfinite(self.samples)):
-            raise NonFiniteSample("samples contain NaN or Inf")
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
-        if len(self.labels) != self.samples.shape[0]:
-            raise ValueError("one label per channel required")
-
-    @property
-    def n_channels(self) -> int:
-        return self.samples.shape[0]
-
-    def __len__(self):
-        return self.samples.shape[1]
 
 
 @dataclass
@@ -190,9 +151,7 @@ def _mean_envelope_matrix(samples: np.ndarray, dirs: DirectionSet) -> np.ndarray
     return total / dirs.count
 
 
-def multivariate_mean_envelope(
-    x: MultivariateSeries, dirs: DirectionSet
-) -> MultivariateSeries:
+def multivariate_mean_envelope(x: TimeSeries, dirs: DirectionSet) -> TimeSeries:
     """Average of the directional envelopes of ``x`` over all directions.
 
     For each direction the channels are projected onto it, the projection
@@ -201,12 +160,13 @@ def multivariate_mean_envelope(
     :class:`TooFewExtrema` naming the first direction whose projection has
     fewer than two maxima.
     """
+    require_form(x, True, "multivariate_mean_envelope")
     env = _mean_envelope_matrix(x.samples, dirs)
-    return MultivariateSeries(env, rate=x.rate, labels=x.labels)
+    return TimeSeries(env, x.rate, labels=x.labels)
 
 
 def memd(
-    x: MultivariateSeries,
+    x: TimeSeries,
     dirs: DirectionSet | None = None,
     sd_threshold: float = 0.25,
     max_sifts: int = 100,
@@ -252,7 +212,7 @@ def memd(
 
 
 def na_memd(
-    x: MultivariateSeries,
+    x: TimeSeries,
     noise_channels: int = 1,
     noise_pct: float = 0.09,
     seed: int = 0,
@@ -269,6 +229,7 @@ def na_memd(
     signal, and strips the noise channels from the result.  Each noise
     channel draws from its own counter-based stream keyed by ``seed``.
     """
+    require_form(x, True, "na_memd")
     if not 0.0 < noise_pct < 1.0:
         raise InvalidValue(f"noise_pct must lie in (0, 1), got {noise_pct}")
     if noise_channels < 1:
@@ -283,9 +244,9 @@ def na_memd(
         std * np.random.Generator(_philox(seed).jumped(k)).standard_normal(len(x))
         for k in range(noise_channels)
     ]
-    extended = MultivariateSeries(
+    extended = TimeSeries(
         np.vstack([x.samples, *noise]),
-        rate=x.rate,
+        x.rate,
         labels=list(x.labels) + [f"noise{k}" for k in range(noise_channels)],
     )
     if dirs is None:
@@ -321,6 +282,7 @@ def na_memd(
 def multivariate_to_dict(md: Decomposition) -> dict:
     """Archive form of a decomposition with a channel axis:
     ``{rate, channels: [{label, imfs, trend}], meta}``."""
+    require_form(md, True, "multivariate_to_dict")
     return {
         "rate": float(md.rate),
         "channels": [

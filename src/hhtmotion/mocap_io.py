@@ -21,7 +21,7 @@ from .errors import (
     UnknownChannel,
     UnknownChannelName,
 )
-from .memd import MultivariateSeries
+from .signal_core import TimeSeries, require_form
 from .spline import cubic_spline
 
 __all__ = [
@@ -369,8 +369,9 @@ def _is_rotation(label):
     return label.rsplit(".", 1)[-1].endswith("rotation")
 
 
-def extract_channels(clip: MotionClip, selection) -> MultivariateSeries:
-    """Selected columns as a multivariate signal at the clip's frame rate.
+def extract_channels(clip: MotionClip, selection) -> TimeSeries:
+    """Selected columns as a series with a channel axis at the clip's frame
+    rate, labelled with ``selection``.
 
     Rotation channels are unwrapped into continuous series; position channels
     pass through unchanged.
@@ -382,25 +383,23 @@ def extract_channels(clip: MotionClip, selection) -> MultivariateSeries:
         if not np.all(np.isfinite(row)):
             raise NonFiniteSample(f"{label}: samples contain NaN or Inf")
         rows.append(unwrap_degrees(row) if _is_rotation(label) else row)
-    return MultivariateSeries(np.array(rows), rate=clip.rate, labels=list(selection))
+    return TimeSeries(np.array(rows), clip.rate, labels=list(selection))
 
 
-def apply_channels(clip: MotionClip, series: MultivariateSeries, selection) -> MotionClip:
-    """New clip with the selected columns replaced by ``series``.
+def apply_channels(clip: MotionClip, series: TimeSeries) -> MotionClip:
+    """New clip with the columns that ``series.labels`` names replaced by
+    ``series``'s rows.
 
     Rotation values are wrapped back to (-180, 180].  Other columns are
-    untouched.
+    untouched.  A label the clip lacks raises :class:`UnknownChannel`.
     """
-    if list(series.labels) != list(selection):
-        raise UnknownChannel(
-            f"series labels {series.labels} do not match selection {list(selection)}"
-        )
+    require_form(series, True, "apply_channels")
     if len(series) != clip.frame_count:
         raise LengthMismatch(
             f"series length {len(series)} != frame count {clip.frame_count}"
         )
     frames = clip.frames.copy()
-    for label, values in zip(selection, series.samples):
+    for label, values in zip(series.labels, series.samples):
         col = clip.column(label)
         frames[:, col] = wrap_degrees(values) if _is_rotation(label) else values
     return MotionClip(skeleton=clip.skeleton, frames=frames, frame_time=clip.frame_time)

@@ -17,6 +17,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import (
+    BadDimension,
     DegenerateSignal,
     InvalidValue,
     NoConvergence,
@@ -45,38 +46,66 @@ __all__ = [
 
 @dataclass
 class TimeSeries:
-    """A uniformly sampled real-valued signal.
+    """A uniformly sampled real-valued signal, of one channel or of several.
 
-    ``samples`` keeps whatever unit the source uses (degrees for joint
-    angles, normalized amplitude for audio).  ``rate`` is in samples per
-    second.
+    ``samples`` is (samples,), or (channels, samples) with a leading channel
+    axis, so that ``samples[c]`` is channel c; ``labels`` then names the rows,
+    one per channel, and is None without that axis.  ``samples`` keeps
+    whatever unit the source uses (degrees for joint angles, normalized
+    amplitude for audio).  ``rate`` is in samples per second.
     """
 
     samples: np.ndarray
     rate: float
     start_time: float = 0.0
+    labels: list | None = None
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if self.samples.size < 2:
+        self.samples = np.asarray(self.samples, dtype=np.float64, order="C")
+        if self.samples.ndim not in (1, 2) or 0 in self.samples.shape[:-1]:
+            raise ValueError("samples must be (samples,) or (channels, samples)")
+        _check_labels(self.labels, self.samples)
+        if len(self) < 2:
             raise SignalTooShort("a time series needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):
             raise NonFiniteSample("samples contain NaN or Inf")
         if not self.rate > 0:
             raise ValueError("rate must be positive")
 
+    @property
+    def n_channels(self) -> int:
+        return 1 if self.labels is None else len(self.labels)
+
     def __len__(self):
-        return self.samples.size
+        return self.samples.shape[-1]
 
     @property
     def duration(self) -> float:
         """Clip length in seconds (sample count over rate)."""
-        return self.samples.size / self.rate
+        return len(self) / self.rate
 
     def times(self) -> np.ndarray:
-        return self.start_time + np.arange(self.samples.size) / self.rate
+        return self.start_time + np.arange(len(self)) / self.rate
+
+
+def _check_labels(labels, rows):
+    """Refuse ``labels`` unless they name each row of a (channels, samples)
+    array ``rows``, or are None for a (samples,) one."""
+    labelled = labels is not None
+    if labelled != (rows.ndim == 2) or labelled and len(labels) != len(rows):
+        raise ValueError("one label per channel required, and none without a channel axis")
+
+
+def require_form(x, channel_axis: bool, what: str):
+    """Raise :class:`BadDimension` unless the series or decomposition ``x``
+    has a channel axis exactly when ``channel_axis`` says; ``labels is None``
+    marks one channel.  ``what`` names the caller in the message."""
+    if (x.labels is not None) != channel_axis:
+        if channel_axis:
+            raise BadDimension(f"{what} takes a channel axis, one label per channel, "
+                               "not one channel without labels")
+        raise BadDimension(f"{what} takes one channel, without labels; pass the channels "
+                           "of a channel axis one at a time, e.g. from per_channel")
 
 
 def is_number(value) -> bool:
@@ -171,9 +200,7 @@ class Decomposition:
         if (self.imfs.ndim != self.trend.ndim + 1
                 or self.imfs.shape[:-2] + self.imfs.shape[-1:] != self.trend.shape):
             raise ValueError("imfs must be (..., IMFs, samples) beside a (..., samples) trend")
-        labelled = self.labels is not None
-        if labelled != (self.trend.ndim == 2) or labelled and len(self.labels) != len(self.trend):
-            raise ValueError("one label per channel required, and none without a channel axis")
+        _check_labels(self.labels, self.trend)
 
     @property
     def imf_count(self) -> int:
@@ -226,6 +253,7 @@ def analytic_signal(x: TimeSeries) -> AnalyticSignal:
     DC / Nyquist bins kept unscaled.  For band-limited discrete signals this
     equals the principal-value convolution of ``x`` with 1/(pi*t).
     """
+    require_form(x, False, "analytic_signal")
     s = x.samples
     n = s.size
     if n < 4:
@@ -291,6 +319,7 @@ def _extrema(s: np.ndarray):
 
 def find_extrema(x: TimeSeries):
     """Return (maxima indices, minima indices) of ``x``."""
+    require_form(x, False, "find_extrema")
     return _extrema(x.samples)
 
 
@@ -314,12 +343,14 @@ def envelope_pair(x: TimeSeries) -> EnvelopePair:
     end are reflected across the signal boundary before fitting, and the
     splines are evaluated only on the original domain.
     """
+    require_form(x, False, "envelope_pair")
     upper, lower = _envelopes(x.samples, *_extrema(x.samples))
     return EnvelopePair(upper=upper, lower=lower)
 
 
 def sift(c: TimeSeries) -> TimeSeries:
     """One sifting step: subtract the mean of the upper and lower envelopes."""
+    require_form(c, False, "sift")
     sifted = c.samples - _mean_envelope(c.samples, *_extrema(c.samples))
     return TimeSeries(sifted, rate=c.rate, start_time=c.start_time)
 
@@ -368,6 +399,7 @@ def imf_check(c: TimeSeries, mean_env_tol: float = 0.1) -> ImfReport:
     ``mean_env_tol`` times the RMS of ``c``.  When there are too few extrema
     to fit envelopes, the signal mean stands in for the envelope mean.
     """
+    require_form(c, False, "imf_check")
     maxima, minima = _extrema(c.samples)
     try:
         mean_env = _mean_envelope(c.samples, maxima, minima)
@@ -473,6 +505,7 @@ def emd(
     or ``max_imfs`` is reached; the remaining residual is the trend.
     Reconstruction is exact by construction up to float rounding.
     """
+    require_form(x, False, "emd")
     if len(x) < 4:
         raise SignalTooShort("decomposition needs at least 4 samples")
     check_sd_threshold(sd_threshold)

@@ -23,7 +23,6 @@ from hhtmotion.edit import (
     merge_imfs,
 )
 from hhtmotion.memd import (
-    MultivariateSeries,
     direction_set,
     memd,
     na_memd,
@@ -103,7 +102,7 @@ def corpus_results():
             + 0.1 * np.sin(np.arange(x.samples.size) * 0.05),
             x.rate,
         )
-        pair = MultivariateSeries(
+        pair = TimeSeries(
             np.stack([x.samples, companion.samples]), x.rate, labels=["a", "b"]
         )
         uni = emd(x)
@@ -169,7 +168,7 @@ def test_criterion_3_tone_separation():
             best = max(abs(np.corrcoef(c, source)[0, 1]) for c in d.imfs)
             worst = min(worst, best)
 
-        pair = MultivariateSeries(
+        pair = TimeSeries(
             np.stack([low + high, 0.7 * low + 1.2 * high]), rate, labels=["a", "b"]
         )
         md = na_memd(pair, seed=seed, dirs=direction_set(3, 64, seed=seed))
@@ -223,8 +222,8 @@ def test_criterion_5_filter_bank():
     ratios = {n: [] for n in range(1, 5)}
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        x = MultivariateSeries(
-            rng.standard_normal((1000, 2)).T, 100.0, ["a", "b"]
+        x = TimeSeries(
+            rng.standard_normal((1000, 2)).T, 100.0, labels=["a", "b"]
         )
         md = memd(x, dirs=direction_set(2, 64, seed=seed))
         for d in md.per_channel:

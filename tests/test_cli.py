@@ -593,6 +593,7 @@ def failure_inputs(tmp_path_factory):
     negative_rate["rate"] = -40
     files = {
         "bvh": bvh,
+        "pelvis_bvh": root / "pelvis.bvh",
         "archive": archive,
         "negative_rate": root / "negative_rate.json",
         "flat": root / "flat.json",
@@ -609,6 +610,8 @@ def failure_inputs(tmp_path_factory):
         "missing_dir": root / "missing" / "out.json",
     }
     files["negative_rate"].write_text(json.dumps(negative_rate))
+    # the clip with its root renamed: a template without the archived hips channels
+    files["pelvis_bvh"].write_text(bvh.read_text().replace("ROOT hips", "ROOT pelvis"))
     # the single-channel shape of earlier versions, which no longer reads
     files["flat"].write_text(json.dumps({"rate": 40.0, "sd_threshold": 0.25,
                                          "imfs": [[0, 1, 0, -1]], "trend": [0, 0, 0, 0],
@@ -634,9 +637,9 @@ def _decompose(f, *options, out="out"):
             *options, "--out", f[out]]
 
 
-def _blend(f, *options, archive="archive", spec="spec", out="out"):
+def _blend(f, *options, archive="archive", spec="spec", template="bvh", out="out"):
     return ["blend", f[archive], f["archive"], "--spec", f[spec],
-            "--template", f["bvh"], *options, "--out", f[out]]
+            "--template", f[template], *options, "--out", f[out]]
 
 
 FAILURES = {
@@ -660,6 +663,7 @@ FAILURES = {
     "analyze-flat-archive": (2, lambda f: ["analyze", f["flat"], "--out", f["out"]]),
     "spectrum-flat-archive": (2, lambda f: ["spectrum", f["flat"], "--out", f["out"]]),
     "blend-flat-archive": (2, lambda f: _blend(f, archive="flat")),
+    "blend-template-missing-channel": (3, lambda f: _blend(f, template="pelvis_bvh")),
     "noise-pct-2": (64, lambda f: _decompose(f, "--noise-pct", "2")),
     "noise-channels-0": (64, lambda f: _decompose(f, "--noise-channels", "0")),
     "memd-one-channel": (64, lambda f: ["decompose", f["bvh"], "--channels", "hips.Xrotation",

@@ -289,8 +289,18 @@ class TestReconstructAndSynthesize:
         back = md.reconstruct()
         assert np.max(np.abs(back.T - series.samples.T)) < 1e-8
 
-        out = synthesize_clip(clip, md, sel)
+        out = synthesize_clip(clip, md)
         assert np.max(np.abs(out.frames - clip.frames)) < 1e-6
+
+    def test_labels_pick_the_template_columns(self):
+        from helpers import bvh_text
+        from hhtmotion.mocap_io import parse_bvh, wrap_degrees
+
+        clip = parse_bvh(bvh_text({"hips.Xrotation": np.zeros(400)}))
+        md = random_md(np.random.default_rng(13), labels=["chest.Zrotation", "hips.Xrotation"])
+        out = synthesize_clip(clip, md)
+        for label, values in zip(md.labels, md.reconstruct()):
+            assert np.array_equal(out.frames[:, clip.column(label)], wrap_degrees(values))
 
     def test_zeroing_imf_changes_rms_by_that_imf(self):
         rng = np.random.default_rng(11)

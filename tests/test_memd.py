@@ -6,13 +6,10 @@ import pytest
 from hhtmotion.errors import (
     BadDimension,
     NoConvergence,
-    NonFiniteSample,
-    SignalTooShort,
     TooFewExtrema,
 )
 from hhtmotion.memd import (
     DirectionSet,
-    MultivariateSeries,
     direction_set,
     memd,
     multivariate_from_dict,
@@ -20,14 +17,14 @@ from hhtmotion.memd import (
     multivariate_to_dict,
     na_memd,
 )
-from hhtmotion.signal_core import _extrema
+from hhtmotion.signal_core import TimeSeries, _extrema
 from hhtmotion.spline import mirrored_envelopes
 
 
 def stack(rate, *columns, labels=None):
     matrix = np.stack(columns, axis=1)
     labels = labels or [f"ch{i}" for i in range(matrix.shape[1])]
-    return MultivariateSeries(matrix.T, rate, labels)
+    return TimeSeries(matrix.T, rate, labels=labels)
 
 
 class TestDirectionSet:
@@ -66,27 +63,6 @@ class TestDirectionSet:
             direction_set(1, 8)
         with pytest.raises(BadDimension):
             direction_set(4, 6)
-
-
-class TestMultivariateSeries:
-    def test_rows_are_channels(self):
-        x = MultivariateSeries(np.arange(6.0).reshape(2, 3), 10.0, ["a", "b"])
-        assert (x.n_channels, len(x)) == (2, 3)
-        assert np.array_equal(x.samples[1], [3.0, 4.0, 5.0])
-
-    @pytest.mark.parametrize(
-        "samples, rate, labels, error",
-        [
-            ([[0.0, np.nan]], 10.0, ["a"], NonFiniteSample),
-            ([[0.0], [1.0]], 10.0, ["a", "b"], SignalTooShort),
-            ([0.0, 1.0], 10.0, ["a"], ValueError),
-            ([[0.0, 1.0]], 0.0, ["a"], ValueError),
-            ([[0.0, 1.0]], 10.0, ["a", "b"], ValueError),
-        ],
-    )
-    def test_rejects(self, samples, rate, labels, error):
-        with pytest.raises(error):
-            MultivariateSeries(samples, rate, labels)
 
 
 class TestMeanEnvelope:
@@ -168,8 +144,8 @@ class TestMemd:
 
     def test_per_channel_reconstruction(self):
         rng = np.random.default_rng(0)
-        x = MultivariateSeries(
-            rng.standard_normal((600, 2)).T, 50.0, ["a", "b"]
+        x = TimeSeries(
+            rng.standard_normal((600, 2)).T, 50.0, labels=["a", "b"]
         )
         md = memd(x, dirs=direction_set(2, 8, seed=0))
         for k, d in enumerate(md.per_channel):
@@ -178,8 +154,8 @@ class TestMemd:
 
     def test_mode_alignment(self):
         rng = np.random.default_rng(5)
-        x = MultivariateSeries(
-            rng.standard_normal((500, 3)).T, 50.0, ["a", "b", "c"]
+        x = TimeSeries(
+            rng.standard_normal((500, 3)).T, 50.0, labels=["a", "b", "c"]
         )
         md = memd(x, dirs=direction_set(3, 8, seed=0))
         counts = {d.imf_count for d in md.per_channel}
@@ -265,8 +241,8 @@ class TestNaMemd:
         ratios = {n: [] for n in range(1, 5)}
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            x = MultivariateSeries(
-                rng.standard_normal((1000, 2)).T, 100.0, ["a", "b"]
+            x = TimeSeries(
+                rng.standard_normal((1000, 2)).T, 100.0, labels=["a", "b"]
             )
             md = memd(x, dirs=direction_set(2, 8, seed=seed))
             for d in md.per_channel:

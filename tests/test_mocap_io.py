@@ -22,6 +22,7 @@ from hhtmotion.mocap_io import (
     wrap_degrees,
     write_bvh,
 )
+from hhtmotion.signal_core import TimeSeries
 
 
 class TestParse:
@@ -272,7 +273,7 @@ class TestExtractApply:
     def test_inverse_pair(self):
         clip = self.make_clip()
         sel = ["hips.Xrotation", "chest.Zrotation", "hips.Xposition"]
-        back = apply_channels(clip, extract_channels(clip, sel), sel)
+        back = apply_channels(clip, extract_channels(clip, sel))
         assert np.allclose(back.frames, clip.frames, atol=1e-9)
 
     def test_written_values_rewrapped(self):
@@ -280,20 +281,38 @@ class TestExtractApply:
         sel = ["hips.Xrotation"]
         series = extract_channels(clip, sel)
         series.samples[0] = 183.0
-        out = apply_channels(clip, series, sel)
+        out = apply_channels(clip, series)
         assert np.all(out.frames[:, clip.column("hips.Xrotation")] == -177.0)
 
     def test_length_mismatch(self):
         clip = self.make_clip()
         series = extract_channels(clip, ["hips.Xrotation"])
-        shorter = type(series)(series.samples[:, :-5], series.rate, series.labels)
+        shorter = type(series)(series.samples[:, :-5], series.rate, labels=series.labels)
         with pytest.raises(LengthMismatch):
-            apply_channels(clip, shorter, ["hips.Xrotation"])
+            apply_channels(clip, shorter)
 
     def test_unknown_channel(self):
         clip = self.make_clip()
         with pytest.raises(UnknownChannel):
             extract_channels(clip, ["nope.Xrotation"])
+
+    def test_rows_go_to_the_columns_their_labels_name(self):
+        clip = self.make_clip()
+        series = extract_channels(clip, ["chest.Zrotation", "hips.Xrotation"])
+        series.samples[:] = [[10.0], [20.0]]
+        out = apply_channels(clip, series)
+        assert np.all(out.frames[:, clip.column("chest.Zrotation")] == 10.0)
+        assert np.all(out.frames[:, clip.column("hips.Xrotation")] == 20.0)
+        untouched = [clip.column(label) for label in clip.skeleton.channel_labels()
+                     if label not in series.labels]
+        assert np.array_equal(out.frames[:, untouched], clip.frames[:, untouched])
+
+    def test_apply_unknown_channel(self):
+        clip = self.make_clip()
+        series = TimeSeries(np.zeros((1, clip.frame_count)), clip.rate,
+                            labels=["nope.Xrotation"])
+        with pytest.raises(UnknownChannel, match="nope.Xrotation"):
+            apply_channels(clip, series)
 
 
 class TestResample:

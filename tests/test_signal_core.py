@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
-from helpers import cosine, pv_hilbert_oracle, tone
+from helpers import bvh_text, cosine, pv_hilbert_oracle, tone
 
+from hhtmotion.analysis import hilbert_spectrum, wafa
+from hhtmotion.beat import estimate_tempo, onset_envelope, track_beats
+from hhtmotion.edit import BlendSpec, align, apply_blend, synthesize_clip
+from hhtmotion.memd import (
+    direction_set,
+    multivariate_mean_envelope,
+    multivariate_to_dict,
+    na_memd,
+)
+from hhtmotion.mocap_io import apply_channels, parse_bvh
 from hhtmotion.errors import (
+    BadDimension,
     DegenerateSignal,
     NoConvergence,
     NonFiniteSample,
@@ -99,6 +110,95 @@ class TestTimeSeries:
     def test_duration(self):
         x = TimeSeries(np.zeros(2420), rate=40.0)
         assert x.duration == pytest.approx(60.5)
+
+    def test_rows_are_channels(self):
+        x = TimeSeries(np.arange(6.0).reshape(2, 3), 10.0, labels=["a", "b"])
+        assert (x.n_channels, len(x)) == (2, 3)
+        assert np.array_equal(x.samples[1], [3.0, 4.0, 5.0])
+        assert x.duration == pytest.approx(0.3)
+        assert np.allclose(x.times(), [0.0, 0.1, 0.2])
+
+    def test_one_channel_has_no_labels(self):
+        x = TimeSeries(np.arange(3.0), 10.0, start_time=1.0)
+        assert (x.n_channels, len(x), x.labels) == (1, 3, None)
+        assert np.allclose(x.times(), [1.0, 1.1, 1.2])
+
+    @pytest.mark.parametrize(
+        "samples, rate, labels, error",
+        [
+            ([[0.0, np.nan]], 10.0, ["a"], NonFiniteSample),
+            ([[0.0], [1.0]], 10.0, ["a", "b"], SignalTooShort),
+            ([0.0, 1.0], 10.0, ["a"], ValueError),
+            ([[0.0, 1.0]], 0.0, ["a"], ValueError),
+            ([[0.0, 1.0]], 10.0, ["a", "b"], ValueError),
+            ([[0.0, 1.0], [2.0, 3.0]], 10.0, ["a"], ValueError),
+            ([[0.0, 1.0], [2.0, 3.0]], 10.0, None, ValueError),
+            (np.zeros((0, 5)), 10.0, [], ValueError),
+            (np.zeros((1, 2, 5)), 10.0, ["a"], ValueError),
+            ([0.0, np.inf], 10.0, None, NonFiniteSample),
+            ([0.0, 1.0], -1.0, None, ValueError),
+        ],
+    )
+    def test_rejects(self, samples, rate, labels, error):
+        with pytest.raises(error):
+            TimeSeries(samples, rate, labels=labels)
+
+
+def _one_channel():
+    return tone(2.0, 4.0, 50.0)
+
+
+def _channel_axis():
+    x = _one_channel().samples
+    return TimeSeries(np.stack([x, x[::-1]]), 50.0, labels=["hips.Xrotation", "hips.Yrotation"])
+
+
+def _channel_axis_decomposition():
+    return Decomposition(imfs=np.ones((2, 1, 200)), trend=np.zeros((2, 200)), rate=50.0,
+                         labels=["hips.Xrotation", "hips.Yrotation"])
+
+
+# each public function that takes one of the two forms, given the other
+ONE_CHANNEL_ONLY = {
+    "emd": lambda: emd(_channel_axis()),
+    "analytic_signal": lambda: analytic_signal(_channel_axis()),
+    "imf_check": lambda: imf_check(_channel_axis()),
+    "find_extrema": lambda: find_extrema(_channel_axis()),
+    "envelope_pair": lambda: envelope_pair(_channel_axis()),
+    "sift": lambda: sift(_channel_axis()),
+    "wafa": lambda: wafa(_channel_axis_decomposition()),
+    "hilbert_spectrum": lambda: hilbert_spectrum(_channel_axis_decomposition()),
+    "onset_envelope": lambda: onset_envelope(_channel_axis()),
+    "estimate_tempo": lambda: estimate_tempo(_channel_axis()),
+    "track_beats": lambda: track_beats(_channel_axis(), 120.0),
+}
+CHANNEL_AXIS_ONLY = {
+    "na_memd": lambda: na_memd(_one_channel()),
+    "multivariate_mean_envelope": lambda: multivariate_mean_envelope(
+        _one_channel(), direction_set(2, 8)),
+    "apply_blend": lambda: apply_blend(
+        align(emd(_one_channel()), emd(_one_channel()), 40.0),
+        BlendSpec(operations=[])),
+    "synthesize_clip": lambda: synthesize_clip(
+        parse_bvh(bvh_text({"hips.Xrotation": np.zeros(200)})),
+        emd(_one_channel())),
+    "apply_channels": lambda: apply_channels(
+        parse_bvh(bvh_text({"hips.Xrotation": np.zeros(200)})), _one_channel()),
+    "multivariate_to_dict": lambda: multivariate_to_dict(emd(_one_channel())),
+}
+
+
+class TestChannelForm:
+    @pytest.mark.parametrize("name", list(ONE_CHANNEL_ONLY))
+    def test_one_channel_functions_refuse_a_channel_axis(self, name):
+        with pytest.raises(BadDimension,
+                           match=rf"^{name} takes one channel, without labels; .*per_channel$"):
+            ONE_CHANNEL_ONLY[name]()
+
+    @pytest.mark.parametrize("name", list(CHANNEL_AXIS_ONLY))
+    def test_channel_axis_functions_refuse_one_channel(self, name):
+        with pytest.raises(BadDimension, match=rf"^{name} takes a channel axis, "):
+            CHANNEL_AXIS_ONLY[name]()
 
 
 class TestAnalyticSignal:
