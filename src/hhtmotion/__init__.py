@@ -32,9 +32,7 @@ from .beat import (
     track_beats,
 )
 from .edit import (
-    AlignedPair,
     BlendOp,
-    BlendSpec,
     align,
     apply_blend,
     merge_imfs,

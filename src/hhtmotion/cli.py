@@ -12,8 +12,9 @@ A failure prints one ``error:`` line and exits with the code that
 4 decomposition did not converge, 5 no periodicity in audio, 6 blend-spec
 schema error, 64 invalid option value or unwritable ``--out``.  click's own
 usage errors (an unknown option, a missing or mistyped value) exit 2.
-An option value that would size an array beyond ``MAX_ELEMENTS`` counts as
-invalid and is refused before anything is allocated.
+An option value, or a blend template's frame rate, that would size an array
+beyond ``MAX_ELEMENTS`` counts as invalid and is refused before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ EXIT_CODES = {
 }
 
 
-# The largest array an option value may ask for: 2**27 elements, 1 GiB of
-# float64.  A value past it exits 64 before anything is allocated.
+# The largest array an option value or a blend template's frame rate may ask
+# for: 2**27 elements, 1 GiB of float64.  A value past it exits 64 before
+# anything is allocated.
 MAX_ELEMENTS = 2**27
 
 
@@ -200,6 +202,9 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
     selection = [name.strip() for name in channels.split(",") if name.strip()]
     if not selection:
         raise errors.InvalidValue("--channels names no channel")
+    repeated = [name for i, name in enumerate(selection) if name in selection[:i]]
+    if repeated:
+        raise errors.InvalidValue(f"--channels names {repeated[0]} twice")
     with _reading(bvh_path):
         series = extract_channels(clip, selection)
 
@@ -442,31 +447,29 @@ def cmd_spectrum(archive_path, channel, time_bin, freq_bins, freq_max, out):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--template", "template_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--target-fps", type=float, default=None,
-              help="Alignment rate (defaults to the spec's target_rate, "
-                   "then the template's rate)")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-def cmd_blend(archive_a, archive_b, spec_path, template_path, target_fps, out):
-    """Edit archive A against archive B and write the result into a BVH."""
+def cmd_blend(archive_a, archive_b, spec_path, template_path, out):
+    """Edit archive A against archive B and write the result into a BVH.
+
+    Both archives are resampled to the template's frame rate, one sample
+    per template frame."""
     a = _load_archive(archive_a)
     b = _load_archive(archive_b)
     with _reading(spec_path, errors.BlendSpecError), open(spec_path) as handle:
-        spec = blend_spec_from_dict(json.load(handle))
+        operations = blend_spec_from_dict(json.load(handle))
     template = _load_bvh(template_path)
 
-    rate = target_fps if target_fps is not None else spec.target_rate or template.rate
     seconds = min(a.n_samples / a.rate, b.n_samples / b.rate)
     rows = a.n_channels * (max(a.imf_count, b.imf_count) + 1)
-    _check_size(seconds * rate * rows, f"target rate {rate:g}")
-    pair = align(a, b, target_rate=rate)
-    edited = apply_blend(pair, spec)
-    clip = synthesize_clip(template, edited)
+    _check_size(seconds * template.rate * rows, f"template rate {template.rate:g}")
+    a, b = align(a, b, template.rate)
+    clip = synthesize_clip(template, apply_blend(a, b, operations))
 
     _atomic_write(out, write_bvh(clip))
     _write_manifest(
         "blend",
         [archive_a, archive_b, spec_path, template_path],
-        {"target_fps": rate},
+        {},
         None,
         [out],
     )

@@ -16,10 +16,10 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (
-    BadRange,
     BlendSpecError,
     ChannelMismatch,
     InvalidValue,
+    LengthMismatch,
     SpecOutOfBounds,
 )
 from .mocap_io import MotionClip, apply_channels
@@ -28,14 +28,11 @@ from .spline import cubic_spline
 
 __all__ = [
     "BlendOp",
-    "BlendSpec",
-    "AlignedPair",
     "align",
     "merge_imfs",
     "apply_blend",
     "synthesize_clip",
     "blend_spec_from_dict",
-    "blend_spec_to_dict",
 ]
 
 OP_KINDS = ("scale", "zero", "swap", "blend", "trend_exchange", "merge")
@@ -85,28 +82,6 @@ class BlendOp:
             raise BlendSpecError("merge needs at least two IMF indices")
 
 
-@dataclass
-class BlendSpec:
-    operations: list
-    target_rate: float | None = None
-
-    def __post_init__(self):
-        if self.target_rate is not None:
-            if not (is_number(self.target_rate) and self.target_rate > 0):
-                raise BlendSpecError(
-                    f"target_rate must be a positive number, got {self.target_rate!r:.40}"
-                )
-            self.target_rate = float(self.target_rate)
-
-
-@dataclass
-class AlignedPair:
-    """Two decompositions with identical shape: rate, length, labels, IMF count."""
-
-    a: Decomposition
-    b: Decomposition
-
-
 # ---------------------------------------------------------------------------
 # alignment
 
@@ -134,8 +109,17 @@ def _conform(d, times_out, imf_count):
     )
 
 
-def align(a: Decomposition, b: Decomposition, target_rate: float) -> AlignedPair:
-    """Bring two decompositions onto a common grid and IMF count.
+def _same_labels(a, b):
+    if a.labels != b.labels:
+        raise ChannelMismatch(
+            f"channel labels differ: {a.labels} vs {b.labels}",
+            labels=(a.labels, b.labels),
+        )
+
+
+def align(a: Decomposition, b: Decomposition, target_rate: float) -> tuple:
+    """Bring two decompositions onto a common grid and IMF count; returns
+    the pair ``(a, b)`` conformed, with equal labels and shapes.
 
     Every series is cubically resampled to ``target_rate``, both sides are
     truncated to the shorter duration, and the shorter IMF list is padded
@@ -143,19 +127,12 @@ def align(a: Decomposition, b: Decomposition, target_rate: float) -> AlignedPair
     """
     if not 0 < target_rate < np.inf:
         raise InvalidValue(f"target rate must be a positive number, got {target_rate}")
-    if a.labels != b.labels:
-        raise ChannelMismatch(
-            f"channel labels differ: {a.labels} vs {b.labels}",
-            labels=(a.labels, b.labels),
-        )
+    _same_labels(a, b)
     duration = min(a.n_samples / a.rate, b.n_samples / b.rate)
     n_out = max(2, int(round(duration * target_rate)))
     times_out = np.arange(n_out) / target_rate
     imf_count = max(a.imf_count, b.imf_count)
-    return AlignedPair(
-        a=_conform(a, times_out, imf_count),
-        b=_conform(b, times_out, imf_count),
-    )
+    return _conform(a, times_out, imf_count), _conform(b, times_out, imf_count)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +141,8 @@ def align(a: Decomposition, b: Decomposition, target_rate: float) -> AlignedPair
 
 def _merge_rows(imfs, i, j):
     """IMFs ``i..j`` (1-based, inclusive, along axis -2) summed in order into one."""
+    if not (1 <= i < j <= imfs.shape[-2]):
+        raise SpecOutOfBounds(f"merge range [{i}, {j}] invalid for {imfs.shape[-2]} IMFs")
     merged = imfs[..., i - 1, :].copy()
     for k in range(i, j):
         merged += imfs[..., k, :]
@@ -175,8 +154,6 @@ def _merge_rows(imfs, i, j):
 def merge_imfs(d: Decomposition, imf_range) -> Decomposition:
     """Sum IMFs ``i..j`` (1-based, inclusive) into one; reconstruction unchanged."""
     i, j = imf_range
-    if not (1 <= i < j <= d.imf_count):
-        raise BadRange(f"range [{i}, {j}] invalid for {d.imf_count} IMFs")
     return Decomposition(imfs=_merge_rows(d.imfs, i, j), trend=d.trend.copy(),
                          rate=d.rate, meta=dict(d.meta), labels=d.labels)
 
@@ -221,30 +198,30 @@ def _passes(channels, rows):
         yield ch[i], row[j]
 
 
-def apply_blend(pair: AlignedPair, spec: BlendSpec) -> Decomposition:
-    """Apply the operations in order to a working copy of ``pair.a``.
+def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decomposition:
+    """Apply the :class:`BlendOp` list ``operations`` in order to a working
+    copy of ``a``, with ``b`` as the donor.
 
-    Both decompositions need a channel axis.  Overlapping selections compose
-    last-writer-wins.  ``merge`` always acts on every channel so the result
-    stays mode-aligned.
+    Both decompositions need a channel axis, the same labels
+    (:class:`ChannelMismatch` otherwise) and the same IMF and sample counts
+    (:class:`LengthMismatch` otherwise), as :func:`align` returns them.
+    Overlapping selections compose last-writer-wins.  ``merge`` always acts
+    on every channel so the result stays mode-aligned.
     """
-    for d in (pair.a, pair.b):
+    for d in (a, b):
         require_form(d, True, "apply_blend")
-    imfs, trend = pair.a.imfs.copy(), pair.a.trend.copy()
-    donors = {"a": pair.a, "b": pair.b}
-    for op in spec.operations:
-        channels = _channel_indices(pair.a.labels, op.channels)
+    _same_labels(a, b)
+    if a.imfs.shape != b.imfs.shape:
+        raise LengthMismatch(f"IMFs shaped {a.imfs.shape} vs {b.imfs.shape}; align them first")
+    imfs, trend = a.imfs.copy(), a.trend.copy()
+    donors = {"a": a, "b": b}
+    for op in operations:
+        channels = _channel_indices(a.labels, op.channels)
         donor = donors[op.source]
-        count = imfs.shape[-2]
         if op.kind == "merge":
-            lo, hi = min(op.imfs), max(op.imfs)
-            if not (1 <= lo < hi <= count):
-                raise SpecOutOfBounds(
-                    f"merge range [{lo}, {hi}] invalid for {count} IMFs"
-                )
-            imfs = _merge_rows(imfs, lo, hi)
+            imfs = _merge_rows(imfs, min(op.imfs), max(op.imfs))
             continue
-        rows = _imf_rows(op.imfs, count)
+        rows = _imf_rows(op.imfs, imfs.shape[-2])
         if op.kind == "trend_exchange":
             trend[channels] = donor.trend[channels]
             continue
@@ -258,8 +235,8 @@ def apply_blend(pair: AlignedPair, spec: BlendSpec) -> Decomposition:
             else:
                 donated = (1.0 - op.alpha) * donor.imfs[cells]
                 imfs[cells] = op.alpha * imfs[cells] + donated
-    return Decomposition(imfs=imfs, trend=trend, rate=pair.a.rate, meta=dict(pair.a.meta),
-                         labels=pair.a.labels)
+    return Decomposition(imfs=imfs, trend=trend, rate=a.rate, meta=dict(a.meta),
+                         labels=a.labels)
 
 
 def synthesize_clip(template: MotionClip, d: Decomposition) -> MotionClip:
@@ -277,8 +254,10 @@ def synthesize_clip(template: MotionClip, d: Decomposition) -> MotionClip:
 # JSON spec
 
 
-def blend_spec_from_dict(obj: dict) -> BlendSpec:
-    """Parse {target_rate, operations:[{kind, imfs, channels, alpha, source}]}."""
+def blend_spec_from_dict(obj: dict) -> list:
+    """The :class:`BlendOp` list of a spec ``{operations: [{kind, imfs,
+    channels, alpha, source}]}``.  Other top-level keys are ignored, so the
+    ``target_rate`` of earlier specs still reads and has no effect."""
     if not isinstance(obj, dict) or "operations" not in obj:
         raise BlendSpecError("spec must be an object with an 'operations' list")
     if not isinstance(obj["operations"], list):
@@ -299,20 +278,4 @@ def blend_spec_from_dict(obj: dict) -> BlendSpec:
                 source=entry.get("source", "b"),
             )
         )
-    return BlendSpec(operations=operations, target_rate=obj.get("target_rate"))
-
-
-def blend_spec_to_dict(spec: BlendSpec) -> dict:
-    return {
-        "target_rate": spec.target_rate,
-        "operations": [
-            {
-                "kind": op.kind,
-                "imfs": op.imfs,
-                "channels": op.channels,
-                "alpha": op.alpha,
-                "source": op.source,
-            }
-            for op in spec.operations
-        ],
-    }
+    return operations

@@ -127,10 +127,6 @@ class TooFewIMFs(HhtMotionError):
 
 # --- editing ---
 
-class BadRange(HhtMotionError):
-    pass
-
-
 class SpecOutOfBounds(HhtMotionError):
     pass
 

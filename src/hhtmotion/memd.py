@@ -300,9 +300,9 @@ def multivariate_from_dict(obj: dict) -> Decomposition:
     still read.
 
     Anything else raises :class:`ArchiveFormatError`: a missing field, a
-    rate that is not a positive finite number, or sample arrays that hold
-    non-numbers, are ragged, or differ in length or IMF count between
-    channels.
+    rate that is not a positive finite number, a label given to two
+    channels, or sample arrays that hold non-numbers, are ragged, or differ
+    in length or IMF count between channels.
     """
     if not isinstance(obj, dict):
         raise ArchiveFormatError("an archive must be a JSON object")
@@ -324,6 +324,8 @@ def multivariate_from_dict(obj: dict) -> Decomposition:
     try:
         decomp = Decomposition(imfs=imfs, trend=trend, rate=float(rate), meta=dict(meta),
                                labels=labels)
+    except InvalidValue as exc:  # a repeated label
+        raise ArchiveFormatError(str(exc)) from None
     except ValueError:
         decomp = None
     if decomp is None or decomp.n_samples < 2:

@@ -90,10 +90,13 @@ class TimeSeries:
 
 def _check_labels(labels, rows):
     """Refuse ``labels`` unless they name each row of a (channels, samples)
-    array ``rows``, or are None for a (samples,) one."""
+    array ``rows``, each once, or are None for a (samples,) one."""
     labelled = labels is not None
     if labelled != (rows.ndim == 2) or labelled and len(labels) != len(rows):
         raise ValueError("one label per channel required, and none without a channel axis")
+    if labelled and len(set(labels)) < len(labels):
+        repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
+        raise InvalidValue(f"channel {repeated} is labelled twice")
 
 
 def require_form(x, channel_axis: bool, what: str):

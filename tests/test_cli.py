@@ -440,6 +440,34 @@ class TestBlend:
         col = original.column("hips.Xrotation")
         assert np.max(np.abs(original.frames[:, col] - blended.frames[:, col])) < 1e-5
 
+    def test_blend_aligns_at_the_template_rate(self, runner, tmp_path):
+        # "Frame Time: 0.008333" is 120.0048 fps: a spec's target_rate of 120
+        # is ignored, so an empty spec gives back the template's columns exactly
+        from hhtmotion.mocap_io import parse_bvh
+
+        t = np.arange(240) / 120.0
+        template = tmp_path / "clip.bvh"
+        template.write_text(bvh_text(
+            {"hips.Xrotation": 30 * np.sin(2 * np.pi * 1.5 * t) + 2 * t,
+             "hips.Yrotation": 20 * np.sin(2 * np.pi * 0.7 * t) - 5.0},
+            frame_time=1.0 / 120.0))
+        assert "Frame Time: 0.008333\n" in template.read_text()
+        archive = tmp_path / "clip.json"
+        result = runner.invoke(main, ["decompose", str(template), "--channels",
+                                      "hips.Xrotation,hips.Yrotation", "--method", "memd",
+                                      "--directions", "8", "--out", str(archive)])
+        assert result.exit_code == 0, result.output
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"target_rate": 120, "operations": []}))
+        out = tmp_path / "out.bvh"
+        result = runner.invoke(main, ["blend", str(archive), str(archive), "--spec", str(spec),
+                                      "--template", str(template), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert np.array_equal(parse_bvh(out.read_text()).frames,
+                              parse_bvh(template.read_text()).frames)
+        manifest = json.loads((tmp_path / "out.bvh.manifest.json").read_text())
+        assert manifest["parameters"] == {}
+
     def test_total_swap_matches_b(self, runner, tmp_path):
         template, (arch_a, arch_b) = self.setup_archives(runner, tmp_path)
         spec = tmp_path / "spec.json"
@@ -591,15 +619,20 @@ def failure_inputs(tmp_path_factory):
     assert result.exit_code == 0, result.output
     negative_rate = json.loads(archive.read_text())
     negative_rate["rate"] = -40
+    duplicate_label = json.loads(archive.read_text())
+    duplicate_label["channels"][1]["label"] = duplicate_label["channels"][0]["label"]
     files = {
         "bvh": bvh,
         "pelvis_bvh": root / "pelvis.bvh",
         "archive": archive,
         "negative_rate": root / "negative_rate.json",
+        "duplicate_label": root / "duplicate_label.json",
+        "tiny_frame_time_bvh": root / "tiny_frame_time.bvh",
         "flat": root / "flat.json",
         "grid": root / "grid.json",
         "grid_without_beats": root / "grid_without_beats.json",
         "spec": root / "spec.json",
+        "spec_at_40": root / "spec_at_40.json",
         "alpha_x": root / "alpha_x.json",
         "merge_a": root / "merge_a.json",
         "wav_100_samples": root / "short.wav",
@@ -610,6 +643,10 @@ def failure_inputs(tmp_path_factory):
         "missing_dir": root / "missing" / "out.json",
     }
     files["negative_rate"].write_text(json.dumps(negative_rate))
+    files["duplicate_label"].write_text(json.dumps(duplicate_label))
+    # a template at 1e12 fps: aligning the archives at its rate would not fit in memory
+    files["tiny_frame_time_bvh"].write_text(
+        bvh.read_text().replace("Frame Time: 0.025000", "Frame Time: 1e-12"))
     # the clip with its root renamed: a template without the archived hips channels
     files["pelvis_bvh"].write_text(bvh.read_text().replace("ROOT hips", "ROOT pelvis"))
     # the single-channel shape of earlier versions, which no longer reads
@@ -623,6 +660,7 @@ def failure_inputs(tmp_path_factory):
                                          "strong": [True, False, False]}))
     files["grid_without_beats"].write_text(json.dumps({"bpm": 60.0, "strong": [True]}))
     files["spec"].write_text(json.dumps({"operations": []}))
+    files["spec_at_40"].write_text(json.dumps({"target_rate": 40, "operations": []}))
     files["alpha_x"].write_text(
         json.dumps({"operations": [{"kind": "scale", "imfs": [1], "alpha": "x"}]}))
     files["merge_a"].write_text(
@@ -658,8 +696,11 @@ FAILURES = {
                                              "--out", f["out"]]),
     "spec-alpha-not-a-number": (6, lambda f: _blend(f, spec="alpha_x")),
     "spec-merge-imf-not-a-number": (6, lambda f: _blend(f, spec="merge_a")),
-    "target-fps-negative": (64, lambda f: _blend(f, "--target-fps", "-5")),
-    "target-fps-zero": (64, lambda f: _blend(f, "--target-fps", "0")),
+    "archive-duplicate-label": (2, lambda f: ["analyze", f["duplicate_label"],
+                                              "--out", f["out"]]),
+    "channels-listed-twice": (64, lambda f: ["decompose", f["bvh"], "--channels",
+                                             "hips.Xrotation,hips.Xrotation",
+                                             "--out", f["out"]]),
     "analyze-flat-archive": (2, lambda f: ["analyze", f["flat"], "--out", f["out"]]),
     "spectrum-flat-archive": (2, lambda f: ["spectrum", f["flat"], "--out", f["out"]]),
     "blend-flat-archive": (2, lambda f: _blend(f, archive="flat")),
@@ -691,7 +732,9 @@ FAILURES = {
                                           "1000000000000", "--out", f["out"]]),
     "time-bin-too-small": (64, lambda f: ["spectrum", f["archive"], "--time-bin", "1e-12",
                                           "--out", f["out"]]),
-    "target-fps-too-high": (64, lambda f: _blend(f, "--target-fps", "1e12")),
+    # the spec's target_rate of 40 is ignored: the archives align at the template's rate
+    "template-rate-too-high": (64, lambda f: _blend(f, spec="spec_at_40",
+                                                    template="tiny_frame_time_bvh")),
     "archive-nested-too-deep": (2, lambda f: ["analyze", f["deep"], "--out", f["out"]]),
     "bvh-nested-too-deep": (2, lambda f: ["decompose", f["deep_bvh"], "--channels",
                                           "b.Xrotation", "--out", f["out"]]),
@@ -706,6 +749,12 @@ def test_failure_exits_with_its_code_and_one_line(runner, failure_inputs, name):
     assert result.output.startswith("error: ")
     assert result.output.count("\n") == 1
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("name", ["channels-listed-twice", "archive-duplicate-label"])
+def test_repeated_channel_error_names_it(runner, failure_inputs, name):
+    result = runner.invoke(main, FAILURES[name][1](failure_inputs))
+    assert "hips.Xrotation" in result.output and "twice" in result.output
 
 
 @pytest.mark.parametrize("name", [name for name in FAILURES if name.endswith("flat-archive")])

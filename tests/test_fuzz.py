@@ -214,7 +214,6 @@ def _argv(draw, files):
         argv = [pick(archives), pick(archives), "--spec",
                 pick(["spec.json", "bad_spec.json", "garbage.txt"]), "--template",
                 pick(["dance.bvh", "short.bvh", "garbage.txt"])]
-        argv += _options(draw, {"--target-fps": FLOATS})
     out = draw(st.sampled_from([files["missing_dir"], files["garbage.txt"] + ".out"]))
     return [command] + argv + ["--out", out]
 

@@ -5,7 +5,7 @@ from helpers import bvh_text, cosine, pv_hilbert_oracle, tone
 
 from hhtmotion.analysis import hilbert_spectrum, wafa
 from hhtmotion.beat import estimate_tempo, onset_envelope, track_beats
-from hhtmotion.edit import BlendSpec, align, apply_blend, synthesize_clip
+from hhtmotion.edit import align, apply_blend, synthesize_clip
 from hhtmotion.memd import (
     direction_set,
     multivariate_mean_envelope,
@@ -16,6 +16,7 @@ from hhtmotion.mocap_io import apply_channels, parse_bvh
 from hhtmotion.errors import (
     BadDimension,
     DegenerateSignal,
+    InvalidValue,
     NoConvergence,
     NonFiniteSample,
     SignalTooShort,
@@ -137,6 +138,7 @@ class TestTimeSeries:
             (np.zeros((1, 2, 5)), 10.0, ["a"], ValueError),
             ([0.0, np.inf], 10.0, None, NonFiniteSample),
             ([0.0, 1.0], -1.0, None, ValueError),
+            ([[0.0, 1.0], [2.0, 3.0]], 10.0, ["a", "a"], InvalidValue),
         ],
     )
     def test_rejects(self, samples, rate, labels, error):
@@ -177,8 +179,7 @@ CHANNEL_AXIS_ONLY = {
     "multivariate_mean_envelope": lambda: multivariate_mean_envelope(
         _one_channel(), direction_set(2, 8)),
     "apply_blend": lambda: apply_blend(
-        align(emd(_one_channel()), emd(_one_channel()), 40.0),
-        BlendSpec(operations=[])),
+        *align(emd(_one_channel()), emd(_one_channel()), 40.0), []),
     "synthesize_clip": lambda: synthesize_clip(
         parse_bvh(bvh_text({"hips.Xrotation": np.zeros(200)})),
         emd(_one_channel())),

@@ -122,10 +122,10 @@ def test_align_matches_per_series_fits():
         imfs.append([rng.standard_normal(n) * 10 for _ in range(3)])
         trend.append(rng.standard_normal(n) * 40)
     md = Decomposition(imfs=imfs, trend=trend, rate=rate, labels=list("abcd"))
-    pair = align(md, md, target_rate=target)
+    aligned, _ = align(md, md, target_rate=target)
     t_in = np.arange(n) / rate
-    times_out = np.arange(pair.a.per_channel[0].trend.size) / target
-    for src, out in zip(md.per_channel, pair.a.per_channel):
+    times_out = np.arange(aligned.per_channel[0].trend.size) / target
+    for src, out in zip(md.per_channel, aligned.per_channel):
         for series, got in zip(list(src.imfs) + [src.trend], list(out.imfs) + [out.trend]):
             want = interpolate.CubicSpline(t_in, series)(times_out)
             assert_close(got, want, np.max(np.abs(series)))
