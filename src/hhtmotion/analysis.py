@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadBinning, DegenerateSignal, TooFewFrequencies, TooFewIMFs
+from .errors import DegenerateSignal, InvalidValue
 from .signal_core import (
     Decomposition,
     TimeSeries,
@@ -122,7 +122,7 @@ def hilbert_spectrum(
     if freq_max is None:
         freq_max = d.rate / 2.0
     if not 0 < time_bin < np.inf or freq_bins < 1 or not 0 < freq_max <= d.rate / 2.0:
-        raise BadBinning(
+        raise InvalidValue(
             f"bad binning: time_bin={time_bin} freq_bins={freq_bins} freq_max={freq_max}"
         )
     n = d.trend.size
@@ -266,7 +266,7 @@ def fibonacci_relations(freqs, tolerance: float = 0.05) -> FibonacciReport:
     """
     freqs = [float(f) for f in freqs]
     if len(freqs) < 3:
-        raise TooFewFrequencies("need at least 3 frequencies")
+        raise DegenerateSignal("need at least 3 frequencies")
     triples = []
     for i in range(len(freqs) - 2):
         residual = freqs[i] - (freqs[i + 1] + freqs[i + 2])
@@ -290,7 +290,7 @@ def detect_singular_imfs(report: WafaReport) -> list:
     """
     freqs = np.asarray(report.per_imf_overall, dtype=float)
     if freqs.size < 4:
-        raise TooFewIMFs("outlier detection needs at least 4 IMFs")
+        raise DegenerateSignal("outlier detection needs at least 4 IMFs")
     flagged = []
     for i in range(1, freqs.size - 1):
         f_prev, f, f_next = freqs[i - 1], freqs[i], freqs[i + 1]

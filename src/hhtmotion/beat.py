@@ -14,17 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AudioTooShort,
-    BadTempo,
-    GridFormatError,
-    GridOutsideClip,
-    InvalidValue,
-    NoBeats,
-    NoPeriodicity,
-    UnusableAudio,
-    WavFormatError,
-)
+from .errors import ChannelError, InputError, InvalidValue, NoBeats
 from .signal_core import TimeSeries, finite_array, is_number, require_form
 
 __all__ = [
@@ -102,10 +92,10 @@ def fixed_grid(bpm: float, duration: float, offset: float = 0.0,
     ``strong_period``-th beat is flagged strong.
     """
     if not 20.0 <= bpm <= 400.0:
-        raise BadTempo(f"bpm {bpm} outside [20, 400]")
+        raise InvalidValue(f"bpm {bpm} outside [20, 400]")
     period = 60.0 / bpm
     if not period < duration < np.inf:
-        raise BadTempo("duration must be finite and exceed one beat period")
+        raise InvalidValue("duration must be finite and exceed one beat period")
     count = int(np.floor(duration * bpm / 60.0))
     beats = offset + period * np.arange(count)
     return BeatGrid(beats=beats, bpm=bpm, strong=_strong_flags(count, strong_period))
@@ -126,9 +116,9 @@ def onset_envelope(audio: TimeSeries) -> TimeSeries:
     """
     require_form(audio, False, "onset_envelope")
     if audio.rate < 8000:
-        raise UnusableAudio(f"audio rate must be at least 8000 Hz, got {audio.rate:g}")
+        raise InputError(f"audio rate must be at least 8000 Hz, got {audio.rate:g}")
     if audio.duration < 1.0:
-        raise AudioTooShort("need at least 1 s of audio")
+        raise InputError("need at least 1 s of audio")
     rate = audio.rate
     win = int(round(_WINDOW_SECONDS * rate))
     window = np.hanning(win)
@@ -179,19 +169,19 @@ def estimate_tempo(onset: TimeSeries, bpm_range=(60.0, 240.0)) -> float:
     spectrum = np.fft.rfft(o, 2 * n)
     ac = np.fft.irfft(spectrum * np.conj(spectrum))[:n]
     if ac[0] <= 0:
-        raise NoPeriodicity("onset envelope carries no energy")
+        raise NoBeats("onset envelope carries no energy")
 
     lag_min = max(2, int(np.ceil(ONSET_RATE * 60.0 / bpm_range[1])))
     lag_max = min(n - 2, int(np.floor(ONSET_RATE * 60.0 / bpm_range[0])))
     if lag_max <= lag_min:
-        raise NoPeriodicity("onset envelope too short for the tempo range")
+        raise NoBeats("onset envelope too short for the tempo range")
     lags = np.arange(lag_min, lag_max + 1)
     bpms = ONSET_RATE * 60.0 / lags
     weight = np.exp(-0.5 * np.square(np.log2(bpms / 120.0)))
     scores = ac[lags] * weight
     best = int(np.argmax(scores))
     if scores[best] < 0.1 * ac[0]:
-        raise NoPeriodicity("no periodic structure in the onset envelope")
+        raise NoBeats("no periodic structure in the onset envelope")
 
     lag = float(lags[best])
     if 0 < best < lags.size - 1:
@@ -217,7 +207,7 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
     """
     require_form(onset, False, "track_beats")
     if not 20.0 <= bpm <= 400.0:
-        raise BadTempo(f"bpm {bpm} outside [20, 400]")
+        raise InvalidValue(f"bpm {bpm} outside [20, 400]")
     if not 0.0 <= tightness < np.inf:
         raise InvalidValue(f"tightness must be a non-negative number, got {tightness}")
     o = onset.samples
@@ -288,12 +278,12 @@ def segment_by_beats(frame_count: int, rate: float, grid: BeatGrid,
 
     Beat times are converted to frame indices by nearest-frame rounding;
     groups that poke outside the clip are dropped.  Raises
-    :class:`GridOutsideClip` when no beat falls inside the clip.
+    :class:`ChannelError` when no beat falls inside the clip.
     """
     if beats_per_segment < 1:
         raise InvalidValue(f"beats_per_segment must be >= 1, got {beats_per_segment}")
     if grid.beats[0] >= frame_count / rate or grid.beats[-1] <= 0:
-        raise GridOutsideClip("beat grid does not overlap the clip")
+        raise ChannelError("beat grid does not overlap the clip")
     frames = np.round(grid.beats * rate).astype(int)
     segments = []
     for start in range(0, len(frames) - beats_per_segment, beats_per_segment):
@@ -315,7 +305,7 @@ def read_wav(path) -> TimeSeries:
     with open(path, "rb") as handle:
         data = handle.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError("not a RIFF/WAVE file")
+        raise InputError("not a RIFF/WAVE file")
     pos = 12
     fmt = None
     payload = None
@@ -325,23 +315,23 @@ def read_wav(path) -> TimeSeries:
         body = data[pos + 8 : pos + 8 + size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
-                raise WavFormatError("fmt chunk shorter than 16 bytes")
+                raise InputError("fmt chunk shorter than 16 bytes")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif chunk_id == b"data":
             payload = body
         pos += 8 + size + (size & 1)
     if fmt is None or payload is None:
-        raise WavFormatError("missing fmt or data chunk")
+        raise InputError("missing fmt or data chunk")
     audio_format, channels, sample_rate, _, _, bits = fmt
     if sample_rate == 0:
-        raise WavFormatError("sample rate is 0")
+        raise InputError("sample rate is 0")
     payload = payload[: len(payload) - len(payload) % max(1, bits // 8)]
     if audio_format == 1 and bits == 16:
         samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
     elif audio_format == 3 and bits == 32:
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     else:
-        raise WavFormatError(
+        raise InputError(
             f"unsupported format {audio_format} at {bits} bits "
             "(need 16-bit PCM or 32-bit float)"
         )
@@ -363,20 +353,20 @@ def grid_from_dict(obj: dict) -> BeatGrid:
     """Read a beat grid.
 
     A missing or malformed field, and beats the grid refuses (empty, not
-    ascending, or gaps off the tempo), raise :class:`GridFormatError`.
+    ascending, or gaps off the tempo), raise :class:`InputError`.
     """
     if not isinstance(obj, dict) or not {"bpm", "beats", "strong"} <= set(obj):
-        raise GridFormatError("a beat grid is an object with bpm, beats and strong")
+        raise InputError("a beat grid is an object with bpm, beats and strong")
     bpm = obj["bpm"]
     if not (is_number(bpm) and bpm > 0):
-        raise GridFormatError(f"bpm must be a positive number, got {bpm!r:.40}")
-    beats = finite_array(obj["beats"], "beats", GridFormatError)
+        raise InputError(f"bpm must be a positive number, got {bpm!r:.40}")
+    beats = finite_array(obj["beats"], "beats")
     if beats.ndim != 1 or beats.size == 0:
-        raise GridFormatError("beats must be a non-empty list of times")
+        raise InputError("beats must be a non-empty list of times")
     strong = obj["strong"]
     if not (isinstance(strong, list) and all(isinstance(flag, bool) for flag in strong)):
-        raise GridFormatError("strong must be a list of true/false")
+        raise InputError("strong must be a list of true/false")
     try:
         return BeatGrid(beats=beats, bpm=float(bpm), strong=strong)
     except ValueError as exc:
-        raise GridFormatError(str(exc)) from None
+        raise InputError(str(exc)) from None

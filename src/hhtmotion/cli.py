@@ -64,22 +64,12 @@ from .signal_core import Decomposition, TimeSeries, emd
 # Exit code of each error type, looked up along the raised type's MRO.
 EXIT_CODES = {
     errors.HhtMotionError: 2,  # any other: input the pipeline cannot work on
-    errors.InputFormatError: 2,  # unreadable or malformed BVH, WAV, archive or grid
-    errors.NonFiniteSample: 2,
-    errors.UnusableAudio: 2,
-    errors.UnknownChannel: 3,
-    errors.ChannelMismatch: 3,
-    errors.LengthMismatch: 3,
-    errors.GridOutsideClip: 3,
+    errors.InputError: 2,
+    errors.ChannelError: 3,
     errors.NoConvergence: 4,
-    errors.NoPeriodicity: 5,
     errors.NoBeats: 5,
     errors.BlendSpecError: 6,
-    errors.SpecOutOfBounds: 6,
     errors.InvalidValue: 64,
-    errors.BadDimension: 64,
-    errors.BadTempo: 64,
-    errors.BadBinning: 64,
 }
 
 
@@ -149,7 +139,7 @@ def _write_manifest(command, inputs, parameters, seed, outputs):
 
 
 @contextlib.contextmanager
-def _reading(path, error=errors.InputFormatError):
+def _reading(path, error=errors.InputError):
     """Name ``path`` in any error raised while reading it.
 
     hhtmotion errors keep their type, so their exit code; failing to open,
@@ -165,7 +155,7 @@ def _reading(path, error=errors.InputFormatError):
 
 
 def _load_archive(path):
-    with _reading(path, errors.ArchiveFormatError), open(path) as handle:
+    with _reading(path), open(path) as handle:
         return multivariate_from_dict(json.load(handle))
 
 
@@ -331,7 +321,7 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
     segments = None
     if beats_path is not None:
         inputs.append(beats_path)
-        with _reading(beats_path, errors.GridFormatError), open(beats_path) as handle:
+        with _reading(beats_path), open(beats_path) as handle:
             grid = grid_from_dict(json.load(handle))
         segments = segment_by_beats(decomp.n_samples, decomp.rate, grid,
                                     beats_per_segment)
@@ -358,12 +348,12 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
                 "chain_length": fib.chain_length,
                 "tolerance": fib.tolerance,
             }
-        except errors.TooFewFrequencies as exc:
+        except errors.DegenerateSignal as exc:
             entry["fibonacci"] = None
             warnings.append(f"{label}: {exc}")
         try:
             entry["singular_imfs"] = detect_singular_imfs(report)
-        except errors.TooFewIMFs as exc:
+        except errors.DegenerateSignal as exc:
             entry["singular_imfs"] = None
             warnings.append(f"{label}: {exc}")
         channels_report.append(entry)
@@ -414,7 +404,7 @@ def cmd_spectrum(archive_path, channel, time_bin, freq_bins, freq_max, out):
         d = decomp.per_channel[0]
     else:
         if channel not in decomp.labels:
-            raise errors.UnknownChannel(channel)
+            raise errors.ChannelError(f"unknown channel: {channel}")
         d = decomp.per_channel[decomp.labels.index(channel)]
     if time_bin > 0:  # hilbert_spectrum refuses the rest
         _check_size(decomp.n_samples / decomp.rate / time_bin * freq_bins,

@@ -15,13 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import (
-    BlendSpecError,
-    ChannelMismatch,
-    InvalidValue,
-    LengthMismatch,
-    SpecOutOfBounds,
-)
+from .errors import BlendSpecError, ChannelError, InvalidValue
 from .mocap_io import MotionClip, apply_channels
 from .signal_core import Decomposition, TimeSeries, is_number, require_form
 from .spline import cubic_spline
@@ -111,10 +105,7 @@ def _conform(d, times_out, imf_count):
 
 def _same_labels(a, b):
     if a.labels != b.labels:
-        raise ChannelMismatch(
-            f"channel labels differ: {a.labels} vs {b.labels}",
-            labels=(a.labels, b.labels),
-        )
+        raise ChannelError(f"channel labels differ: {a.labels} vs {b.labels}")
 
 
 def align(a: Decomposition, b: Decomposition, target_rate: float) -> tuple:
@@ -142,7 +133,7 @@ def align(a: Decomposition, b: Decomposition, target_rate: float) -> tuple:
 def _merge_rows(imfs, i, j):
     """IMFs ``i..j`` (1-based, inclusive, along axis -2) summed in order into one."""
     if not (1 <= i < j <= imfs.shape[-2]):
-        raise SpecOutOfBounds(f"merge range [{i}, {j}] invalid for {imfs.shape[-2]} IMFs")
+        raise BlendSpecError(f"merge range [{i}, {j}] invalid for {imfs.shape[-2]} IMFs")
     merged = imfs[..., i - 1, :].copy()
     for k in range(i, j):
         merged += imfs[..., k, :]
@@ -168,7 +159,7 @@ def _channel_indices(labels, selection):
     indices = []
     for name in selection:
         if name not in labels:
-            raise ChannelMismatch(f"unknown channel: {name}", labels=[name])
+            raise ChannelError(f"unknown channel: {name}")
         indices.append(labels.index(name))
     return indices
 
@@ -179,7 +170,7 @@ def _imf_rows(op_imfs, count):
     rows = []
     for n in op_imfs:
         if not 1 <= n <= count:
-            raise SpecOutOfBounds(f"IMF index {n} outside 1..{count}")
+            raise BlendSpecError(f"IMF index {n} outside 1..{count}")
         rows.append(n - 1)
     return rows
 
@@ -202,25 +193,27 @@ def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decompo
     """Apply the :class:`BlendOp` list ``operations`` in order to a working
     copy of ``a``, with ``b`` as the donor.
 
-    Both decompositions need a channel axis, the same labels
-    (:class:`ChannelMismatch` otherwise) and the same IMF and sample counts
-    (:class:`LengthMismatch` otherwise), as :func:`align` returns them.
-    Overlapping selections compose last-writer-wins.  ``merge`` always acts
-    on every channel so the result stays mode-aligned.
+    Both decompositions need a channel axis, the same labels and the same
+    IMF and sample counts (:class:`ChannelError` otherwise), as :func:`align`
+    returns them.  Overlapping selections compose last-writer-wins.
+    ``merge`` always acts on every channel so the result stays mode-aligned,
+    and on both donors too, so that IMF k names the same rows on every side.
     """
     for d in (a, b):
         require_form(d, True, "apply_blend")
     _same_labels(a, b)
     if a.imfs.shape != b.imfs.shape:
-        raise LengthMismatch(f"IMFs shaped {a.imfs.shape} vs {b.imfs.shape}; align them first")
+        raise ChannelError(f"IMFs shaped {a.imfs.shape} vs {b.imfs.shape}; align them first")
     imfs, trend = a.imfs.copy(), a.trend.copy()
     donors = {"a": a, "b": b}
     for op in operations:
         channels = _channel_indices(a.labels, op.channels)
-        donor = donors[op.source]
         if op.kind == "merge":
-            imfs = _merge_rows(imfs, min(op.imfs), max(op.imfs))
+            span = min(op.imfs), max(op.imfs)
+            imfs = _merge_rows(imfs, *span)
+            donors = {side: merge_imfs(d, span) for side, d in donors.items()}
             continue
+        donor = donors[op.source]
         rows = _imf_rows(op.imfs, imfs.shape[-2])
         if op.kind == "trend_exchange":
             trend[channels] = donor.trend[channels]

@@ -1,31 +1,38 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit: one public type per CLI exit
+code, plus two that only library callers see."""
 
 
 class HhtMotionError(Exception):
     """Base class for all hhtmotion errors."""
 
 
+class InputError(HhtMotionError):
+    """Input the pipeline cannot work on: an unreadable or malformed BVH, WAV,
+    archive or beat grid, non-finite or too few samples, or unusable audio."""
+
+
+class ChannelError(HhtMotionError):
+    """An unknown channel, channels or lengths that differ between inputs, or
+    a beat grid outside the clip."""
+
+
+class NoConvergence(HhtMotionError):
+    """A sift that did not settle within its iteration limit."""
+
+
+class NoBeats(HhtMotionError):
+    """Audio with no periodic structure, or a grid with no steady beats."""
+
+
+class BlendSpecError(HhtMotionError):
+    """A blend spec that breaks its schema or addresses IMFs out of range."""
+
+
 class InvalidValue(HhtMotionError, ValueError):
     """A parameter value outside the range the function accepts."""
 
 
-class InputFormatError(HhtMotionError):
-    """An input file that cannot be read or breaks its documented format."""
-
-
-# --- signal / decomposition ---
-
-class SignalTooShort(HhtMotionError):
-    pass
-
-
-class NonFiniteSample(HhtMotionError):
-    pass
-
-
-class DegenerateSignal(HhtMotionError):
-    pass
-
+# --- library only: no exit code of their own ---
 
 class TooFewExtrema(HhtMotionError):
     """Not enough extrema to fit an envelope.
@@ -38,104 +45,6 @@ class TooFewExtrema(HhtMotionError):
         self.direction = direction
 
 
-class NoConvergence(HhtMotionError):
-    pass
-
-
-class BadDimension(HhtMotionError):
-    pass
-
-
-class ArchiveFormatError(InputFormatError):
-    """A decomposition archive that is not of the documented shape."""
-
-
-# --- motion-capture I/O ---
-
-class BvhSyntaxError(InputFormatError):
-    def __init__(self, line, expected):
-        super().__init__(f"line {line}: expected {expected}")
-        self.line = line
-        self.expected = expected
-
-
-class FrameCountMismatch(InputFormatError):
-    pass
-
-
-class UnknownChannelName(InputFormatError):
-    pass
-
-
-class UnknownChannel(HhtMotionError):
-    def __init__(self, name):
-        super().__init__(f"unknown channel: {name}")
-        self.name = name
-
-
-class LengthMismatch(HhtMotionError):
-    pass
-
-
-# --- beats / audio ---
-
-class BadTempo(HhtMotionError):
-    pass
-
-
-class UnusableAudio(HhtMotionError):
-    """Audio that onset detection cannot use: too short, or sampled below 8 kHz."""
-
-
-class AudioTooShort(UnusableAudio):
-    pass
-
-
-class NoPeriodicity(HhtMotionError):
-    pass
-
-
-class NoBeats(HhtMotionError):
-    pass
-
-
-class GridOutsideClip(HhtMotionError):
-    pass
-
-
-class WavFormatError(InputFormatError):
-    pass
-
-
-class GridFormatError(InputFormatError):
-    """A beat grid with a missing or malformed field, or gaps off its tempo."""
-
-
-# --- analysis ---
-
-class BadBinning(HhtMotionError):
-    pass
-
-
-class TooFewFrequencies(HhtMotionError):
-    pass
-
-
-class TooFewIMFs(HhtMotionError):
-    pass
-
-
-# --- editing ---
-
-class SpecOutOfBounds(HhtMotionError):
-    pass
-
-
-class ChannelMismatch(HhtMotionError):
-    def __init__(self, message, labels=None):
-        super().__init__(message)
-        self.labels = labels
-
-
-class BlendSpecError(HhtMotionError):
-    pass
+class DegenerateSignal(HhtMotionError):
+    """Too little signal for an analysis: near-zero amplitude, or too few
+    frequencies or IMFs to compare."""

@@ -19,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ArchiveFormatError, BadDimension, InvalidValue, TooFewExtrema
+from .errors import InputError, InvalidValue, TooFewExtrema
 from .signal_core import (
     Decomposition,
     TimeSeries,
@@ -100,9 +100,9 @@ def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
     normalized onto the sphere.  Deterministic in ``seed``.
     """
     if n_dims < 2:
-        raise BadDimension("direction sampling needs at least 2 dimensions")
+        raise InvalidValue("direction sampling needs at least 2 dimensions")
     if count < 2 * n_dims:
-        raise BadDimension(
+        raise InvalidValue(
             f"count must be >= 2 * n_dims; got {count} for {n_dims} dimensions"
         )
     indices = np.arange(1, count + 1)
@@ -131,7 +131,7 @@ _DIRECTION_BLOCK = 16
 
 def _mean_envelope_matrix(samples: np.ndarray, dirs: DirectionSet) -> np.ndarray:
     if dirs.vectors.shape[1] != samples.shape[0]:
-        raise BadDimension(
+        raise InvalidValue(
             f"direction set is {dirs.vectors.shape[1]}-dimensional, "
             f"signal has {samples.shape[0]} channels"
         )
@@ -181,7 +181,7 @@ def memd(
     construction.
     """
     if x.n_channels < 2:
-        raise BadDimension("multivariate decomposition needs >= 2 channels")
+        raise InvalidValue("multivariate decomposition needs >= 2 channels")
     check_sd_threshold(sd_threshold)
     if dirs is None:
         dirs = direction_set(x.n_channels)
@@ -299,35 +299,35 @@ def multivariate_from_dict(obj: dict) -> Decomposition:
     versions, which also copied the settings in ``meta`` to the top level,
     still read.
 
-    Anything else raises :class:`ArchiveFormatError`: a missing field, a
+    Anything else raises :class:`InputError`: a missing field, a
     rate that is not a positive finite number, a label given to two
     channels, or sample arrays that hold non-numbers, are ragged, or differ
     in length or IMF count between channels.
     """
     if not isinstance(obj, dict):
-        raise ArchiveFormatError("an archive must be a JSON object")
+        raise InputError("an archive must be a JSON object")
     entries = obj.get("channels")
     fields = {"label", "imfs", "trend"}
     if not (isinstance(entries, list) and entries
             and all(isinstance(e, dict) and fields <= set(e) for e in entries)):
-        raise ArchiveFormatError("an archive needs channels with label, imfs and trend")
+        raise InputError("an archive needs channels with label, imfs and trend")
     rate = obj.get("rate")
     if not (is_number(rate) and rate > 0):
-        raise ArchiveFormatError(f"rate must be a positive number, got {rate!r:.40}")
+        raise InputError(f"rate must be a positive number, got {rate!r:.40}")
     meta = obj.get("meta") or {}
     labels = [e["label"] for e in entries]
     if not isinstance(meta, dict) or not all(isinstance(label, str) for label in labels):
-        raise ArchiveFormatError("meta must be an object and every label a string")
+        raise InputError("meta must be an object and every label a string")
 
-    trend = finite_array([e["trend"] for e in entries], "trends", ArchiveFormatError)
-    imfs = finite_array([e["imfs"] for e in entries], "IMFs", ArchiveFormatError)
+    trend = finite_array([e["trend"] for e in entries], "trends")
+    imfs = finite_array([e["imfs"] for e in entries], "IMFs")
     try:
         decomp = Decomposition(imfs=imfs, trend=trend, rate=float(rate), meta=dict(meta),
                                labels=labels)
     except InvalidValue as exc:  # a repeated label
-        raise ArchiveFormatError(str(exc)) from None
+        raise InputError(str(exc)) from None
     except ValueError:
         decomp = None
     if decomp is None or decomp.n_samples < 2:
-        raise ArchiveFormatError("each trend needs 2 or more samples, each IMF as many")
+        raise InputError("each trend needs 2 or more samples, each IMF as many")
     return decomp

@@ -12,15 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BvhSyntaxError,
-    FrameCountMismatch,
-    InvalidValue,
-    LengthMismatch,
-    NonFiniteSample,
-    UnknownChannel,
-    UnknownChannelName,
-)
+from .errors import ChannelError, InputError, InvalidValue
 from .signal_core import TimeSeries, require_form
 from .spline import cubic_spline
 
@@ -119,7 +111,7 @@ class MotionClip:
         try:
             return labels.index(label)
         except ValueError:
-            raise UnknownChannel(label) from None
+            raise ChannelError(f"unknown channel: {label}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +176,14 @@ class _Tokens:
     def next(self, expected=None):
         token = self.peek()
         if token is None:
-            raise BvhSyntaxError(self.line, expected or "more input")
+            raise InputError(f"line {self.line}: expected {expected or 'more input'}")
         self.pos += 1
         return token
 
     def expect(self, literal):
         token = self.next(expected=repr(literal))
         if token != literal:
-            raise BvhSyntaxError(self.line_no, repr(literal))
+            raise InputError(f"line {self.line_no}: expected {literal!r}")
         return token
 
     def number(self, what="a number"):
@@ -199,14 +191,14 @@ class _Tokens:
         try:
             return float(token)
         except ValueError:
-            raise BvhSyntaxError(self.line_no, what) from None
+            raise InputError(f"line {self.line_no}: expected {what}") from None
 
     def integer(self, what="an integer"):
         token = self.next(expected=what)
         try:
             return int(token)
         except ValueError:
-            raise BvhSyntaxError(self.line_no, what) from None
+            raise InputError(f"line {self.line_no}: expected {what}") from None
 
     def rest(self):
         """Every token not handed out yet, in order."""
@@ -239,11 +231,11 @@ def _parse_joint(tokens, names_seen):
         tokens.next()
         count = tokens.integer("channel count")
         if count not in (0, 3, 6):
-            raise BvhSyntaxError(tokens.line, "channel count 0, 3, or 6")
+            raise InputError(f"line {tokens.line}: expected channel count 0, 3, or 6")
         for _ in range(count):
             ch = tokens.next(expected="channel name")
             if ch not in CHANNEL_NAMES:
-                raise UnknownChannelName(f"line {tokens.line}: {ch}")
+                raise InputError(f"line {tokens.line}: {ch}")
             channels.append(ch)
     joint = Joint(name=name, offset=offset, channels=channels)
     while True:
@@ -261,7 +253,7 @@ def _parse_joint(tokens, names_seen):
             tokens.next()
             return joint
         else:
-            raise BvhSyntaxError(tokens.line, "'JOINT', 'End Site', or '}'")
+            raise InputError(f"line {tokens.line}: expected 'JOINT', 'End Site', or '}}'")
 
 
 def _is_number(word):
@@ -279,7 +271,7 @@ def parse_bvh(text: str) -> MotionClip:
     frame count must match the number of data rows.  Duplicate joint names
     get numeric suffixes.  A skeleton without channels, fewer than two
     frames and a frame time that is not positive raise
-    :class:`BvhSyntaxError`.  The motion block is read in one pass; a value
+    :class:`InputError`.  The motion block is read in one pass; a value
     that ``float`` rejects and a short last row raise it with their line.
     """
     tokens = _Tokens(text)
@@ -289,35 +281,35 @@ def parse_bvh(text: str) -> MotionClip:
     root = _parse_joint(tokens, names_seen)
     skeleton = Skeleton(root=root)
     if tokens.peek() == "ROOT":
-        raise BvhSyntaxError(tokens.line, "a single ROOT")
+        raise InputError(f"line {tokens.line}: expected a single ROOT")
     width = skeleton.total_channels
     if width == 0:
-        raise BvhSyntaxError(tokens.line, "a joint that declares channels")
+        raise InputError(f"line {tokens.line}: expected a joint that declares channels")
     tokens.expect("MOTION")
     tokens.expect("Frames:")
     line = tokens.line
     frame_count = tokens.integer("frame count")
     if frame_count < 2:
-        raise BvhSyntaxError(line, "a frame count of at least 2")
+        raise InputError(f"line {line}: expected a frame count of at least 2")
     tokens.expect("Frame")
     tokens.expect("Time:")
     line = tokens.line
     frame_time = tokens.number("frame time")
     if not 0.0 < frame_time < float("inf"):
-        raise BvhSyntaxError(line, "a positive frame time")
+        raise InputError(f"line {line}: expected a positive frame time")
 
     words = tokens.rest()
     try:
         values = np.array(list(map(float, words)))
     except ValueError:
         bad = next(i for i, word in enumerate(words) if not _is_number(word))
-        raise BvhSyntaxError(tokens.line_of(bad), "a channel value") from None
+        raise InputError(f"line {tokens.line_of(bad)}: expected a channel value") from None
     if len(values) % width != 0:
         last = tokens.line_of(len(words) - 1)
-        raise BvhSyntaxError(last, f"rows of {width} channel values")
+        raise InputError(f"line {last}: expected rows of {width} channel values")
     frames = values.reshape(-1, width)
     if frames.shape[0] != frame_count:
-        raise FrameCountMismatch(
+        raise InputError(
             f"declared {frame_count} frames, found {frames.shape[0]}"
         )
     return MotionClip(skeleton=skeleton, frames=frames, frame_time=frame_time)
@@ -381,7 +373,7 @@ def extract_channels(clip: MotionClip, selection) -> TimeSeries:
         row = clip.frames[:, clip.column(label)]
         # checked before unwrapping, so NaN or Inf is rejected before any arithmetic
         if not np.all(np.isfinite(row)):
-            raise NonFiniteSample(f"{label}: samples contain NaN or Inf")
+            raise InputError(f"{label}: samples contain NaN or Inf")
         rows.append(unwrap_degrees(row) if _is_rotation(label) else row)
     return TimeSeries(np.array(rows), clip.rate, labels=list(selection))
 
@@ -391,11 +383,11 @@ def apply_channels(clip: MotionClip, series: TimeSeries) -> MotionClip:
     ``series``'s rows.
 
     Rotation values are wrapped back to (-180, 180].  Other columns are
-    untouched.  A label the clip lacks raises :class:`UnknownChannel`.
+    untouched.  A label the clip lacks raises :class:`ChannelError`.
     """
     require_form(series, True, "apply_channels")
     if len(series) != clip.frame_count:
-        raise LengthMismatch(
+        raise ChannelError(
             f"series length {len(series)} != frame count {clip.frame_count}"
         )
     frames = clip.frames.copy()

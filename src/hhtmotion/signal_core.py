@@ -17,12 +17,10 @@ from numbers import Real
 import numpy as np
 
 from .errors import (
-    BadDimension,
     DegenerateSignal,
+    InputError,
     InvalidValue,
     NoConvergence,
-    NonFiniteSample,
-    SignalTooShort,
     TooFewExtrema,
 )
 from .spline import mirrored_envelopes
@@ -66,9 +64,9 @@ class TimeSeries:
             raise ValueError("samples must be (samples,) or (channels, samples)")
         _check_labels(self.labels, self.samples)
         if len(self) < 2:
-            raise SignalTooShort("a time series needs at least 2 samples")
+            raise InputError("a time series needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):
-            raise NonFiniteSample("samples contain NaN or Inf")
+            raise InputError("samples contain NaN or Inf")
         if not self.rate > 0:
             raise ValueError("rate must be positive")
 
@@ -100,14 +98,14 @@ def _check_labels(labels, rows):
 
 
 def require_form(x, channel_axis: bool, what: str):
-    """Raise :class:`BadDimension` unless the series or decomposition ``x``
+    """Raise :class:`InvalidValue` unless the series or decomposition ``x``
     has a channel axis exactly when ``channel_axis`` says; ``labels is None``
     marks one channel.  ``what`` names the caller in the message."""
     if (x.labels is not None) != channel_axis:
         if channel_axis:
-            raise BadDimension(f"{what} takes a channel axis, one label per channel, "
+            raise InvalidValue(f"{what} takes a channel axis, one label per channel, "
                                "not one channel without labels")
-        raise BadDimension(f"{what} takes one channel, without labels; pass the channels "
+        raise InvalidValue(f"{what} takes one channel, without labels; pass the channels "
                            "of a channel axis one at a time, e.g. from per_channel")
 
 
@@ -120,17 +118,18 @@ def is_number(value) -> bool:
     )
 
 
-def finite_array(value, what, error):
-    """``value`` as a float64 array of finite numbers; anything else raises ``error``."""
+def finite_array(value, what):
+    """``value`` as a float64 array of finite numbers; anything else raises
+    :class:`InputError`."""
     try:
         array = np.asarray(value)
     except ValueError:
-        raise error(f"{what} has rows of unequal lengths") from None
+        raise InputError(f"{what} has rows of unequal lengths") from None
     if array.size and array.dtype.kind not in "iuf":
-        raise error(f"{what} holds something other than numbers")
+        raise InputError(f"{what} holds something other than numbers")
     array = np.asarray(array, dtype=np.float64)
     if not np.all(np.isfinite(array)):
-        raise error(f"{what} holds NaN or Inf")
+        raise InputError(f"{what} holds NaN or Inf")
     return array
 
 
@@ -260,7 +259,7 @@ def analytic_signal(x: TimeSeries) -> AnalyticSignal:
     s = x.samples
     n = s.size
     if n < 4:
-        raise SignalTooShort("analytic signal needs at least 4 samples")
+        raise InputError("analytic signal needs at least 4 samples")
     spectrum = np.fft.fft(s)
     gain = np.zeros(n)
     gain[0] = 1.0
@@ -510,7 +509,7 @@ def emd(
     """
     require_form(x, False, "emd")
     if len(x) < 4:
-        raise SignalTooShort("decomposition needs at least 4 samples")
+        raise InputError("decomposition needs at least 4 samples")
     check_sd_threshold(sd_threshold)
     imfs, trend = _sift(x.samples, _emd_step, sd_threshold, max_sifts, max_imfs)
     meta = {

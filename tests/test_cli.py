@@ -621,12 +621,16 @@ def failure_inputs(tmp_path_factory):
     negative_rate["rate"] = -40
     duplicate_label = json.loads(archive.read_text())
     duplicate_label["channels"][1]["label"] = duplicate_label["channels"][0]["label"]
+    reordered = json.loads(archive.read_text())
+    reordered["channels"].reverse()
     files = {
         "bvh": bvh,
         "pelvis_bvh": root / "pelvis.bvh",
         "archive": archive,
         "negative_rate": root / "negative_rate.json",
         "duplicate_label": root / "duplicate_label.json",
+        "reordered": root / "reordered.json",
+        "noise_bvh": root / "noise.bvh",
         "tiny_frame_time_bvh": root / "tiny_frame_time.bvh",
         "flat": root / "flat.json",
         "grid": root / "grid.json",
@@ -635,6 +639,8 @@ def failure_inputs(tmp_path_factory):
         "spec_at_40": root / "spec_at_40.json",
         "alpha_x": root / "alpha_x.json",
         "merge_a": root / "merge_a.json",
+        "unknown_channel": root / "unknown_channel.json",
+        "imf_99": root / "imf_99.json",
         "wav_100_samples": root / "short.wav",
         "wav_1_hz": root / "one_hertz.wav",
         "deep": root / "deep.json",
@@ -644,6 +650,9 @@ def failure_inputs(tmp_path_factory):
     }
     files["negative_rate"].write_text(json.dumps(negative_rate))
     files["duplicate_label"].write_text(json.dumps(duplicate_label))
+    files["reordered"].write_text(json.dumps(reordered))
+    files["noise_bvh"].write_text(
+        bvh_text({"hips.Xrotation": np.random.default_rng(0).standard_normal(400)}))
     # a template at 1e12 fps: aligning the archives at its rate would not fit in memory
     files["tiny_frame_time_bvh"].write_text(
         bvh.read_text().replace("Frame Time: 0.025000", "Frame Time: 1e-12"))
@@ -665,6 +674,9 @@ def failure_inputs(tmp_path_factory):
         json.dumps({"operations": [{"kind": "scale", "imfs": [1], "alpha": "x"}]}))
     files["merge_a"].write_text(
         json.dumps({"operations": [{"kind": "merge", "imfs": [1, "a"]}]}))
+    files["unknown_channel"].write_text(
+        json.dumps({"operations": [{"kind": "swap", "channels": ["nope"]}]}))
+    files["imf_99"].write_text(json.dumps({"operations": [{"kind": "swap", "imfs": [99]}]}))
     write_wav_pcm16(files["wav_100_samples"], TimeSeries(np.zeros(100), 22050.0))
     write_wav_pcm16(files["wav_1_hz"], TimeSeries(np.zeros(100), 1.0))
     return {name: str(path) for name, path in files.items()}
@@ -738,6 +750,14 @@ FAILURES = {
     "archive-nested-too-deep": (2, lambda f: ["analyze", f["deep"], "--out", f["out"]]),
     "bvh-nested-too-deep": (2, lambda f: ["decompose", f["deep_bvh"], "--channels",
                                           "b.Xrotation", "--out", f["out"]]),
+    "no-convergence": (4, lambda f: ["decompose", f["noise_bvh"], "--channels", "hips.Xrotation",
+                                     "--method", "emd", "--sd-threshold", "1e-300",
+                                     "--out", f["out"]]),
+    "blend-labels-differ": (3, lambda f: _blend(f, archive="reordered")),
+    "spec-unknown-channel": (3, lambda f: _blend(f, spec="unknown_channel")),
+    "spec-imf-out-of-range": (6, lambda f: _blend(f, spec="imf_99")),
+    "bpm-out-of-range": (64, lambda f: ["beats", "--bpm", "500", "--duration", "5",
+                                        "--out", f["out"]]),
 }
 
 

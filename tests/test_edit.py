@@ -9,12 +9,7 @@ from hhtmotion.edit import (
     merge_imfs,
     synthesize_clip,
 )
-from hhtmotion.errors import (
-    BlendSpecError,
-    ChannelMismatch,
-    LengthMismatch,
-    SpecOutOfBounds,
-)
+from hhtmotion.errors import BlendSpecError, ChannelError
 from hhtmotion.signal_core import Decomposition
 
 
@@ -83,7 +78,7 @@ class TestAlign:
         rng = np.random.default_rng(3)
         a = random_md(rng, labels=["x", "y"])
         b = random_md(rng, labels=["u", "v"])
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(ChannelError, match=r"^channel labels differ: "):
             align(a, b, target_rate=40.0)
 
 
@@ -119,9 +114,9 @@ class TestMergeImfs:
             trend=np.zeros(50),
             rate=10.0,
         )
-        with pytest.raises(SpecOutOfBounds):
+        with pytest.raises(BlendSpecError, match=r"^merge range \[2, 2\] invalid for 3 IMFs$"):
             merge_imfs(d, (2, 2))
-        with pytest.raises(SpecOutOfBounds):
+        with pytest.raises(BlendSpecError, match=r"^merge range \[0, 2\] invalid for 3 IMFs$"):
             merge_imfs(d, (0, 2))
 
 
@@ -224,6 +219,19 @@ class TestApplyBlend:
         counts = {d.imf_count for d in out.per_channel}
         assert len(counts) == 1
 
+    def test_merge_renumbers_both_donors(self):
+        # after merging IMFs 1 and 2, IMF 2 is the former IMF 3 on every side
+        def constant_imfs(values):
+            imfs = np.broadcast_to(np.reshape(values, (1, 3, 1)), (2, 3, 50))
+            return Decomposition(imfs=imfs, trend=np.zeros((2, 50)), rate=10.0,
+                                 labels=["ch0", "ch1"])
+
+        a, b = constant_imfs([1.0, 2.0, 3.0]), constant_imfs([10.0, 20.0, 30.0])
+        spec = blend_spec_from_dict({"operations": [{"kind": "merge", "imfs": [1, 2]},
+                                                    {"kind": "swap", "imfs": [2]}]})
+        out = apply_blend(a, b, spec)
+        assert np.array_equal(out.imfs, np.broadcast_to([[[3.0], [30.0]]], (2, 2, 50)))
+
     def test_repeated_selection_applies_twice(self):
         # an IMF or a channel listed twice gets the operation twice, as in a loop
         (a, b), _, _ = self.make_pair()
@@ -244,22 +252,22 @@ class TestApplyBlend:
 
     def test_out_of_bounds(self):
         (a, b), _, _ = self.make_pair()
-        with pytest.raises(SpecOutOfBounds):
+        with pytest.raises(BlendSpecError, match=r"^IMF index 9 outside 1\.\.\d+$"):
             apply_blend(a, b, [BlendOp(kind="zero", imfs=[9])])
 
     def test_unaligned_pair_refused(self):
         rng = np.random.default_rng(14)
         a = random_md(rng)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ChannelError, match=r"^IMFs shaped .*; align them first$"):
             apply_blend(a, random_md(rng, n=300), [BlendOp(kind="swap")])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ChannelError, match=r"^IMFs shaped .*; align them first$"):
             apply_blend(a, random_md(rng, n_imfs=2), [])
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(ChannelError, match=r"^channel labels differ: "):
             apply_blend(a, random_md(rng, labels=["x", "y"]), [])
 
     def test_unknown_channel(self):
         (a, b), _, _ = self.make_pair()
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(ChannelError, match=r"^unknown channel: nope$"):
             apply_blend(
                 a,
                 b,
@@ -321,7 +329,7 @@ class TestReconstructAndSynthesize:
         rng = np.random.default_rng(12)
         clip = parse_bvh(bvh_text({"hips.Xrotation": np.zeros(100)}))
         md = random_md(rng, n=50, labels=["hips.Xrotation"], n_channels=1)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ChannelError, match=r"^series length 50 != frame count 100$"):
             synthesize_clip(clip, md)
 
 
@@ -331,11 +339,11 @@ class TestBlendSpecJson:
         assert ops == [BlendOp(kind="swap")]
 
     def test_schema_errors(self):
-        with pytest.raises(BlendSpecError):
+        with pytest.raises(BlendSpecError, match=r"^unknown op kind: 'explode'$"):
             blend_spec_from_dict({"operations": [{"kind": "explode"}]})
-        with pytest.raises(BlendSpecError):
+        with pytest.raises(BlendSpecError, match=r"^blend needs alpha in \[0, 1\]$"):
             blend_spec_from_dict({"operations": [{"kind": "blend", "alpha": 1.5}]})
-        with pytest.raises(BlendSpecError):
+        with pytest.raises(BlendSpecError, match=r"^spec must be an object with an "):
             blend_spec_from_dict({"nope": []})
-        with pytest.raises(BlendSpecError):
+        with pytest.raises(BlendSpecError, match=r"^unknown operation fields: \['weird'\]$"):
             blend_spec_from_dict({"operations": [{"kind": "swap", "weird": 1}]})

@@ -3,11 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hhtmotion.errors import (
-    BadDimension,
-    NoConvergence,
-    TooFewExtrema,
-)
+from hhtmotion.errors import InvalidValue, NoConvergence, TooFewExtrema
 from hhtmotion.memd import (
     DirectionSet,
     direction_set,
@@ -59,9 +55,9 @@ class TestDirectionSet:
         assert np.array_equal(md.imfs, memd(x, dirs=direction_set(2, 8, seed=0)).imfs)
 
     def test_bad_dimension(self):
-        with pytest.raises(BadDimension):
+        with pytest.raises(InvalidValue, match=r"^direction sampling needs at least 2 "):
             direction_set(1, 8)
-        with pytest.raises(BadDimension):
+        with pytest.raises(InvalidValue, match=r"^count must be >= 2 \* n_dims; got 6 for 4 "):
             direction_set(4, 6)
 
 
@@ -175,7 +171,7 @@ class TestMemd:
 
     def test_requires_two_channels(self):
         x = stack(10.0, np.sin(np.linspace(0, 20, 100)))
-        with pytest.raises(BadDimension):
+        with pytest.raises(InvalidValue, match=r"^multivariate decomposition needs >= 2 "):
             memd(x)
 
 
