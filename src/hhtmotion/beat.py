@@ -156,8 +156,12 @@ def onset_envelope(audio: TimeSeries) -> TimeSeries:
 # tempo
 
 
-def estimate_tempo(onset: TimeSeries, bpm_range=(60.0, 240.0)) -> float:
-    """Global tempo from weighted onset autocorrelation.
+# the tempi estimate_tempo considers, in BPM
+BPM_RANGE = (60.0, 240.0)
+
+
+def estimate_tempo(onset: TimeSeries) -> float:
+    """Global tempo within ``BPM_RANGE`` from weighted onset autocorrelation.
 
     The autocorrelation is weighted by a log-Gaussian prior centered at
     120 BPM with a one-octave standard deviation, which settles octave
@@ -171,8 +175,8 @@ def estimate_tempo(onset: TimeSeries, bpm_range=(60.0, 240.0)) -> float:
     if ac[0] <= 0:
         raise NoBeats("onset envelope carries no energy")
 
-    lag_min = max(2, int(np.ceil(ONSET_RATE * 60.0 / bpm_range[1])))
-    lag_max = min(n - 2, int(np.floor(ONSET_RATE * 60.0 / bpm_range[0])))
+    lag_min = max(2, int(np.ceil(ONSET_RATE * 60.0 / BPM_RANGE[1])))
+    lag_max = min(n - 2, int(np.floor(ONSET_RATE * 60.0 / BPM_RANGE[0])))
     if lag_max <= lag_min:
         raise NoBeats("onset envelope too short for the tempo range")
     lags = np.arange(lag_min, lag_max + 1)

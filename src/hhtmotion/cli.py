@@ -126,12 +126,28 @@ def _dump_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _write_manifest(command, inputs, parameters, seed, outputs):
+def _write_manifest(outputs, **recorded):
+    """Write ``<outputs[0]>.manifest.json`` for the running command.
+
+    The command's existing-path arguments that were given are its inputs,
+    hashed, and its other options but paths and ``--seed`` its parameters,
+    as given; ``recorded`` replaces a value the command normalised.
+    """
+    ctx = click.get_current_context()
+    inputs, parameters = {}, {}
+    for param in ctx.command.params:
+        value = ctx.params[param.name]
+        if isinstance(param.type, click.Path):
+            if param.type.exists and value is not None:
+                inputs[value] = _sha256(value)
+        elif param.name != "seed":
+            parameters[param.name] = value
+    parameters.update(recorded)
     manifest = {
-        "command": command,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "command": ctx.info_name,
+        "inputs": inputs,
         "parameters": parameters,
-        "seed": seed,
+        "seed": ctx.params.get("seed"),
         "tool_version": __version__,
         "outputs": [str(p) for p in outputs],
     }
@@ -201,15 +217,15 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
     if method == "emd":
         decomp = _emd_multichannel(series, sd_threshold)
     else:
-        # one direction set over the channels plus na-memd's noise channels,
-        # with at least 2 directions per dimension
+        # one direction set over the channels plus na-memd's noise channels;
+        # direction_set raises the count to 2 per dimension
         noise = noise_channels if method == "na-memd" else 0
         dims = series.n_channels + noise
-        count = max(directions, 2 * dims)
         if noise:
             _check_size(2 * dims * max(len(series), dims), f"--noise-channels {noise}")
-        _check_size(count * max(len(series), dims), f"--directions {directions}")
-        dirs = direction_set(dims, count, seed=seed)
+        _check_size(max(directions, 2 * dims) * max(len(series), dims),
+                    f"--directions {directions}")
+        dirs = direction_set(dims, directions, seed=seed)
         if method == "memd":
             decomp = memd(series, dirs=dirs, sd_threshold=sd_threshold)
         else:
@@ -223,20 +239,7 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
             )
 
     _atomic_write(out, _dump_json(multivariate_to_dict(decomp)))
-    _write_manifest(
-        "decompose",
-        [bvh_path],
-        {
-            "channels": selection,
-            "method": method,
-            "sd_threshold": sd_threshold,
-            "directions": directions,
-            "noise_pct": noise_pct,
-            "noise_channels": noise_channels,
-        },
-        seed,
-        [out],
-    )
+    _write_manifest([out], channels=selection)
     click.echo(
         f"{decomp.imf_count} IMFs; trend RMS fraction "
         f"{trend_rms_fraction(decomp):.4f}"
@@ -274,14 +277,12 @@ def cmd_beats(wav_path, bpm, duration, offset, strong_period, tightness, out):
     """Produce a beat grid from audio or from a fixed tempo."""
     if (wav_path is None) == (bpm is None):
         raise errors.InvalidValue("provide exactly one of a WAV path or --bpm")
-    inputs = []
     if bpm is not None:
         if duration is None:
             raise errors.InvalidValue("--bpm needs --duration")
         _check_size(duration * bpm / 60.0, f"--duration {duration:g} at --bpm {bpm:g}")
         grid = fixed_grid(bpm, duration, offset=offset, strong_period=strong_period)
     else:
-        inputs = [wav_path]
         with _reading(wav_path):
             envelope = onset_envelope(read_wav(wav_path))
         tempo = estimate_tempo(envelope)
@@ -290,19 +291,7 @@ def cmd_beats(wav_path, bpm, duration, offset, strong_period, tightness, out):
         grid.beats = grid.beats + offset
 
     _atomic_write(out, _dump_json(grid_to_dict(grid)))
-    _write_manifest(
-        "beats",
-        inputs,
-        {
-            "bpm": bpm,
-            "duration": duration,
-            "offset": offset,
-            "strong_period": strong_period,
-            "tightness": tightness,
-        },
-        None,
-        [out],
-    )
+    _write_manifest([out])
     click.echo(f"{len(grid)} beats at {grid.bpm:.2f} BPM")
 
 
@@ -317,10 +306,8 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
                 fibonacci_tolerance, out):
     """Weighted-frequency, sum-relation, and summary reports for an archive."""
     decomp = _load_archive(archive_path)
-    inputs = [archive_path]
     segments = None
     if beats_path is not None:
-        inputs.append(beats_path)
         with _reading(beats_path), open(beats_path) as handle:
             grid = grid_from_dict(json.load(handle))
         segments = segment_by_beats(decomp.n_samples, decomp.rate, grid,
@@ -369,16 +356,7 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
         "warnings": warnings,
     }
     _atomic_write(out, _dump_json(payload))
-    _write_manifest(
-        "analyze",
-        inputs,
-        {
-            "beats_per_segment": beats_per_segment,
-            "fibonacci_tolerance": fibonacci_tolerance,
-        },
-        None,
-        [out],
-    )
+    _write_manifest([out])
     for message in warnings:
         click.echo(f"warning: {message}", err=True)
     click.echo(
@@ -414,18 +392,7 @@ def cmd_spectrum(archive_path, channel, time_bin, freq_bins, freq_max, out):
     sidecar_path = os.path.splitext(out)[0] + ".json"
     _atomic_write(out, spectrum_to_csv(spectrum))
     _atomic_write(sidecar_path, _dump_json(spectrum_sidecar(spectrum)))
-    _write_manifest(
-        "spectrum",
-        [archive_path],
-        {
-            "channel": channel,
-            "time_bin": time_bin,
-            "freq_bins": freq_bins,
-            "freq_max": freq_max,
-        },
-        None,
-        [out, sidecar_path],
-    )
+    _write_manifest([out, sidecar_path])
     click.echo(f"grid {spectrum.energy.shape[0]} x {spectrum.energy.shape[1]}, "
                f"overflow {spectrum.overflow:.4g}")
 
@@ -456,13 +423,7 @@ def cmd_blend(archive_a, archive_b, spec_path, template_path, out):
     clip = synthesize_clip(template, apply_blend(a, b, operations))
 
     _atomic_write(out, write_bvh(clip))
-    _write_manifest(
-        "blend",
-        [archive_a, archive_b, spec_path, template_path],
-        {},
-        None,
-        [out],
-    )
+    _write_manifest([out])
     click.echo(f"wrote {clip.frame_count} frames to {out}")
 
 

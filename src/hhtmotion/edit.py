@@ -43,7 +43,8 @@ class BlendOp:
     """One editing step.
 
     ``imfs`` lists 1-based IMF numbers (1 = highest frequency); None means
-    all.  ``channels`` lists channel labels; None means all.  ``alpha`` is
+    all.  ``channels`` lists channel labels; None means all, the only value
+    ``merge`` takes, since it acts on every channel.  ``alpha`` is
     the blend weight (share of the working copy, in [0, 1]) and doubles as
     the multiplier for ``scale``.  ``source`` picks the donor side for swap,
     blend, and trend_exchange: "b" (default) or "a" for the unedited
@@ -74,6 +75,8 @@ class BlendOp:
             raise BlendSpecError("scale needs alpha as the multiplier")
         if self.kind == "merge" and (self.imfs is None or len(self.imfs) < 2):
             raise BlendSpecError("merge needs at least two IMF indices")
+        if self.kind == "merge" and self.channels is not None:
+            raise BlendSpecError("merge acts on every channel; it takes no channels")
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +210,12 @@ def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decompo
     imfs, trend = a.imfs.copy(), a.trend.copy()
     donors = {"a": a, "b": b}
     for op in operations:
-        channels = _channel_indices(a.labels, op.channels)
         if op.kind == "merge":
             span = min(op.imfs), max(op.imfs)
             imfs = _merge_rows(imfs, *span)
             donors = {side: merge_imfs(d, span) for side, d in donors.items()}
             continue
+        channels = _channel_indices(a.labels, op.channels)
         donor = donors[op.source]
         rows = _imf_rows(op.imfs, imfs.shape[-2])
         if op.kind == "trend_exchange":

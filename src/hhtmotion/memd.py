@@ -25,6 +25,7 @@ from .signal_core import (
     TimeSeries,
     _extrema,
     _sift,
+    _sift_meta,
     check_sd_threshold,
     finite_array,
     is_number,
@@ -94,17 +95,16 @@ def _philox(seed):
 def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
     """Low-discrepancy unit directions in ``n_dims`` dimensions.
 
-    A Hammersley point set on the unit cube (linear first coordinate, prime-
-    base radical inverses for the rest) is shifted by a seed-derived rotation
-    mod 1, pushed through the inverse Gaussian CDF coordinatewise, and
-    normalized onto the sphere.  Deterministic in ``seed``.
+    ``count`` is raised to ``2 * n_dims`` when below that, so that every
+    dimension has at least two directions.  A Hammersley point set on the
+    unit cube (linear first coordinate, prime-base radical inverses for the
+    rest) is shifted by a seed-derived rotation mod 1, pushed through the
+    inverse Gaussian CDF coordinatewise, and normalized onto the sphere.
+    Deterministic in ``seed``.
     """
     if n_dims < 2:
         raise InvalidValue("direction sampling needs at least 2 dimensions")
-    if count < 2 * n_dims:
-        raise InvalidValue(
-            f"count must be >= 2 * n_dims; got {count} for {n_dims} dimensions"
-        )
+    count = max(count, 2 * n_dims)
     indices = np.arange(1, count + 1)
     points = np.empty((count, n_dims))
     points[:, 0] = (indices - 0.5) / count
@@ -169,8 +169,6 @@ def memd(
     x: TimeSeries,
     dirs: DirectionSet | None = None,
     sd_threshold: float = 0.25,
-    max_sifts: int = 100,
-    max_imfs: int = 16,
 ) -> Decomposition:
     """Jointly decompose all channels of ``x`` into mode-aligned IMFs.
 
@@ -189,25 +187,13 @@ def memd(
         x.samples,
         lambda c, settled: None if settled else _mean_envelope_matrix(c, dirs),
         sd_threshold,
-        max_sifts,
-        max_imfs,
     )
-    meta = {
-        "source": "memd",
-        "sd_threshold": sd_threshold,
-        "direction_count": dirs.count,
-        "max_sifts": max_sifts,
-        "max_imfs": max_imfs,
-        "noise_pct": None,
-        "noise_channels": None,
-        "seed": None,
-    }
     return Decomposition(
         imfs=np.ascontiguousarray(imfs.transpose(1, 0, 2)),
         trend=trend,
         rate=x.rate,
         labels=list(x.labels),
-        meta=meta,
+        meta=_sift_meta("memd", sd_threshold, direction_count=dirs.count),
     )
 
 
@@ -218,8 +204,6 @@ def na_memd(
     seed: int = 0,
     dirs: DirectionSet | None = None,
     sd_threshold: float = 0.25,
-    max_sifts: int = 100,
-    max_imfs: int = 16,
 ) -> Decomposition:
     """Noise-assisted variant: decompose with extra white-noise channels.
 
@@ -251,20 +235,9 @@ def na_memd(
     )
     if dirs is None:
         dirs = direction_set(extended.n_channels, seed=seed)
-    full = memd(
-        extended,
-        dirs=dirs,
-        sd_threshold=sd_threshold,
-        max_sifts=max_sifts,
-        max_imfs=max_imfs,
-    )
-    meta = dict(full.meta)
-    meta.update(
-        source="na_memd",
-        noise_pct=noise_pct,
-        noise_channels=noise_channels,
-        seed=seed,
-    )
+    full = memd(extended, dirs=dirs, sd_threshold=sd_threshold)
+    meta = dict(full.meta, source="na_memd", noise_pct=noise_pct,
+                noise_channels=noise_channels, seed=seed)
     kept = x.n_channels
     return Decomposition(
         imfs=full.imfs[:kept],

@@ -372,6 +372,10 @@ def _rms(s: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(s))))
 
 
+# imf_check's envelope-mean tolerance: a share of the signal's RMS
+MEAN_ENV_TOL = 0.1
+
+
 def _criteria(s, maxima, minima, mean_env, mean_env_tol) -> ImfReport:
     """``s`` checked against the two IMF criteria, given its extrema and its
     envelope mean (None when there are too few extrema to fit envelopes)."""
@@ -392,14 +396,14 @@ def _criteria(s, maxima, minima, mean_env, mean_env_tol) -> ImfReport:
     )
 
 
-def imf_check(c: TimeSeries, mean_env_tol: float = 0.1) -> ImfReport:
+def imf_check(c: TimeSeries) -> ImfReport:
     """Check ``c`` against the two IMF criteria.
 
     ``count_ok`` holds when the number of extrema and zero crossings differ
     by at most one.  ``mean_ok`` holds when the RMS of the envelope mean over
     the well-supported span (first to last extremum) is at most
-    ``mean_env_tol`` times the RMS of ``c``.  When there are too few extrema
-    to fit envelopes, the signal mean stands in for the envelope mean.
+    ``MEAN_ENV_TOL`` (0.1) times the RMS of ``c``.  When there are too few
+    extrema to fit envelopes, the signal mean stands in for the envelope mean.
     """
     require_form(c, False, "imf_check")
     maxima, minima = _extrema(c.samples)
@@ -407,7 +411,7 @@ def imf_check(c: TimeSeries, mean_env_tol: float = 0.1) -> ImfReport:
         mean_env = _mean_envelope(c.samples, maxima, minima)
     except TooFewExtrema:
         mean_env = None
-    return _criteria(c.samples, maxima, minima, mean_env, mean_env_tol)
+    return _criteria(c.samples, maxima, minima, mean_env, MEAN_ENV_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +437,14 @@ def check_sd_threshold(sd_threshold: float):
         raise InvalidValue(f"sd_threshold must lie in (0, 1), got {sd_threshold}")
 
 
-# sift-internal envelope-mean tolerance, tighter than the 0.1 used by
-# imf_check so accepted IMFs clear the published criterion with margin
+# sift-internal envelope-mean tolerance, tighter than imf_check's
+# MEAN_ENV_TOL so accepted IMFs clear the published criterion with margin
 _SIFT_MEAN_TOL = 0.05
+
+# Sifts per IMF before the sift gives up on settling, and IMFs per
+# decomposition; every method records both in its ``meta``.
+MAX_SIFTS = 100
+MAX_IMFS = 16
 
 
 def _emd_step(c: np.ndarray, settled: bool):
@@ -450,7 +459,7 @@ def _emd_step(c: np.ndarray, settled: bool):
     return mean_env
 
 
-def _sift(residual, step, sd_threshold, max_sifts, max_imfs):
+def _sift(residual, step, sd_threshold):
     """Sift IMFs out of ``residual`` one after another; returns ``(imfs, trend)``.
 
     ``step(c, settled)`` is the envelope mean of an iterate ``c`` (any shape),
@@ -460,16 +469,16 @@ def _sift(residual, step, sd_threshold, max_sifts, max_imfs):
     :class:`TooFewExtrema` when ``c`` cannot be enveloped, and such an
     iterate is accepted as it is.  Decomposition ends when the residual
     cannot be enveloped at all, has decayed to rounding dust, or
-    ``max_imfs`` IMFs are out; the residual is the trend.  ``imfs`` stacks
+    ``MAX_IMFS`` IMFs are out; the residual is the trend.  ``imfs`` stacks
     the IMFs along a new first axis.
     """
     residual = residual.copy()
     scale = np.max(np.abs(residual))
     imfs = []
     # machine-precision dust produces spurious extrema; stop before sifting it
-    while len(imfs) < max_imfs and np.max(np.abs(residual)) >= 1e-10 * scale:
+    while len(imfs) < MAX_IMFS and np.max(np.abs(residual)) >= 1e-10 * scale:
         c, sd = residual, np.inf
-        for _ in range(max_sifts):
+        for _ in range(MAX_SIFTS):
             try:
                 mean_env = step(c, sd < sd_threshold)
             except TooFewExtrema:
@@ -482,7 +491,7 @@ def _sift(residual, step, sd_threshold, max_sifts, max_imfs):
         else:
             if sd > 10.0 * sd_threshold:
                 raise NoConvergence(
-                    f"IMF {len(imfs) + 1}: sifting did not settle within {max_sifts} "
+                    f"IMF {len(imfs) + 1}: sifting did not settle within {MAX_SIFTS} "
                     f"iterations (SD {sd:.4g}, threshold {sd_threshold:g})"
                 )
         if c is residual:  # not one sift was possible: the residual is the trend
@@ -492,34 +501,36 @@ def _sift(residual, step, sd_threshold, max_sifts, max_imfs):
     return np.array(imfs).reshape(-1, *residual.shape), residual
 
 
-def emd(
-    x: TimeSeries,
-    sd_threshold: float = 0.25,
-    max_sifts: int = 100,
-    max_imfs: int = 16,
-) -> Decomposition:
+def _sift_meta(source, sd_threshold, **extra) -> dict:
+    """The ``meta`` of a decomposition by ``source``: its settings, the sift
+    limits, and None for the noise settings, which ``extra`` may set."""
+    return {
+        "source": source,
+        "sd_threshold": sd_threshold,
+        "max_sifts": MAX_SIFTS,
+        "max_imfs": MAX_IMFS,
+        "noise_pct": None,
+        "noise_channels": None,
+        "seed": None,
+        **extra,
+    }
+
+
+def emd(x: TimeSeries, sd_threshold: float = 0.25) -> Decomposition:
     """Decompose ``x`` into IMFs plus a trend by iterative sifting.
 
     Each IMF is sifted until the normalized squared change between iterates
     drops below ``sd_threshold`` (conventionally 0.2-0.3) and the result
     satisfies the extrema/zero-crossing and envelope-mean criteria.
     Decomposition stops when the residual has too few extrema for envelopes
-    or ``max_imfs`` is reached; the remaining residual is the trend.
+    or ``MAX_IMFS`` is reached; the remaining residual is the trend.
     Reconstruction is exact by construction up to float rounding.
     """
     require_form(x, False, "emd")
     if len(x) < 4:
         raise InputError("decomposition needs at least 4 samples")
     check_sd_threshold(sd_threshold)
-    imfs, trend = _sift(x.samples, _emd_step, sd_threshold, max_sifts, max_imfs)
-    meta = {
-        "source": "emd",
-        "sd_threshold": sd_threshold,
-        "max_sifts": max_sifts,
-        "max_imfs": max_imfs,
-        "noise_pct": None,
-        "noise_channels": None,
-        "seed": None,
-    }
-    return Decomposition(imfs=imfs, trend=trend, rate=x.rate, meta=meta)
+    imfs, trend = _sift(x.samples, _emd_step, sd_threshold)
+    return Decomposition(imfs=imfs, trend=trend, rate=x.rate,
+                         meta=_sift_meta("emd", sd_threshold))
 

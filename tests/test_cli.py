@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -630,6 +631,7 @@ def failure_inputs(tmp_path_factory):
         "negative_rate": root / "negative_rate.json",
         "duplicate_label": root / "duplicate_label.json",
         "reordered": root / "reordered.json",
+        "archive_b": root / "archive_b.json",
         "noise_bvh": root / "noise.bvh",
         "tiny_frame_time_bvh": root / "tiny_frame_time.bvh",
         "flat": root / "flat.json",
@@ -639,9 +641,11 @@ def failure_inputs(tmp_path_factory):
         "spec_at_40": root / "spec_at_40.json",
         "alpha_x": root / "alpha_x.json",
         "merge_a": root / "merge_a.json",
+        "merge_channels": root / "merge_channels.json",
         "unknown_channel": root / "unknown_channel.json",
         "imf_99": root / "imf_99.json",
         "wav_100_samples": root / "short.wav",
+        "clicks_wav": root / "clicks.wav",
         "wav_1_hz": root / "one_hertz.wav",
         "deep": root / "deep.json",
         "deep_bvh": root / "deep.bvh",
@@ -651,6 +655,7 @@ def failure_inputs(tmp_path_factory):
     files["negative_rate"].write_text(json.dumps(negative_rate))
     files["duplicate_label"].write_text(json.dumps(duplicate_label))
     files["reordered"].write_text(json.dumps(reordered))
+    files["archive_b"].write_text(json.dumps(json.loads(archive.read_text()), indent=1))
     files["noise_bvh"].write_text(
         bvh_text({"hips.Xrotation": np.random.default_rng(0).standard_normal(400)}))
     # a template at 1e12 fps: aligning the archives at its rate would not fit in memory
@@ -674,10 +679,13 @@ def failure_inputs(tmp_path_factory):
         json.dumps({"operations": [{"kind": "scale", "imfs": [1], "alpha": "x"}]}))
     files["merge_a"].write_text(
         json.dumps({"operations": [{"kind": "merge", "imfs": [1, "a"]}]}))
+    files["merge_channels"].write_text(json.dumps(
+        {"operations": [{"kind": "merge", "imfs": [1, 2], "channels": ["nope"]}]}))
     files["unknown_channel"].write_text(
         json.dumps({"operations": [{"kind": "swap", "channels": ["nope"]}]}))
     files["imf_99"].write_text(json.dumps({"operations": [{"kind": "swap", "imfs": [99]}]}))
     write_wav_pcm16(files["wav_100_samples"], TimeSeries(np.zeros(100), 22050.0))
+    write_wav_pcm16(files["clicks_wav"], click_signal(120.0, 8.0, 22050))
     write_wav_pcm16(files["wav_1_hz"], TimeSeries(np.zeros(100), 1.0))
     return {name: str(path) for name, path in files.items()}
 
@@ -708,6 +716,7 @@ FAILURES = {
                                              "--out", f["out"]]),
     "spec-alpha-not-a-number": (6, lambda f: _blend(f, spec="alpha_x")),
     "spec-merge-imf-not-a-number": (6, lambda f: _blend(f, spec="merge_a")),
+    "spec-merge-with-channels": (6, lambda f: _blend(f, spec="merge_channels")),
     "archive-duplicate-label": (2, lambda f: ["analyze", f["duplicate_label"],
                                               "--out", f["out"]]),
     "channels-listed-twice": (64, lambda f: ["decompose", f["bvh"], "--channels",
@@ -782,3 +791,83 @@ def test_flat_archive_error_names_the_file(runner, failure_inputs, name):
     result = runner.invoke(main, FAILURES[name][1](failure_inputs))
     assert result.output == (f"error: {failure_inputs['flat']}: "
                              "an archive needs channels with label, imfs and trend\n")
+
+
+# Each command with some options given and the rest at their defaults:
+# (argv, the input files given, the manifest's parameters, its seed).  The
+# parameters are every option but the paths and --seed, as given; decompose
+# records its channel list as it was split.
+MANIFESTS = {
+    "decompose": (
+        lambda f, out: ["decompose", f["bvh"], "--channels", " hips.Xrotation, hips.Yrotation",
+                        "--method", "memd", "--sd-threshold", "0.3", "--directions", "8",
+                        "--seed", "3", "--out", out],
+        ["bvh"],
+        {"channels": ["hips.Xrotation", "hips.Yrotation"], "method": "memd",
+         "sd_threshold": 0.3, "directions": 8, "noise_pct": 0.09, "noise_channels": 1},
+        3,
+    ),
+    "beats-bpm": (
+        lambda f, out: ["beats", "--bpm", "130", "--duration", "5", "--offset", "0.25",
+                        "--out", out],
+        [],
+        {"bpm": 130.0, "duration": 5.0, "offset": 0.25, "strong_period": 4,
+         "tightness": 400.0},
+        None,
+    ),
+    "beats-wav": (
+        lambda f, out: ["beats", f["clicks_wav"], "--strong-period", "3", "--out", out],
+        ["clicks_wav"],
+        {"bpm": None, "duration": None, "offset": 0.0, "strong_period": 3,
+         "tightness": 400.0},
+        None,
+    ),
+    "analyze": (
+        lambda f, out: ["analyze", f["archive"], "--fibonacci-tolerance", "0.1", "--out", out],
+        ["archive"],
+        {"beats_per_segment": 1, "fibonacci_tolerance": 0.1},
+        None,
+    ),
+    "analyze-beats": (
+        lambda f, out: ["analyze", f["archive"], "--beats", f["grid"],
+                        "--beats-per-segment", "2", "--out", out],
+        ["archive", "grid"],
+        {"beats_per_segment": 2, "fibonacci_tolerance": 0.05},
+        None,
+    ),
+    "spectrum": (
+        lambda f, out: ["spectrum", f["archive"], "--channel", "hips.Yrotation",
+                        "--time-bin", "0.1", "--freq-bins", "40", "--out", out],
+        ["archive"],
+        {"channel": "hips.Yrotation", "time_bin": 0.1, "freq_bins": 40, "freq_max": None},
+        None,
+    ),
+    "blend": (
+        lambda f, out: ["blend", f["archive"], f["archive_b"], "--spec", f["spec"],
+                        "--template", f["bvh"], "--out", out],
+        ["archive", "archive_b", "spec", "bvh"],
+        {},
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MANIFESTS))
+def test_manifest_records_what_the_command_was_given(runner, failure_inputs, tmp_path,
+                                                     name):
+    argv, given, parameters, seed = MANIFESTS[name]
+    out = str(tmp_path / ("out.csv" if name == "spectrum" else "out.json"))
+    args = argv(failure_inputs, out)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    with open(out + ".manifest.json") as handle:
+        manifest = json.load(handle)
+    assert manifest["command"] == args[0]
+    assert manifest["parameters"] == parameters
+    assert manifest["seed"] == seed
+    inputs = {}
+    for key in given:
+        with open(failure_inputs[key], "rb") as handle:
+            inputs[failure_inputs[key]] = "sha256:" + hashlib.sha256(handle.read()).hexdigest()
+    assert manifest["inputs"] == inputs
+    assert manifest["outputs"][0] == out

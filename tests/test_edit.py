@@ -232,6 +232,12 @@ class TestApplyBlend:
         out = apply_blend(a, b, spec)
         assert np.array_equal(out.imfs, np.broadcast_to([[[3.0], [30.0]]], (2, 2, 50)))
 
+    def test_merge_refuses_channels(self):
+        # a merge acts on every channel, so naming one is a spec error
+        spec = {"operations": [{"kind": "merge", "imfs": [1, 2], "channels": ["ch0"]}]}
+        with pytest.raises(BlendSpecError, match=r"^merge acts on every channel; it takes no "):
+            blend_spec_from_dict(spec)
+
     def test_repeated_selection_applies_twice(self):
         # an IMF or a channel listed twice gets the operation twice, as in a loop
         (a, b), _, _ = self.make_pair()

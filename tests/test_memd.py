@@ -57,8 +57,11 @@ class TestDirectionSet:
     def test_bad_dimension(self):
         with pytest.raises(InvalidValue, match=r"^direction sampling needs at least 2 "):
             direction_set(1, 8)
-        with pytest.raises(InvalidValue, match=r"^count must be >= 2 \* n_dims; got 6 for 4 "):
-            direction_set(4, 6)
+        assert direction_set(4, 6).count == 8
+
+    def test_count_raised_to_two_per_dimension(self):
+        assert np.array_equal(direction_set(4, 6, seed=2).vectors,
+                              direction_set(4, 8, seed=2).vectors)
 
 
 class TestMeanEnvelope:
@@ -166,8 +169,21 @@ class TestMemd:
 
     def test_no_convergence_names_imf_and_sd(self):
         x = stack(100.0, *np.random.default_rng(0).standard_normal((2, 500)))
-        with pytest.raises(NoConvergence, match=r"^IMF 1: .* \(SD \d[\d.e+-]*, threshold 0.01\)$"):
-            memd(x, dirs=direction_set(2, 8, seed=0), sd_threshold=0.01, max_sifts=1)
+        with pytest.raises(NoConvergence,
+                           match=r"^IMF 1: .* within 100 iterations \(SD \d[\d.e+-]*, "
+                                 r"threshold 1e-300\)$"):
+            memd(x, dirs=direction_set(2, 8, seed=0), sd_threshold=1e-300)
+
+    @pytest.mark.parametrize("method, n_channels", [(memd, 33), (na_memd, 32)],
+                             ids=["memd-33", "na_memd-32"])
+    def test_default_directions_raised_to_two_per_dimension(self, method, n_channels):
+        # 33 dimensions either way (na_memd adds one noise channel): 66 directions
+        t = np.arange(200) / 40.0
+        x = stack(40.0, *(30 * np.sin(2 * np.pi * (0.5 + 0.1 * c) * t + c)
+                          for c in range(n_channels)))
+        md = method(x)
+        assert md.n_channels == n_channels
+        assert md.meta["direction_count"] == 66
 
     def test_requires_two_channels(self):
         x = stack(10.0, np.sin(np.linspace(0, 20, 100)))
