@@ -51,7 +51,6 @@ from .mocap_io import (
     apply_channels,
     extract_channels,
     parse_bvh,
-    resample,
     write_bvh,
 )
 from .signal_core import (

@@ -28,6 +28,7 @@ import tempfile
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__, errors
 from .analysis import (
@@ -271,7 +272,8 @@ def _emd_multichannel(series, sd_threshold):
               help="Grid length in seconds (with --bpm)")
 @click.option("--offset", type=float, default=0.0, show_default=True)
 @click.option("--strong-period", type=int, default=4, show_default=True)
-@click.option("--tightness", type=float, default=400.0, show_default=True)
+@click.option("--tightness", type=float, default=400.0, show_default=True,
+              help="Beat tracking's tempo rigidity (with a WAV path)")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_beats(wav_path, bpm, duration, offset, strong_period, tightness, out):
     """Produce a beat grid from audio or from a fixed tempo."""
@@ -280,9 +282,14 @@ def cmd_beats(wav_path, bpm, duration, offset, strong_period, tightness, out):
     if bpm is not None:
         if duration is None:
             raise errors.InvalidValue("--bpm needs --duration")
+        ctx = click.get_current_context()
+        if ctx.get_parameter_source("tightness") is not ParameterSource.DEFAULT:
+            raise errors.InvalidValue("--tightness applies to a WAV path, not to --bpm")
         _check_size(duration * bpm / 60.0, f"--duration {duration:g} at --bpm {bpm:g}")
         grid = fixed_grid(bpm, duration, offset=offset, strong_period=strong_period)
     else:
+        if duration is not None:
+            raise errors.InvalidValue("--duration applies to --bpm, not to a WAV path")
         with _reading(wav_path):
             envelope = onset_envelope(read_wav(wav_path))
         tempo = estimate_tempo(envelope)

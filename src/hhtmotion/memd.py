@@ -183,11 +183,16 @@ def memd(
     check_sd_threshold(sd_threshold)
     if dirs is None:
         dirs = direction_set(x.n_channels)
-    imfs, trend = _sift(
-        x.samples,
-        lambda c, settled: None if settled else _mean_envelope_matrix(c, dirs),
-        sd_threshold,
-    )
+
+    def step(c, settled):
+        if settled:
+            return None
+        try:
+            return _mean_envelope_matrix(c, dirs)
+        except TooFewExtrema:  # kept as an IMF: MEMD has no mode test
+            return None
+
+    imfs, trend = _sift(x.samples, step, sd_threshold)
     return Decomposition(
         imfs=np.ascontiguousarray(imfs.transpose(1, 0, 2)),
         trend=trend,

@@ -1,4 +1,4 @@
-"""BVH motion-capture parsing, writing, channel extraction, and resampling.
+"""BVH motion-capture parsing, writing, and channel extraction.
 
 The parser accepts the usual HIERARCHY/MOTION layout with ROOT, nested
 JOINT, and End Site blocks.  Joint-angle channels are exposed as continuous
@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChannelError, InputError, InvalidValue
+from .errors import ChannelError, InputError
 from .signal_core import TimeSeries, require_form
-from .spline import cubic_spline
 
 __all__ = [
     "Joint",
@@ -24,7 +23,6 @@ __all__ = [
     "write_bvh",
     "extract_channels",
     "apply_channels",
-    "resample",
     "unwrap_degrees",
     "wrap_degrees",
 ]
@@ -136,87 +134,60 @@ def wrap_degrees(values: np.ndarray) -> np.ndarray:
 # parsing
 
 
-class _Tokens:
-    """Whitespace-separated tokens of BVH text, split a line at a time.
+def _line_of(text, index):
+    """Line of token ``index`` of ``text.split()`` as :meth:`str.splitlines`
+    counts lines (each of its breaks is whitespace to ``split``); past the
+    last token, the last token's line; 0 when there are no tokens."""
+    line = 0
+    for number, words in enumerate(text.splitlines(), 1):
+        count = len(words.split())
+        if count:
+            index -= count
+            line = number
+            if index < 0:
+                break
+    return line
 
-    Only the lines the header needs are split; :meth:`rest` hands over every
-    token after the current one.  Line numbers count as
-    :meth:`str.splitlines` does.
-    """
+
+class _Tokens:
+    """BVH text split once into tokens, and the position of the next one;
+    a line is counted only for an error message."""
 
     def __init__(self, text):
-        self.lines = text.splitlines()
-        # lines split so far; ``words`` and the token handed out last come
-        # from the last of them
-        self.line_no = 0
-        self.words = []
+        self.text = text
+        self.words = text.split()
         self.pos = 0
-        self.token_line = 0  # line of the next token, else of the last one
 
-    def _fill(self):
-        """Split lines until a token is waiting; False at the end of the text."""
-        while self.pos >= len(self.words):
-            if self.line_no == len(self.lines):
-                return False
-            self.words = self.lines[self.line_no].split()
-            self.pos = 0
-            self.line_no += 1
-            if self.words:
-                self.token_line = self.line_no
-        return True
-
-    @property
-    def line(self):
-        self._fill()
-        return self.token_line
+    def line(self, offset=0):
+        """Line of token ``pos + offset``: by default the next token's."""
+        return _line_of(self.text, self.pos + offset)
 
     def peek(self):
-        return self.words[self.pos] if self._fill() else None
+        return self.words[self.pos] if self.pos < len(self.words) else None
 
     def next(self, expected=None):
         token = self.peek()
         if token is None:
-            raise InputError(f"line {self.line}: expected {expected or 'more input'}")
+            raise InputError(f"line {self.line()}: expected {expected or 'more input'}")
         self.pos += 1
         return token
 
     def expect(self, literal):
-        token = self.next(expected=repr(literal))
-        if token != literal:
-            raise InputError(f"line {self.line_no}: expected {literal!r}")
-        return token
+        if self.next(expected=repr(literal)) != literal:
+            raise InputError(f"line {self.line(-1)}: expected {literal!r}")
 
-    def number(self, what="a number"):
+    def parse(self, kind, what):
+        """The next token read by ``kind`` (``int`` or ``float``)."""
         token = self.next(expected=what)
         try:
-            return float(token)
+            return kind(token)
         except ValueError:
-            raise InputError(f"line {self.line_no}: expected {what}") from None
-
-    def integer(self, what="an integer"):
-        token = self.next(expected=what)
-        try:
-            return int(token)
-        except ValueError:
-            raise InputError(f"line {self.line_no}: expected {what}") from None
-
-    def rest(self):
-        """Every token not handed out yet, in order."""
-        return self.words[self.pos:] + "\n".join(self.lines[self.line_no:]).split()
-
-    def line_of(self, index):
-        """Line of token ``index`` of :meth:`rest`; counts lines only when asked."""
-        index -= len(self.words) - self.pos
-        line_no = self.line_no
-        while index >= 0:
-            index -= len(self.lines[line_no].split())
-            line_no += 1
-        return line_no
+            raise InputError(f"line {self.line(-1)}: expected {what}") from None
 
 
 def _parse_offset(tokens):
     tokens.expect("OFFSET")
-    return np.array([tokens.number("offset value") for _ in range(3)])
+    return np.array([tokens.parse(float, "offset value") for _ in range(3)])
 
 
 def _parse_joint(tokens, names_seen):
@@ -229,13 +200,13 @@ def _parse_joint(tokens, names_seen):
     channels = []
     if tokens.peek() == "CHANNELS":
         tokens.next()
-        count = tokens.integer("channel count")
+        count = tokens.parse(int, "channel count")
         if count not in (0, 3, 6):
-            raise InputError(f"line {tokens.line}: expected channel count 0, 3, or 6")
+            raise InputError(f"line {tokens.line()}: expected channel count 0, 3, or 6")
         for _ in range(count):
             ch = tokens.next(expected="channel name")
             if ch not in CHANNEL_NAMES:
-                raise InputError(f"line {tokens.line}: {ch}")
+                raise InputError(f"line {tokens.line()}: {ch}")
             channels.append(ch)
     joint = Joint(name=name, offset=offset, channels=channels)
     while True:
@@ -253,15 +224,7 @@ def _parse_joint(tokens, names_seen):
             tokens.next()
             return joint
         else:
-            raise InputError(f"line {tokens.line}: expected 'JOINT', 'End Site', or '}}'")
-
-
-def _is_number(word):
-    try:
-        float(word)
-    except ValueError:
-        return False
-    return True
+            raise InputError(f"line {tokens.line()}: expected 'JOINT', 'End Site', or '}}'")
 
 
 def parse_bvh(text: str) -> MotionClip:
@@ -277,35 +240,31 @@ def parse_bvh(text: str) -> MotionClip:
     tokens = _Tokens(text)
     tokens.expect("HIERARCHY")
     tokens.expect("ROOT")
-    names_seen = {}
-    root = _parse_joint(tokens, names_seen)
-    skeleton = Skeleton(root=root)
+    skeleton = Skeleton(root=_parse_joint(tokens, {}))
     if tokens.peek() == "ROOT":
-        raise InputError(f"line {tokens.line}: expected a single ROOT")
+        raise InputError(f"line {tokens.line()}: expected a single ROOT")
     width = skeleton.total_channels
     if width == 0:
-        raise InputError(f"line {tokens.line}: expected a joint that declares channels")
+        raise InputError(f"line {tokens.line()}: expected a joint that declares channels")
     tokens.expect("MOTION")
     tokens.expect("Frames:")
-    line = tokens.line
-    frame_count = tokens.integer("frame count")
+    frame_count = tokens.parse(int, "frame count")
     if frame_count < 2:
-        raise InputError(f"line {line}: expected a frame count of at least 2")
+        raise InputError(f"line {tokens.line(-1)}: expected a frame count of at least 2")
     tokens.expect("Frame")
     tokens.expect("Time:")
-    line = tokens.line
-    frame_time = tokens.number("frame time")
+    frame_time = tokens.parse(float, "frame time")
     if not 0.0 < frame_time < float("inf"):
-        raise InputError(f"line {line}: expected a positive frame time")
+        raise InputError(f"line {tokens.line(-1)}: expected a positive frame time")
 
-    words = tokens.rest()
+    words = tokens.words[tokens.pos:]
     try:
         values = np.array(list(map(float, words)))
     except ValueError:
-        bad = next(i for i, word in enumerate(words) if not _is_number(word))
-        raise InputError(f"line {tokens.line_of(bad)}: expected a channel value") from None
+        for _ in words:  # read again one at a time: the first value float rejects raises
+            tokens.parse(float, "a channel value")
     if len(values) % width != 0:
-        last = tokens.line_of(len(words) - 1)
+        last = tokens.line(len(words) - 1)
         raise InputError(f"line {last}: expected rows of {width} channel values")
     frames = values.reshape(-1, width)
     if frames.shape[0] != frame_count:
@@ -395,26 +354,3 @@ def apply_channels(clip: MotionClip, series: TimeSeries) -> MotionClip:
         col = clip.column(label)
         frames[:, col] = wrap_degrees(values) if _is_rotation(label) else values
     return MotionClip(skeleton=clip.skeleton, frames=frames, frame_time=clip.frame_time)
-
-
-def resample(clip: MotionClip, target_fps: float) -> MotionClip:
-    """Channelwise cubic resampling onto a uniform grid of the same duration.
-
-    Rotations are interpolated on their unwrapped values and wrapped back to
-    (-180, 180]; positions are interpolated raw.
-    """
-    if not 0 < target_fps < np.inf:
-        raise InvalidValue(f"target_fps must be a positive number, got {target_fps}")
-    n_in = clip.frame_count
-    n_out = max(2, int(round(clip.duration * target_fps)))
-    t_in = np.arange(n_in) * clip.frame_time
-    t_out = np.arange(n_out) / target_fps
-    rotation = np.array([_is_rotation(label) for label in clip.skeleton.channel_labels()])
-    columns = clip.frames.T.copy()
-    for col in np.flatnonzero(rotation):
-        columns[col] = unwrap_degrees(columns[col])
-    out = cubic_spline(t_in, columns, t_out)
-    out[rotation] = wrap_degrees(out[rotation])
-    return MotionClip(
-        skeleton=clip.skeleton, frames=out.T, frame_time=1.0 / target_fps
-    )

@@ -449,9 +449,18 @@ MAX_IMFS = 16
 
 def _emd_step(c: np.ndarray, settled: bool):
     """EMD's sift step: None when ``c`` is settled and meets the IMF criteria
-    (tolerance ``_SIFT_MEAN_TOL``), else its envelope mean."""
+    (tolerance ``_SIFT_MEAN_TOL``), else its envelope mean.  When ``c`` can
+    no longer be enveloped it is accepted only if it meets the criteria at
+    ``MEAN_ENV_TOL``, as :func:`imf_check` judges it; otherwise
+    :class:`TooFewExtrema` propagates."""
     maxima, minima = _extrema(c)
-    mean_env = _mean_envelope(c, maxima, minima)
+    try:
+        mean_env = _mean_envelope(c, maxima, minima)
+    except TooFewExtrema:
+        report = _criteria(c, maxima, minima, None, MEAN_ENV_TOL)
+        if report.count_ok and report.mean_ok:
+            return None
+        raise
     if settled:
         report = _criteria(c, maxima, minima, mean_env, _SIFT_MEAN_TOL)
         if report.count_ok and report.mean_ok:
@@ -466,11 +475,10 @@ def _sift(residual, step, sd_threshold):
     or None to accept ``c`` as an IMF; ``settled`` tells it whether the
     iterate-to-iterate change (SD) is below ``sd_threshold``, and a method
     with no mode test of its own returns None on that alone.  ``step`` raises
-    :class:`TooFewExtrema` when ``c`` cannot be enveloped, and such an
-    iterate is accepted as it is.  Decomposition ends when the residual
-    cannot be enveloped at all, has decayed to rounding dust, or
-    ``MAX_IMFS`` IMFs are out; the residual is the trend.  ``imfs`` stacks
-    the IMFs along a new first axis.
+    :class:`TooFewExtrema` when ``c`` can neither be enveloped nor accepted.
+    Decomposition ends then, or when the residual cannot be sifted once, has
+    decayed to rounding dust, or ``MAX_IMFS`` IMFs are out; the residual is
+    the trend.  ``imfs`` stacks the IMFs along a new first axis.
     """
     residual = residual.copy()
     scale = np.max(np.abs(residual))
@@ -481,7 +489,8 @@ def _sift(residual, step, sd_threshold):
         for _ in range(MAX_SIFTS):
             try:
                 mean_env = step(c, sd < sd_threshold)
-            except TooFewExtrema:
+            except TooFewExtrema:  # no IMF: the iterate stays in the trend
+                c = residual
                 break
             if mean_env is None:
                 break

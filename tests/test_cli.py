@@ -734,6 +734,11 @@ FAILURES = {
     "strong-period-0": (64, lambda f: ["beats", "--bpm", "120", "--duration", "5",
                                        "--strong-period", "0", "--out", f["out"]]),
     "wav-100-samples": (2, lambda f: ["beats", f["wav_100_samples"], "--out", f["out"]]),
+    # options that the chosen beat source would ignore
+    "duration-with-wav": (64, lambda f: ["beats", f["clicks_wav"], "--duration", "2",
+                                         "--out", f["out"]]),
+    "tightness-with-bpm": (64, lambda f: ["beats", "--bpm", "120", "--duration", "5",
+                                          "--tightness", "400", "--out", f["out"]]),
     "wav-1-hz": (2, lambda f: ["beats", f["wav_1_hz"], "--out", f["out"]]),
     "decompose-out-missing-dir": (64, lambda f: _decompose(f, out="missing_dir")),
     "beats-out-missing-dir": (64, lambda f: ["beats", "--bpm", "120", "--duration", "5",

@@ -11,7 +11,6 @@ from hhtmotion.mocap_io import (
     apply_channels,
     extract_channels,
     parse_bvh,
-    resample,
     unwrap_degrees,
     wrap_degrees,
     write_bvh,
@@ -211,6 +210,45 @@ def test_malformed_motion_block(text, message):
     assert str(exc.value) == message
 
 
+# MINI_BVH's lines with one defect each, the one of them the error names and
+# the message's text; each message is the one the line-by-line token scanner gave
+MINI_LINES = MINI_BVH.splitlines()
+MALFORMED_HEADER = {
+    "channel count 7": (
+        [line.replace("CHANNELS 6", "CHANNELS 7") for line in MINI_LINES],
+        5, "expected channel count 0, 3, or 6"),
+    "unknown channel name": (
+        [line.replace("Xrotation", "Wrotation") for line in MINI_LINES], 5, "Wrotation"),
+    "missing {": (MINI_LINES[:2] + MINI_LINES[3:], 3, "expected '{'"),
+    "a second ROOT": (
+        MINI_LINES[:10] + ["ROOT chest"] + MINI_LINES[11:], 11, "expected a single ROOT"),
+    "no channels": (
+        MINI_LINES[:4] + ["CHANNELS 0"] + MINI_LINES[5:],
+        11, "expected a joint that declares channels"),
+    "Frames: 1": (
+        [line.replace("Frames: 2", "Frames: 1") for line in MINI_LINES],
+        12, "expected a frame count of at least 2"),
+    "a bad frame time": (
+        [line.replace("0.025000", "0") for line in MINI_LINES],
+        13, "expected a positive frame time"),
+    "text cut off mid-header": (MINI_LINES[:11] + ["Frames:"], 12, "expected frame count"),
+}
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\x85", " "], ids=repr)
+@pytest.mark.parametrize("lines, line, message", MALFORMED_HEADER.values(),
+                         ids=list(MALFORMED_HEADER))
+def test_malformed_header_names_its_line(lines, line, message, brk):
+    # a blank line before the first line and one before the eleventh move
+    # the line down by one or two; with " " for a break all is on line 1
+    text = brk + brk.join(lines[:10]) + brk + brk + brk.join(lines[10:]) + brk
+    line = 1 if brk == " " else line + 1 if line <= 10 else line + 2
+    with pytest.raises(InputError) as exc:
+        parse_bvh(text)
+    assert type(exc.value) is InputError
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 class TestWrapping:
     def test_unwrap_single_jump(self):
         assert list(unwrap_degrees([179.0, -179.0, -177.0])) == [179.0, 181.0, 183.0]
@@ -306,51 +344,3 @@ class TestExtractApply:
                             labels=["nope.Xrotation"])
         with pytest.raises(ChannelError, match=r"^unknown channel: nope\.Xrotation$"):
             apply_channels(clip, series)
-
-
-class TestResample:
-    def test_identity(self):
-        t = np.arange(120) / 40.0
-        clip = parse_bvh(bvh_text({"hips.Xrotation": 90 * np.sin(t)}))
-        out = resample(clip, 40.0)
-        assert out.frame_count == clip.frame_count
-        assert np.allclose(out.frames, clip.frames, atol=1e-9)
-
-    def test_constant_clip(self):
-        clip = parse_bvh(
-            bvh_text({"hips.Xrotation": np.full(60, 42.0)}, frame_time=1 / 30)
-        )
-        out = resample(clip, 40.0)
-        assert np.allclose(
-            out.frames[:, clip.column("hips.Xrotation")], 42.0, atol=1e-9
-        )
-
-    def test_sinusoid_30_to_40(self):
-        # 91 frames: the 40 fps grid lands exactly on the 30 fps span; sample
-        # on the quantized frame_time the BVH text actually declares
-        frame_time = float("0.033333")
-        t30 = np.arange(91) * frame_time
-        clip = parse_bvh(
-            bvh_text(
-                {"hips.Xrotation": 30 * np.sin(2 * np.pi * 1.0 * t30)},
-                frame_time=frame_time,
-            )
-        )
-        out = resample(clip, 40.0)
-        t40 = np.arange(out.frame_count) / 40.0
-        expected = 30 * np.sin(2 * np.pi * 1.0 * t40)
-        got = out.frames[:, out.column("hips.Xrotation")]
-        assert np.max(np.abs(got - expected)) < 1e-3
-
-    @pytest.mark.parametrize("fps_pair", [(30.0, 40.0), (40.0, 30.0), (40.0, 25.0)])
-    def test_duration_preserved(self, fps_pair):
-        fps_in, fps_out = fps_pair
-        n = 173
-        clip = parse_bvh(
-            bvh_text(
-                {"hips.Xrotation": np.sin(np.arange(n) / 7.0)},
-                frame_time=1.0 / fps_in,
-            )
-        )
-        out = resample(clip, fps_out)
-        assert abs(out.duration - clip.duration) <= 1.0 / fps_out + 1e-12

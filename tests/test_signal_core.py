@@ -411,13 +411,17 @@ class TestEmd:
         assert err < 1e-8 * np.max(np.abs(x.samples))
 
     def test_every_imf_passes_check(self):
-        rng = np.random.default_rng(7)
-        x = TimeSeries(rng.standard_normal(1200), 100.0)
-        d = emd(x)
-        for c in d.imfs:
-            report = imf_check(TimeSeries(c, d.rate))
-            assert report.count_ok
-            assert report.mean_env_rms <= 0.1 * rms(c)
+        # in seeds 38, 76 and 96 a candidate runs out of extrema and fails the
+        # check: it stays in the trend
+        for seed, n in [(7, 1200), (38, 1800), (76, 1800), (96, 1800)]:
+            x = TimeSeries(np.random.default_rng(seed).standard_normal(n), 100.0)
+            d = emd(x)
+            for c in d.imfs:
+                report = imf_check(TimeSeries(c, d.rate))
+                assert report.count_ok
+                assert report.mean_env_rms <= 0.1 * rms(c)
+            err = np.max(np.abs(x.samples - d.reconstruct()))
+            assert err < 1e-12 * np.max(np.abs(x.samples))
 
     def test_determinism(self):
         rng = np.random.default_rng(3)

@@ -10,15 +10,12 @@ import pytest
 interpolate = pytest.importorskip("scipy.interpolate")
 special = pytest.importorskip("scipy.special")
 
-from helpers import bvh_text  # noqa: E402
-
 from hhtmotion.edit import align  # noqa: E402
 from hhtmotion.memd import (  # noqa: E402
     _primes,
     _radical_inverse,
     direction_set,
 )
-from hhtmotion.mocap_io import parse_bvh, resample, unwrap_degrees, wrap_degrees  # noqa: E402
 from hhtmotion.signal_core import Decomposition, _extrema  # noqa: E402
 from hhtmotion.spline import cubic_spline, mirrored_envelopes  # noqa: E402
 
@@ -129,29 +126,3 @@ def test_align_matches_per_series_fits():
         for series, got in zip(list(src.imfs) + [src.trend], list(out.imfs) + [out.trend]):
             want = interpolate.CubicSpline(t_in, series)(times_out)
             assert_close(got, want, np.max(np.abs(series)))
-
-
-def test_resample_matches_per_column_fits():
-    n, fps = 300, 40.0
-    t = np.arange(n) / fps
-    clip = parse_bvh(bvh_text(
-        {
-            "hips.Zrotation": 170.0 + 30.0 * np.sin(2 * np.pi * 0.7 * t),  # crosses +-180
-            "hips.Xrotation": 20.0 * np.sin(2 * np.pi * 2.0 * t),
-            "chest.Yrotation": 45.0 * np.cos(2 * np.pi * 0.3 * t),
-            "hips.Xposition": np.sin(t),
-            "hips.Yposition": 90.0 + t,
-        },
-        frame_time=1.0 / fps,
-    ))
-    out = resample(clip, 55.0)
-    t_in = np.arange(n) * clip.frame_time
-    t_out = np.arange(out.frame_count) / 55.0
-    for col, label in enumerate(clip.skeleton.channel_labels()):
-        series = clip.frames[:, col]
-        if label.endswith("rotation"):
-            want = wrap_degrees(interpolate.CubicSpline(t_in, unwrap_degrees(series))(t_out))
-        else:
-            want = interpolate.CubicSpline(t_in, series)(t_out)
-        diff = np.abs(out.frames[:, col] - want)
-        assert np.max(np.minimum(diff, 360.0 - diff)) <= TOL * max(180.0, np.max(np.abs(series)))
