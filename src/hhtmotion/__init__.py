@@ -23,7 +23,6 @@ from .analysis import (
 )
 from .beat import (
     BeatGrid,
-    Segment,
     estimate_tempo,
     fixed_grid,
     onset_envelope,
@@ -39,7 +38,6 @@ from .edit import (
     synthesize_clip,
 )
 from .memd import (
-    DirectionSet,
     direction_set,
     memd,
     multivariate_mean_envelope,
@@ -56,9 +54,7 @@ from .mocap_io import (
 from .signal_core import (
     AnalyticSignal,
     Decomposition,
-    EnvelopePair,
     ImfReport,
-    InstantAttributes,
     TimeSeries,
     analytic_signal,
     emd,

@@ -9,7 +9,6 @@ frequencies, and outlier-IMF flagging.
 from __future__ import annotations
 
 import io
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ from .signal_core import (
     instantaneous_attributes,
     require_form,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "HilbertSpectrum",
@@ -100,14 +97,13 @@ class Summary:
 
 
 def _imf_attributes(samples: np.ndarray, rate: float):
-    """Amplitude/frequency of one IMF, or None when it carries no signal."""
+    """``(amplitude, frequency)`` of one IMF, or None when it carries no signal."""
     if samples.size < 4 or not np.any(samples):
         return None
     try:
-        att = instantaneous_attributes(analytic_signal(TimeSeries(samples, rate)))
+        return instantaneous_attributes(analytic_signal(TimeSeries(samples, rate)))
     except DegenerateSignal:
         return None
-    return att
 
 
 def hilbert_spectrum(
@@ -140,10 +136,11 @@ def hilbert_spectrum(
         att = _imf_attributes(samples, d.rate)
         if att is None:
             continue
-        a2 = np.square(att.amplitude)
-        in_range = (att.frequency >= 0.0) & (att.frequency <= freq_max)
+        amplitude, frequency = att
+        a2 = np.square(amplitude)
+        in_range = (frequency >= 0.0) & (frequency <= freq_max)
         overflow += float(np.sum(a2[~in_range]))
-        f_idx = np.minimum((att.frequency[in_range] / width).astype(int), freq_bins - 1)
+        f_idx = np.minimum((frequency[in_range] / width).astype(int), freq_bins - 1)
         np.add.at(energy, (t_idx[in_range], f_idx), a2[in_range])
     return HilbertSpectrum(
         time_bins=time_edges, freq_bins=freq_edges, energy=energy, overflow=overflow
@@ -155,16 +152,13 @@ def wafa(d: Decomposition, segments=None) -> WafaReport:
     and overall.
 
     Weighted mean = sum(A^2 f) / sum(A^2) over samples with positive
-    frequency and non-negligible amplitude.  ``segments`` is a list of
-    objects with half-open ``start_frame``/``end_frame`` spans; None means
-    one whole-clip segment.
+    frequency and non-negligible amplitude.  ``segments`` lists half-open
+    ``(start, end)`` frame pairs, as :func:`segment_by_beats` returns them;
+    None means one whole-clip segment.
     """
     require_form(d, False, "wafa")
     n = d.trend.size
-    if segments is None:
-        spans = [(0, n)]
-    else:
-        spans = [(s.start_frame, s.end_frame) for s in segments]
+    spans = [(0, n)] if segments is None else segments
 
     n_imfs = d.imf_count
     per_seg = np.zeros((n_imfs, len(spans)))
@@ -181,9 +175,10 @@ def wafa(d: Decomposition, segments=None) -> WafaReport:
             for col in range(len(spans)):
                 empty_cells.append((row, col))
             continue
-        amp_floor = _AMP_FLOOR * float(np.max(att.amplitude))
-        valid = (att.frequency > 0.0) & (att.amplitude > amp_floor)
-        weights = np.square(att.amplitude)
+        amplitude, frequency = att
+        amp_floor = _AMP_FLOOR * float(np.max(amplitude))
+        valid = (frequency > 0.0) & (amplitude > amp_floor)
+        weights = np.square(amplitude)
         excluded += int(np.count_nonzero(~valid))
         total += n
 
@@ -192,7 +187,7 @@ def wafa(d: Decomposition, segments=None) -> WafaReport:
             denom = float(np.sum(weights[good]))
             if denom <= 0.0:
                 return None
-            return float(np.sum(weights[good] * att.frequency[good]) / denom)
+            return float(np.sum(weights[good] * frequency[good]) / denom)
 
         for col, (lo, hi) in enumerate(spans):
             mask = np.zeros(n, dtype=bool)
@@ -285,8 +280,8 @@ def detect_singular_imfs(report: WafaReport) -> list:
     IMF is flagged when a pairwise violation exceeds factor 1.5 *and* its
     neighbors are consistent without it (removing it locally restores the
     descending order), which pins the blame on the outlier rather than its
-    neighbors.  Mild order violations within the factor are logged, not
-    flagged.  Returns 1-based IMF numbers.
+    neighbors.  Milder order violations are not flagged; the frequencies
+    themselves are in the report.  Returns 1-based IMF numbers.
     """
     freqs = np.asarray(report.per_imf_overall, dtype=float)
     if freqs.size < 4:
@@ -299,13 +294,6 @@ def detect_singular_imfs(report: WafaReport) -> list:
         spike_down = f < f_next / 1.5 and neighbors_consistent
         if spike_up or spike_down:
             flagged.append(i + 1)
-        elif f > f_prev:
-            logger.warning(
-                "IMF %d breaks descending frequency order (%.3g > %.3g) within factor",
-                i + 1,
-                f,
-                f_prev,
-            )
     return flagged
 
 

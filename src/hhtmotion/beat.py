@@ -19,7 +19,6 @@ from .signal_core import TimeSeries, finite_array, is_number, require_form
 
 __all__ = [
     "BeatGrid",
-    "Segment",
     "fixed_grid",
     "onset_envelope",
     "estimate_tempo",
@@ -65,15 +64,6 @@ class BeatGrid:
 
     def __len__(self):
         return self.beats.size
-
-
-@dataclass
-class Segment:
-    """Half-open frame span [start_frame, end_frame) beginning at a beat."""
-
-    start_frame: int
-    end_frame: int
-    start_beat: int
 
 
 def _strong_flags(count, period):
@@ -277,11 +267,12 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
 
 
 def segment_by_beats(frame_count: int, rate: float, grid: BeatGrid,
-                     beats_per_segment: int = 1):
+                     beats_per_segment: int = 1) -> list:
     """Cut ``frame_count`` frames at ``rate`` into spans between beat groups.
 
-    Beat times are converted to frame indices by nearest-frame rounding;
-    groups that poke outside the clip are dropped.  Raises
+    Returns half-open ``(start, end)`` frame pairs, each from the first beat
+    of its group.  Beat times are converted to frame indices by nearest-frame
+    rounding; groups that poke outside the clip are dropped.  Raises
     :class:`ChannelError` when no beat falls inside the clip.
     """
     if beats_per_segment < 1:
@@ -295,8 +286,7 @@ def segment_by_beats(frame_count: int, rate: float, grid: BeatGrid,
         hi = frames[start + beats_per_segment]
         if lo < 0 or hi > frame_count or hi <= lo:
             continue
-        segments.append(Segment(start_frame=int(lo), end_frame=int(hi),
-                                start_beat=start))
+        segments.append((int(lo), int(hi)))
     return segments
 
 

@@ -43,12 +43,13 @@ class BlendOp:
     """One editing step.
 
     ``imfs`` lists 1-based IMF numbers (1 = highest frequency); None means
-    all.  ``channels`` lists channel labels; None means all, the only value
+    all, the only value ``trend_exchange`` takes, since it moves trends.
+    ``channels`` lists channel labels; None means all, the only value
     ``merge`` takes, since it acts on every channel.  ``alpha`` is
     the blend weight (share of the working copy, in [0, 1]) and doubles as
-    the multiplier for ``scale``.  ``source`` picks the donor side for swap,
-    blend, and trend_exchange: "b" (default) or "a" for the unedited
-    original.
+    the multiplier for ``scale``; the other kinds take None.  ``source``
+    picks the donor side for swap, blend, and trend_exchange: "b" (default)
+    or "a" for the unedited original.
     """
 
     kind: str
@@ -77,6 +78,10 @@ class BlendOp:
             raise BlendSpecError("merge needs at least two IMF indices")
         if self.kind == "merge" and self.channels is not None:
             raise BlendSpecError("merge acts on every channel; it takes no channels")
+        if self.alpha is not None and self.kind not in ("scale", "blend"):
+            raise BlendSpecError(f"{self.kind} takes no alpha; only scale and blend do")
+        if self.kind == "trend_exchange" and self.imfs is not None:
+            raise BlendSpecError("trend_exchange moves trends; it takes no imfs")
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +222,10 @@ def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decompo
             continue
         channels = _channel_indices(a.labels, op.channels)
         donor = donors[op.source]
-        rows = _imf_rows(op.imfs, imfs.shape[-2])
         if op.kind == "trend_exchange":
             trend[channels] = donor.trend[channels]
             continue
+        rows = _imf_rows(op.imfs, imfs.shape[-2])
         for cells in _passes(channels, rows):
             if op.kind == "scale":
                 imfs[cells] = imfs[cells] * op.alpha

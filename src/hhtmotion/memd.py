@@ -14,7 +14,6 @@ sifting toward its dyadic filter-bank behavior and suppresses mode mixing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -34,7 +33,6 @@ from .signal_core import (
 from .spline import mirrored_envelopes
 
 __all__ = [
-    "DirectionSet",
     "direction_set",
     "multivariate_mean_envelope",
     "memd",
@@ -42,23 +40,6 @@ __all__ = [
     "multivariate_to_dict",
     "multivariate_from_dict",
 ]
-
-
-@dataclass
-class DirectionSet:
-    """Unit vectors sampling the (n-1)-sphere for envelope projections, one per row."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("direction vectors must have unit norm")
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +73,9 @@ def _philox(seed):
     return np.random.Philox(key=seed)
 
 
-def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
-    """Low-discrepancy unit directions in ``n_dims`` dimensions.
+def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> np.ndarray:
+    """Low-discrepancy unit directions in ``n_dims`` dimensions, one per row
+    of a (count, n_dims) float64 array.
 
     ``count`` is raised to ``2 * n_dims`` when below that, so that every
     dimension has at least two directions.  A Hammersley point set on the
@@ -115,8 +97,7 @@ def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
     points = np.clip(points, 1e-12, 1.0 - 1e-12)
     inv_cdf = NormalDist().inv_cdf
     gauss = np.array([inv_cdf(p) for p in points.ravel()]).reshape(points.shape)
-    vectors = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-    return DirectionSet(vectors=vectors)
+    return gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +110,14 @@ def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> DirectionSet:
 _DIRECTION_BLOCK = 16
 
 
-def _mean_envelope_matrix(samples: np.ndarray, dirs: DirectionSet) -> np.ndarray:
-    if dirs.vectors.shape[1] != samples.shape[0]:
+def _mean_envelope_matrix(samples: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    if dirs.ndim != 2 or len(dirs) == 0 or dirs.shape[1] != samples.shape[0]:
         raise InvalidValue(
-            f"direction set is {dirs.vectors.shape[1]}-dimensional, "
-            f"signal has {samples.shape[0]} channels"
+            f"direction set is shaped {dirs.shape}, signal has {samples.shape[0]} channels"
         )
     # the (samples, directions) operand order fixes the projections' last bits,
     # and with them which samples are extrema: archives stay byte-identical
-    projections = samples.T @ dirs.vectors.T
+    projections = samples.T @ dirs.T
     maxima = []
     for k, projection in enumerate(projections.T):
         idx, _ = _extrema(projection)
@@ -145,44 +125,47 @@ def _mean_envelope_matrix(samples: np.ndarray, dirs: DirectionSet) -> np.ndarray
             raise TooFewExtrema(f"projection {k} has {idx.size} maxima", direction=k)
         maxima.append(idx)
     total = np.zeros_like(samples)
-    for lo in range(0, dirs.count, _DIRECTION_BLOCK):
+    for lo in range(0, len(dirs), _DIRECTION_BLOCK):
         for envelope in mirrored_envelopes(maxima[lo : lo + _DIRECTION_BLOCK], samples):
             total += envelope
-    return total / dirs.count
+    return total / len(dirs)
 
 
-def multivariate_mean_envelope(x: TimeSeries, dirs: DirectionSet) -> TimeSeries:
-    """Average of the directional envelopes of ``x`` over all directions.
+def multivariate_mean_envelope(x: TimeSeries, dirs: np.ndarray) -> TimeSeries:
+    """Average of the directional envelopes of ``x`` over the rows of ``dirs``.
 
-    For each direction the channels are projected onto it, the projection
-    maxima located, and the full vector samples spline-interpolated at those
-    positions (componentwise natural cubic, mirrored boundary).  Raises
+    ``dirs`` is a (count, channels) array, as :func:`direction_set` returns
+    it; a direction's length does not matter, only where its projection
+    peaks.  For each direction the channels are projected onto it, the
+    projection maxima located, and the full vector samples
+    spline-interpolated at those positions (componentwise natural cubic,
+    mirrored boundary).  Raises
     :class:`TooFewExtrema` naming the first direction whose projection has
     fewer than two maxima.
     """
     require_form(x, True, "multivariate_mean_envelope")
-    env = _mean_envelope_matrix(x.samples, dirs)
+    env = _mean_envelope_matrix(x.samples, np.asarray(dirs, dtype=np.float64))
     return TimeSeries(env, x.rate, labels=x.labels)
 
 
 def memd(
     x: TimeSeries,
-    dirs: DirectionSet | None = None,
+    dirs: np.ndarray | None = None,
     sd_threshold: float = 0.25,
 ) -> Decomposition:
     """Jointly decompose all channels of ``x`` into mode-aligned IMFs.
 
     Sifting follows the univariate scheme with the multivariate mean
-    envelope; the stopping measure sums the normalized squared change across
-    channels and samples, and an IMF is accepted on it alone, with no
-    per-channel mode test.  All channels yield the same IMF count by
-    construction.
+    envelope over ``dirs``, a (count, channels) array that defaults to
+    ``direction_set(x.n_channels)``; the stopping measure sums the normalized
+    squared change across channels and samples, and an IMF is accepted on it
+    alone, with no per-channel mode test.  All channels yield the same IMF
+    count by construction.
     """
     if x.n_channels < 2:
         raise InvalidValue("multivariate decomposition needs >= 2 channels")
     check_sd_threshold(sd_threshold)
-    if dirs is None:
-        dirs = direction_set(x.n_channels)
+    dirs = direction_set(x.n_channels) if dirs is None else np.asarray(dirs, dtype=np.float64)
 
     def step(c, settled):
         if settled:
@@ -198,7 +181,7 @@ def memd(
         trend=trend,
         rate=x.rate,
         labels=list(x.labels),
-        meta=_sift_meta("memd", sd_threshold, direction_count=dirs.count),
+        meta=_sift_meta("memd", sd_threshold, direction_count=len(dirs)),
     )
 
 
@@ -207,7 +190,7 @@ def na_memd(
     noise_channels: int = 1,
     noise_pct: float = 0.09,
     seed: int = 0,
-    dirs: DirectionSet | None = None,
+    dirs: np.ndarray | None = None,
     sd_threshold: float = 0.25,
 ) -> Decomposition:
     """Noise-assisted variant: decompose with extra white-noise channels.
@@ -216,7 +199,8 @@ def na_memd(
     standard deviation is ``noise_pct`` times the mean channel RMS (8-10% of
     the signal works well in practice), runs :func:`memd` on the extended
     signal, and strips the noise channels from the result.  Each noise
-    channel draws from its own counter-based stream keyed by ``seed``.
+    channel draws from its own counter-based stream keyed by ``seed``, and
+    ``dirs`` has a column for each of them too.
     """
     require_form(x, True, "na_memd")
     if not 0.0 < noise_pct < 1.0:

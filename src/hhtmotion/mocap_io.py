@@ -202,11 +202,11 @@ def _parse_joint(tokens, names_seen):
         tokens.next()
         count = tokens.parse(int, "channel count")
         if count not in (0, 3, 6):
-            raise InputError(f"line {tokens.line()}: expected channel count 0, 3, or 6")
+            raise InputError(f"line {tokens.line(-1)}: expected channel count 0, 3, or 6")
         for _ in range(count):
             ch = tokens.next(expected="channel name")
             if ch not in CHANNEL_NAMES:
-                raise InputError(f"line {tokens.line()}: {ch}")
+                raise InputError(f"line {tokens.line(-1)}: {ch}")
             channels.append(ch)
     joint = Joint(name=name, offset=offset, channels=channels)
     while True:

@@ -28,8 +28,6 @@ from .spline import mirrored_envelopes
 __all__ = [
     "TimeSeries",
     "AnalyticSignal",
-    "InstantAttributes",
-    "EnvelopePair",
     "Decomposition",
     "ImfReport",
     "analytic_signal",
@@ -149,22 +147,6 @@ class AnalyticSignal:
 
 
 @dataclass
-class InstantAttributes:
-    """Instantaneous amplitude (>= 0) and frequency in Hz, per sample."""
-
-    amplitude: np.ndarray
-    frequency: np.ndarray
-
-
-@dataclass
-class EnvelopePair:
-    """Upper and lower extrema envelopes evaluated on the sample grid."""
-
-    upper: np.ndarray
-    lower: np.ndarray
-
-
-@dataclass
 class ImfReport:
     """Outcome of checking a candidate signal against the IMF criteria."""
 
@@ -272,8 +254,8 @@ def analytic_signal(x: TimeSeries) -> AnalyticSignal:
     return AnalyticSignal(real_part=s.copy(), imag_part=z.imag, rate=x.rate)
 
 
-def instantaneous_attributes(z: AnalyticSignal) -> InstantAttributes:
-    """Per-sample amplitude and frequency of an analytic signal.
+def instantaneous_attributes(z: AnalyticSignal) -> tuple:
+    """Per-sample ``(amplitude, frequency)`` arrays of an analytic signal.
 
     The amplitude is the complex magnitude; the frequency is the derivative
     of the unwrapped phase (central differences, one-sided at the ends)
@@ -286,7 +268,7 @@ def instantaneous_attributes(z: AnalyticSignal) -> InstantAttributes:
         raise DegenerateSignal("amplitude is near zero over most samples")
     phase = np.unwrap(np.arctan2(z.imag_part, z.real_part))
     freq = np.gradient(phase) * z.rate / (2.0 * np.pi)
-    return InstantAttributes(amplitude=amp, frequency=freq)
+    return amp, freq
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +312,7 @@ def _envelopes(s: np.ndarray, maxima: np.ndarray, minima: np.ndarray):
         raise TooFewExtrema(
             f"need >= 2 maxima and >= 2 minima, found {maxima.size}/{minima.size}"
         )
-    return mirrored_envelopes((maxima, minima), s)
+    return tuple(mirrored_envelopes((maxima, minima), s))
 
 
 def _mean_envelope(s: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.ndarray:
@@ -338,16 +320,16 @@ def _mean_envelope(s: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.
     return 0.5 * (upper + lower)
 
 
-def envelope_pair(x: TimeSeries) -> EnvelopePair:
-    """Natural cubic-spline envelopes through the maxima and minima of ``x``.
+def envelope_pair(x: TimeSeries) -> tuple:
+    """``(upper, lower)``: natural cubic-spline envelopes through the maxima
+    and minima of ``x``, on its sample grid.
 
     Boundaries are handled by mirror extension: the two extrema nearest each
     end are reflected across the signal boundary before fitting, and the
     splines are evaluated only on the original domain.
     """
     require_form(x, False, "envelope_pair")
-    upper, lower = _envelopes(x.samples, *_extrema(x.samples))
-    return EnvelopePair(upper=upper, lower=lower)
+    return _envelopes(x.samples, *_extrema(x.samples))
 
 
 def sift(c: TimeSeries) -> TimeSeries:

@@ -194,10 +194,10 @@ def test_criterion_4_instantaneous_attributes():
         t = np.arange(0, 30.1, 1 / rate)
         a = 1.7
         x = TimeSeries(a * np.cos(2 * np.pi * f * t), rate)
-        att = instantaneous_attributes(analytic_signal(x))
+        amplitude, frequency = instantaneous_attributes(analytic_signal(x))
         k = t.size // 10
-        worst_amp = max(worst_amp, np.max(np.abs(att.amplitude[k:-k] - a)) / a)
-        worst_freq = max(worst_freq, np.max(np.abs(att.frequency[k:-k] - f)) / f)
+        worst_amp = max(worst_amp, np.max(np.abs(amplitude[k:-k] - a)) / a)
+        worst_freq = max(worst_freq, np.max(np.abs(frequency[k:-k] - f)) / f)
 
     oracle_rate = 200.0
     ot = np.arange(0, 2, 1 / oracle_rate)

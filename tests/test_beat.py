@@ -5,7 +5,6 @@ from helpers import bvh_text, click_signal, write_wav_float32, write_wav_pcm16
 
 from hhtmotion import beat
 from hhtmotion.beat import (
-    Segment,
     estimate_tempo,
     fixed_grid,
     grid_from_dict,
@@ -140,14 +139,15 @@ class TestSegmentByBeats:
         grid = fixed_grid(60.0, 10.0)
         segments = segment_by_beats(clip.frame_count, clip.rate, grid)
         assert len(segments) == 9
-        for seg in segments:
-            assert abs((seg.end_frame - seg.start_frame) - 40) <= 1
+        for start, end in segments:
+            assert abs((end - start) - 40) <= 1
 
     def test_four_beat_groups(self):
         clip = self.make_clip()
         grid = fixed_grid(60.0, 10.0)
         segments = segment_by_beats(clip.frame_count, clip.rate, grid, beats_per_segment=4)
-        assert len(segments) == 2
+        assert segments == [(0, 160), (160, 320)]
+        assert all(type(frame) is int for span in segments for frame in span)
 
     def test_grid_outside_clip(self):
         clip = self.make_clip()
@@ -159,9 +159,9 @@ class TestSegmentByBeats:
         clip = self.make_clip(duration=8.3)
         grid = fixed_grid(90.0, 8.3)
         segments = segment_by_beats(clip.frame_count, clip.rate, grid)
-        for a, b in zip(segments[:-1], segments[1:]):
-            assert a.end_frame == b.start_frame
-            assert a.end_frame > a.start_frame
+        for (start, end), (next_start, _) in zip(segments[:-1], segments[1:]):
+            assert end == next_start
+            assert end > start
 
 
 class TestWavIO:

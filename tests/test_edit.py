@@ -238,6 +238,21 @@ class TestApplyBlend:
         with pytest.raises(BlendSpecError, match=r"^merge acts on every channel; it takes no "):
             blend_spec_from_dict(spec)
 
+    @pytest.mark.parametrize("kind", ["zero", "swap", "trend_exchange", "merge"])
+    def test_alpha_refused_where_ignored(self, kind):
+        op = {"kind": kind, "imfs": [1, 2] if kind == "merge" else None, "alpha": 0.5}
+        with pytest.raises(BlendSpecError, match=rf"^{kind} takes no alpha; only scale and "):
+            blend_spec_from_dict({"operations": [op]})
+        op["alpha"] = None  # null is "not given"
+        assert blend_spec_from_dict({"operations": [op]})[0].alpha is None
+
+    @pytest.mark.parametrize("imfs", [[1], [99]])
+    def test_trend_exchange_refuses_imfs(self, imfs):
+        # the IMF numbers would be ignored, in range or not
+        spec = {"operations": [{"kind": "trend_exchange", "imfs": imfs}]}
+        with pytest.raises(BlendSpecError, match=r"^trend_exchange moves trends; it takes no "):
+            blend_spec_from_dict(spec)
+
     def test_repeated_selection_applies_twice(self):
         # an IMF or a channel listed twice gets the operation twice, as in a loop
         (a, b), _, _ = self.make_pair()

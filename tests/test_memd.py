@@ -5,7 +5,6 @@ import pytest
 
 from hhtmotion.errors import InvalidValue, NoConvergence, TooFewExtrema
 from hhtmotion.memd import (
-    DirectionSet,
     direction_set,
     memd,
     multivariate_from_dict,
@@ -25,43 +24,40 @@ def stack(rate, *columns, labels=None):
 
 class TestDirectionSet:
     def test_circle_gaps_below_quarter_turn(self):
-        ds = direction_set(2, 8, seed=0)
-        angles = np.sort(np.arctan2(ds.vectors[:, 1], ds.vectors[:, 0]))
+        dirs = direction_set(2, 8, seed=0)
+        assert dirs.shape == (8, 2) and dirs.dtype == np.float64
+        angles = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
         gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
         assert np.all(np.degrees(gaps) < 90.0)
 
     def test_unit_norms(self):
-        ds = direction_set(5, 32, seed=3)
-        norms = np.linalg.norm(ds.vectors, axis=1)
+        norms = np.linalg.norm(direction_set(5, 32, seed=3), axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
 
     def test_deterministic_in_seed(self):
         a = direction_set(3, 16, seed=11)
         b = direction_set(3, 16, seed=11)
-        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a, b)
         c = direction_set(3, 16, seed=12)
-        assert not np.array_equal(a.vectors, c.vectors)
+        assert not np.array_equal(a, c)
 
     def test_count_is_the_number_of_vectors(self):
-        vectors = direction_set(2, 8, seed=0).vectors
-        with pytest.raises(TypeError):
-            DirectionSet(vectors=vectors, count=4)
-        dirs = DirectionSet(vectors=vectors)
-        assert dirs.count == 8
+        dirs = direction_set(2, 8, seed=0)
+        assert len(dirs) == 8
         rng = np.random.default_rng(3)
         x = stack(50.0, *rng.standard_normal((2, 400)))
         md = memd(x, dirs=dirs)
         assert md.meta["direction_count"] == 8
-        assert np.array_equal(md.imfs, memd(x, dirs=direction_set(2, 8, seed=0)).imfs)
+        # a nested list is taken as the array it spells
+        assert np.array_equal(md.imfs, memd(x, dirs=dirs.tolist()).imfs)
 
     def test_bad_dimension(self):
         with pytest.raises(InvalidValue, match=r"^direction sampling needs at least 2 "):
             direction_set(1, 8)
-        assert direction_set(4, 6).count == 8
+        assert len(direction_set(4, 6)) == 8
 
     def test_count_raised_to_two_per_dimension(self):
-        assert np.array_equal(direction_set(4, 6, seed=2).vectors,
-                              direction_set(4, 8, seed=2).vectors)
+        assert np.array_equal(direction_set(4, 6, seed=2), direction_set(4, 8, seed=2))
 
 
 class TestMeanEnvelope:
@@ -95,7 +91,7 @@ class TestMeanEnvelope:
         x = stack(100.0, *np.cumsum(rng.standard_normal((4, 600)), axis=1))
         dirs = direction_set(4, count, seed=1)
         frames = x.samples.T
-        projections = frames @ dirs.vectors.T
+        projections = frames @ dirs.T
         columns = np.ascontiguousarray(frames.T)
         total = np.zeros_like(columns)
         for k in range(count):
@@ -108,10 +104,27 @@ class TestMeanEnvelope:
         rate = 10.0
         ramp = np.linspace(0.0, 1.0, 40)
         x = stack(rate, ramp, 2 * ramp)
-        single = DirectionSet(vectors=np.array([[1.0, 0.0]]))
         with pytest.raises(TooFewExtrema) as exc:
-            multivariate_mean_envelope(x, single)
+            multivariate_mean_envelope(x, [[1.0, 0.0]])
         assert exc.value.direction == 0
+
+    def test_direction_length_does_not_matter(self):
+        """Rescaling a direction moves none of its projection's peaks, so the
+        envelope is the same bit for bit: directions need not be unit vectors."""
+        rng = np.random.default_rng(5)
+        x = stack(100.0, *np.cumsum(rng.standard_normal((3, 500)), axis=1))
+        dirs = direction_set(3, 16, seed=2)
+        assert np.array_equal(multivariate_mean_envelope(x, 2.0 * dirs).samples,
+                              multivariate_mean_envelope(x, dirs).samples)
+
+    @pytest.mark.parametrize("dirs", [np.ones((8, 2)), np.ones((8, 3, 1)), np.ones(3),
+                                      np.ones((0, 3))],
+                             ids=["2-dims", "3-axes", "1-axis", "none"])
+    def test_bad_direction_shape_refused(self, dirs):
+        x = stack(10.0, *np.random.default_rng(1).standard_normal((3, 100)))
+        with pytest.raises(InvalidValue, match=r"^direction set is shaped .*, "
+                                               r"signal has 3 channels$"):
+            multivariate_mean_envelope(x, dirs)
 
 
 class TestMemd:

@@ -219,6 +219,12 @@ MALFORMED_HEADER = {
         5, "expected channel count 0, 3, or 6"),
     "unknown channel name": (
         [line.replace("Xrotation", "Wrotation") for line in MINI_LINES], 5, "Wrotation"),
+    # a defect at the end of its line is named on that line, not the next
+    "unknown last channel name": (
+        [line.replace("Yrotation", "Wrotation") for line in MINI_LINES], 5, "Wrotation"),
+    "channel count 7 ending its line": (
+        MINI_LINES[:4] + MINI_LINES[4].replace(" 6 ", " 7\n").splitlines() + MINI_LINES[5:],
+        5, "expected channel count 0, 3, or 6"),
     "missing {": (MINI_LINES[:2] + MINI_LINES[3:], 3, "expected '{'"),
     "a second ROOT": (
         MINI_LINES[:10] + ["ROOT chest"] + MINI_LINES[11:], 11, "expected a single ROOT"),

@@ -106,7 +106,7 @@ def test_direction_set_matches_ndtri(n_dims, count, seed):
     points = (points + shift_rng.uniform(0.0, 1.0, n_dims)) % 1.0
     gauss = special.ndtri(np.clip(points, 1e-12, 1.0 - 1e-12))
     want = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-    got = direction_set(n_dims, count, seed=seed).vectors
+    got = direction_set(n_dims, count, seed=seed)
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
