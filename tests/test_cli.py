@@ -860,6 +860,19 @@ def test_failure_exits_with_its_code_and_one_line(runner, failure_inputs, name):
         assert result.output == line.format(**failure_inputs) + "\n"
 
 
+@pytest.mark.parametrize("name", ["channels-listed-twice", "archive-duplicate-label"])
+def test_repeated_channel_error_names_it(runner, failure_inputs, name):
+    result = runner.invoke(main, FAILURES[name][1](failure_inputs))
+    assert "hips.Xrotation" in result.output and "twice" in result.output
+
+
+@pytest.mark.parametrize("name", [name for name in FAILURES if name.endswith("flat-archive")])
+def test_flat_archive_error_names_the_file(runner, failure_inputs, name):
+    result = runner.invoke(main, FAILURES[name][1](failure_inputs))
+    assert result.output == (f"error: {failure_inputs['flat']}: "
+                             "an archive needs channels with label, imfs and trend\n")
+
+
 # Each command with some options given and the rest at their defaults:
 # (argv, the input files given, the manifest's parameters, its seed).  The
 # parameters are every option but the paths and --seed, as given; decompose
