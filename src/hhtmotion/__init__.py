@@ -10,10 +10,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (
-    FibonacciReport,
-    HilbertSpectrum,
-    Summary,
-    WafaReport,
     detect_singular_imfs,
     fibonacci_relations,
     hilbert_spectrum,

@@ -9,7 +9,6 @@ frequencies, and outlier-IMF flagging.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +22,6 @@ from .signal_core import (
 )
 
 __all__ = [
-    "HilbertSpectrum",
-    "WafaReport",
-    "FibonacciReport",
-    "Summary",
     "hilbert_spectrum",
     "wafa",
     "summarize",
@@ -40,60 +35,6 @@ __all__ = [
 # amplitude floor relative to an IMF's peak amplitude; quieter samples carry
 # no usable phase and are excluded from weighting
 _AMP_FLOOR = 1e-9
-
-
-@dataclass
-class HilbertSpectrum:
-    """Instantaneous energy on a time x frequency grid.
-
-    ``energy[i, j]`` sums squared amplitude of samples falling in time bin i
-    and frequency bin j, over all IMFs.  Samples with negative or out-of-range
-    frequency accumulate into ``overflow`` instead of the grid.
-    """
-
-    time_bins: np.ndarray
-    freq_bins: np.ndarray
-    energy: np.ndarray
-    overflow: float
-
-
-@dataclass
-class WafaReport:
-    """Energy-weighted mean frequency per IMF and segment.
-
-    Row k of ``per_imf_per_segment`` corresponds to IMF k+1.  Cells whose
-    weighting was empty (no valid samples) hold 0 and are listed in
-    ``empty_cells`` as (imf_row, segment_column) pairs.
-    """
-
-    per_imf_per_segment: np.ndarray
-    per_imf_overall: np.ndarray
-    excluded_fraction: float
-    empty_cells: list
-
-
-@dataclass
-class FibonacciReport:
-    """Consecutive-triple sum relations between IMF frequencies.
-
-    Each triple is (n, f_n, f_n1, f_n2, residual) with 1-based n and signed
-    residual f_n - (f_n1 + f_n2); a triple is satisfied when the residual
-    magnitude is within tolerance.
-    """
-
-    triples: list
-    chain_length: int
-    tolerance: float
-
-    def satisfied(self):
-        return [abs(t[4]) <= self.tolerance for t in self.triples]
-
-
-@dataclass
-class Summary:
-    imf_count: int
-    freq_range: tuple
-    trend_rms_fraction: float
 
 
 def _imf_attributes(samples: np.ndarray, rate: float):
@@ -111,9 +52,15 @@ def hilbert_spectrum(
     time_bin: float = 0.05,
     freq_max: float | None = None,
     freq_bins: int = 100,
-) -> HilbertSpectrum:
+) -> tuple:
     """Deposit per-IMF instantaneous energy of one channel into a time x
-    frequency grid."""
+    frequency grid; returns ``(energy, time_edges, freq_edges, overflow)``.
+
+    ``energy[i, j]`` sums the squared amplitude, over all IMFs, of the
+    samples in time bin i and frequency bin j, whose edges the two edge
+    arrays give.  Samples with negative or out-of-range frequency add to the
+    float ``overflow`` instead of the grid.
+    """
     require_form(d, False, "hilbert_spectrum")
     if freq_max is None:
         freq_max = d.rate / 2.0
@@ -142,70 +89,51 @@ def hilbert_spectrum(
         overflow += float(np.sum(a2[~in_range]))
         f_idx = np.minimum((frequency[in_range] / width).astype(int), freq_bins - 1)
         np.add.at(energy, (t_idx[in_range], f_idx), a2[in_range])
-    return HilbertSpectrum(
-        time_bins=time_edges, freq_bins=freq_edges, energy=energy, overflow=overflow
-    )
+    return energy, time_edges, freq_edges, overflow
 
 
-def wafa(d: Decomposition, segments=None) -> WafaReport:
+def _weighted_mean(weights, frequency, valid) -> float:
+    """sum(w f) / sum(w) over the ``valid`` samples; 0 when they weigh nothing."""
+    w = weights[valid]
+    denom = float(np.sum(w))
+    if denom <= 0.0:
+        return 0.0
+    return float(np.sum(w * frequency[valid]) / denom)
+
+
+def wafa(d: Decomposition, segments=None) -> tuple:
     """Energy-weighted mean frequency of each IMF of one channel, per segment
-    and overall.
+    and overall; returns ``(per_segment, overall, excluded_fraction)``.
 
     Weighted mean = sum(A^2 f) / sum(A^2) over samples with positive
     frequency and non-negligible amplitude.  ``segments`` lists half-open
     ``(start, end)`` frame pairs, as :func:`segment_by_beats` returns them;
-    None means one whole-clip segment.
+    None means one whole-clip segment.  Row k of the (IMFs, segments) array
+    ``per_segment`` and entry k of ``overall`` belong to IMF k+1.  A mean
+    over positive frequencies is positive, so 0 marks a cell with no usable
+    sample.  ``excluded_fraction`` is the share of all IMF samples left out.
     """
     require_form(d, False, "wafa")
     n = d.trend.size
     spans = [(0, n)] if segments is None else segments
-
-    n_imfs = d.imf_count
-    per_seg = np.zeros((n_imfs, len(spans)))
-    overall = np.zeros(n_imfs)
-    empty_cells = []
+    per_segment = np.zeros((d.imf_count, len(spans)))
+    overall = np.zeros(d.imf_count)
     excluded = 0
-    total = 0
-
     for row, samples in enumerate(d.imfs):
         att = _imf_attributes(samples, d.rate)
         if att is None:
             excluded += n
-            total += n
-            for col in range(len(spans)):
-                empty_cells.append((row, col))
             continue
         amplitude, frequency = att
-        amp_floor = _AMP_FLOOR * float(np.max(amplitude))
-        valid = (frequency > 0.0) & (amplitude > amp_floor)
+        valid = (frequency > 0.0) & (amplitude > _AMP_FLOOR * float(np.max(amplitude)))
         weights = np.square(amplitude)
         excluded += int(np.count_nonzero(~valid))
-        total += n
-
-        def weighted_mean(mask):
-            good = mask & valid
-            denom = float(np.sum(weights[good]))
-            if denom <= 0.0:
-                return None
-            return float(np.sum(weights[good] * frequency[good]) / denom)
-
         for col, (lo, hi) in enumerate(spans):
-            mask = np.zeros(n, dtype=bool)
-            mask[max(lo, 0) : max(hi, 0)] = True
-            value = weighted_mean(mask)
-            if value is None:
-                empty_cells.append((row, col))
-            else:
-                per_seg[row, col] = value
-        value = weighted_mean(np.ones(n, dtype=bool))
-        overall[row] = 0.0 if value is None else value
-
-    return WafaReport(
-        per_imf_per_segment=per_seg,
-        per_imf_overall=overall,
-        excluded_fraction=excluded / total if total else 0.0,
-        empty_cells=empty_cells,
-    )
+            cell = slice(max(lo, 0), max(hi, 0))
+            per_segment[row, col] = _weighted_mean(weights[cell], frequency[cell], valid[cell])
+        overall[row] = _weighted_mean(weights, frequency, valid)
+    total = n * d.imf_count
+    return per_segment, overall, excluded / total if total else 0.0
 
 
 def trend_rms_fraction(d: Decomposition) -> float:
@@ -222,18 +150,19 @@ def trend_rms_fraction(d: Decomposition) -> float:
     return float(np.sqrt(trend_sq / input_sq)) if input_sq > 0 else 0.0
 
 
-def summarize(d: Decomposition, overall=None) -> Summary:
-    """IMF count, overall weighted-frequency range, and trend energy share.
+def summarize(d: Decomposition, overall=None) -> tuple:
+    """The ``(low, high)`` range of overall weighted frequencies.
 
-    With a channel axis the range spans all channels and the RMS ratio
-    stacks channels.  The frequency range covers only IMFs carrying at least
-    1% of the input RMS, so near-empty residue modes do not stretch it.  ``overall`` lists
-    each channel's ``wafa(...).per_imf_overall``, which segments do not
-    change, for a caller that has them; by default they are computed here.
+    With a channel axis the range spans all channels.  It covers only IMFs
+    carrying at least 1% of the input RMS, so near-empty residue modes do
+    not stretch it; ``(0.0, 0.0)`` when none qualifies.  ``overall`` lists
+    each channel's overall frequencies (``wafa``'s second value, which
+    segments do not change) for a caller that has them; by default they are
+    computed here.
     """
     decomps = d.per_channel
     if overall is None:
-        overall = [wafa(dec).per_imf_overall for dec in decomps]
+        overall = [wafa(dec)[1] for dec in decomps]
     freqs = []
     for dec, channel_freqs in zip(decomps, overall):
         input_rms = float(np.sqrt(np.mean(np.square(dec.reconstruct()))))
@@ -241,23 +170,19 @@ def summarize(d: Decomposition, overall=None) -> Summary:
             imf_rms = float(np.sqrt(np.mean(np.square(c))))
             if f > 0 and imf_rms >= 0.01 * input_rms:
                 freqs.append(f)
-    if freqs:
-        freq_range = (float(min(freqs)), float(max(freqs)))
-    else:
-        freq_range = (0.0, 0.0)
-    return Summary(
-        imf_count=d.imf_count,
-        freq_range=freq_range,
-        trend_rms_fraction=trend_rms_fraction(d),
-    )
+    if not freqs:
+        return 0.0, 0.0
+    return float(min(freqs)), float(max(freqs))
 
 
-def fibonacci_relations(freqs, tolerance: float = 0.05) -> FibonacciReport:
+def fibonacci_relations(freqs, tolerance: float = 0.05) -> tuple:
     """Check every consecutive triple for f_n ~= f_{n+1} + f_{n+2}.
 
-    ``freqs`` is expected in decomposition order (descending).  Returns all
-    triples with signed residuals plus the longest run of satisfied ones, so
-    callers can trim noisy end IMFs themselves.
+    ``freqs`` is expected in decomposition order (descending).  Returns
+    ``(triples, chain_length)``: every triple as (n, f_n, f_n1, f_n2,
+    residual) with 1-based n and signed residual f_n - (f_n1 + f_n2), and the
+    longest run of triples whose residual magnitude is within ``tolerance``,
+    so callers can trim noisy end IMFs themselves.
     """
     freqs = [float(f) for f in freqs]
     if len(freqs) < 3:
@@ -270,20 +195,21 @@ def fibonacci_relations(freqs, tolerance: float = 0.05) -> FibonacciReport:
     for _, _, _, _, residual in triples:
         chain = chain + 1 if abs(residual) <= tolerance else 0
         best = max(best, chain)
-    return FibonacciReport(triples=triples, chain_length=best, tolerance=tolerance)
+    return triples, best
 
 
-def detect_singular_imfs(report: WafaReport) -> list:
+def detect_singular_imfs(freqs) -> list:
     """Flag IMFs whose overall frequency is an outlier against both neighbors.
 
-    IMF frequencies normally descend with decomposition order.  An interior
+    ``freqs`` lists the overall frequency of each IMF (``wafa``'s second
+    value), which normally descends with decomposition order.  An interior
     IMF is flagged when a pairwise violation exceeds factor 1.5 *and* its
     neighbors are consistent without it (removing it locally restores the
     descending order), which pins the blame on the outlier rather than its
-    neighbors.  Milder order violations are not flagged; the frequencies
-    themselves are in the report.  Returns 1-based IMF numbers.
+    neighbors.  Milder order violations are not flagged; ``freqs`` shows
+    them.  Returns 1-based IMF numbers.
     """
-    freqs = np.asarray(report.per_imf_overall, dtype=float)
+    freqs = np.asarray(freqs, dtype=float)
     if freqs.size < 4:
         raise DegenerateSignal("outlier detection needs at least 4 IMFs")
     flagged = []
@@ -301,21 +227,22 @@ def detect_singular_imfs(report: WafaReport) -> list:
 # spectrum export
 
 
-def spectrum_to_csv(spectrum: HilbertSpectrum) -> str:
-    """Grid cells as CSV rows: time_bin,freq_bin,energy."""
+def spectrum_to_csv(energy: np.ndarray) -> str:
+    """Grid cells of ``hilbert_spectrum``'s energy as CSV rows:
+    time_bin,freq_bin,energy."""
     out = io.StringIO()
     out.write("time_bin,freq_bin,energy\n")
-    n_time, n_freq = spectrum.energy.shape
+    n_time, n_freq = energy.shape
     for i in range(n_time):
         for j in range(n_freq):
-            out.write(f"{i},{j},{float(spectrum.energy[i, j])!r}\n")
+            out.write(f"{i},{j},{float(energy[i, j])!r}\n")
     return out.getvalue()
 
 
-def spectrum_sidecar(spectrum: HilbertSpectrum) -> dict:
+def spectrum_sidecar(time_edges, freq_edges, overflow) -> dict:
     """Bin edges and overflow that accompany the CSV grid."""
     return {
-        "time_edges": spectrum.time_bins.tolist(),
-        "freq_edges": spectrum.freq_bins.tolist(),
-        "overflow": spectrum.overflow,
+        "time_edges": time_edges.tolist(),
+        "freq_edges": freq_edges.tolist(),
+        "overflow": overflow,
     }

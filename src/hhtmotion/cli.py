@@ -324,40 +324,40 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
     warnings = []
     overall_freqs = []
     for label, d in zip(decomp.labels, decomp.per_channel):
-        report = wafa(d, segments)
-        overall_freqs.append(report.per_imf_overall)
+        per_segment, overall, excluded_fraction = wafa(d, segments)
+        overall_freqs.append(overall)
         entry = {
             "label": label,
             "wafa": {
-                "per_imf_per_segment": report.per_imf_per_segment.tolist(),
-                "per_imf_overall": report.per_imf_overall.tolist(),
-                "excluded_fraction": report.excluded_fraction,
+                "per_imf_per_segment": per_segment.tolist(),
+                "per_imf_overall": overall.tolist(),
+                "excluded_fraction": excluded_fraction,
             },
         }
         try:
-            fib = fibonacci_relations(report.per_imf_overall,
-                                      tolerance=fibonacci_tolerance)
+            triples, chain_length = fibonacci_relations(overall,
+                                                        tolerance=fibonacci_tolerance)
             entry["fibonacci"] = {
-                "triples": [list(t) for t in fib.triples],
-                "chain_length": fib.chain_length,
-                "tolerance": fib.tolerance,
+                "triples": [list(t) for t in triples],
+                "chain_length": chain_length,
+                "tolerance": fibonacci_tolerance,
             }
         except errors.DegenerateSignal as exc:
             entry["fibonacci"] = None
             warnings.append(f"{label}: {exc}")
         try:
-            entry["singular_imfs"] = detect_singular_imfs(report)
+            entry["singular_imfs"] = detect_singular_imfs(overall)
         except errors.DegenerateSignal as exc:
             entry["singular_imfs"] = None
             warnings.append(f"{label}: {exc}")
         channels_report.append(entry)
 
-    overall = summarize(decomp, overall_freqs)
+    low, high = summarize(decomp, overall_freqs)
     payload = {
         "summary": {
-            "imf_count": overall.imf_count,
-            "freq_range": list(overall.freq_range),
-            "trend_rms_fraction": overall.trend_rms_fraction,
+            "imf_count": decomp.imf_count,
+            "freq_range": [low, high],
+            "trend_rms_fraction": trend_rms_fraction(decomp),
         },
         "channels": channels_report,
         "warnings": warnings,
@@ -366,10 +366,7 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
     _write_manifest([out])
     for message in warnings:
         click.echo(f"warning: {message}", err=True)
-    click.echo(
-        f"{overall.imf_count} IMFs, frequency range "
-        f"[{overall.freq_range[0]:.2f}, {overall.freq_range[1]:.2f}] Hz"
-    )
+    click.echo(f"{decomp.imf_count} IMFs, frequency range [{low:.2f}, {high:.2f}] Hz")
 
 
 @main.command("spectrum")
@@ -394,14 +391,13 @@ def cmd_spectrum(archive_path, channel, time_bin, freq_bins, freq_max, out):
     if time_bin > 0:  # hilbert_spectrum refuses the rest
         _check_size(decomp.n_samples / decomp.rate / time_bin * freq_bins,
                     f"--time-bin {time_bin:g} with --freq-bins {freq_bins}")
-    spectrum = hilbert_spectrum(d, time_bin=time_bin, freq_max=freq_max,
-                                freq_bins=freq_bins)
+    energy, time_edges, freq_edges, overflow = hilbert_spectrum(
+        d, time_bin=time_bin, freq_max=freq_max, freq_bins=freq_bins)
     sidecar_path = os.path.splitext(out)[0] + ".json"
-    _atomic_write(out, spectrum_to_csv(spectrum))
-    _atomic_write(sidecar_path, _dump_json(spectrum_sidecar(spectrum)))
+    _atomic_write(out, spectrum_to_csv(energy))
+    _atomic_write(sidecar_path, _dump_json(spectrum_sidecar(time_edges, freq_edges, overflow)))
     _write_manifest([out, sidecar_path])
-    click.echo(f"grid {spectrum.energy.shape[0]} x {spectrum.energy.shape[1]}, "
-               f"overflow {spectrum.overflow:.4g}")
+    click.echo(f"grid {energy.shape[0]} x {energy.shape[1]}, overflow {overflow:.4g}")
 
 
 @main.command("blend")

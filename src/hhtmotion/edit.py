@@ -48,15 +48,16 @@ class BlendOp:
     ``merge`` takes, since it acts on every channel.  ``alpha`` is
     the blend weight (share of the working copy, in [0, 1]) and doubles as
     the multiplier for ``scale``; the other kinds take None.  ``source``
-    picks the donor side for swap, blend, and trend_exchange: "b" (default)
-    or "a" for the unedited original.
+    picks the donor side for swap, blend, and trend_exchange: "b" (None, the
+    default, means "b") or "a" for the unedited original; the other kinds
+    take None.
     """
 
     kind: str
     imfs: list | None = None
     channels: list | None = None
     alpha: float | None = None
-    source: str = "b"
+    source: str | None = None
 
     def __post_init__(self):
         if self.alpha is not None and not is_number(self.alpha):
@@ -67,7 +68,7 @@ class BlendOp:
             raise BlendSpecError(f"channels must list labels, got {self.channels!r:.40}")
         if self.kind not in OP_KINDS:
             raise BlendSpecError(f"unknown op kind: {self.kind!r}")
-        if self.source not in ("a", "b"):
+        if self.source not in (None, "a", "b"):
             raise BlendSpecError(f"source must be 'a' or 'b', got {self.source!r}")
         if self.kind == "blend":
             if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
@@ -82,6 +83,9 @@ class BlendOp:
             raise BlendSpecError(f"{self.kind} takes no alpha; only scale and blend do")
         if self.kind == "trend_exchange" and self.imfs is not None:
             raise BlendSpecError("trend_exchange moves trends; it takes no imfs")
+        if self.source is not None and self.kind in ("scale", "zero", "merge"):
+            raise BlendSpecError(
+                f"{self.kind} takes no source; only swap, blend and trend_exchange do")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +225,7 @@ def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decompo
             donors = {side: merge_imfs(d, span) for side, d in donors.items()}
             continue
         channels = _channel_indices(a.labels, op.channels)
-        donor = donors[op.source]
+        donor = donors[op.source or "b"]
         if op.kind == "trend_exchange":
             trend[channels] = donor.trend[channels]
             continue
@@ -276,7 +280,7 @@ def blend_spec_from_dict(obj: dict) -> list:
                 imfs=entry.get("imfs"),
                 channels=entry.get("channels"),
                 alpha=entry.get("alpha"),
-                source=entry.get("source", "b"),
+                source=entry.get("source"),
             )
         )
     return operations

@@ -460,7 +460,10 @@ def _sift(residual, step, sd_threshold):
     :class:`TooFewExtrema` when ``c`` can neither be enveloped nor accepted.
     Decomposition ends then, or when the residual cannot be sifted once, has
     decayed to rounding dust, or ``MAX_IMFS`` IMFs are out; the residual is
-    the trend.  ``imfs`` stacks the IMFs along a new first axis.
+    the trend.  An iterate still sifting after ``MAX_SIFTS`` sifts is kept
+    only if its SD is within 10 x ``sd_threshold`` and ``step(c, True)``
+    accepts it; otherwise :class:`NoConvergence` is raised.  ``imfs`` stacks
+    the IMFs along a new first axis.
     """
     residual = residual.copy()
     scale = np.max(np.abs(residual))
@@ -484,6 +487,15 @@ def _sift(residual, step, sd_threshold):
                 raise NoConvergence(
                     f"IMF {len(imfs) + 1}: sifting did not settle within {MAX_SIFTS} "
                     f"iterations (SD {sd:.4g}, threshold {sd_threshold:g})"
+                )
+            try:
+                accepted = step(c, True) is None
+            except TooFewExtrema:
+                accepted = False
+            if not accepted:
+                raise NoConvergence(
+                    f"IMF {len(imfs) + 1}: the iterate after {MAX_SIFTS} sifts fails "
+                    f"the IMF criteria (SD {sd:.4g}, threshold {sd_threshold:g})"
                 )
         if c is residual:  # not one sift was possible: the residual is the trend
             break

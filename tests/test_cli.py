@@ -647,6 +647,7 @@ def failure_inputs(tmp_path_factory):
         "imf_99": root / "imf_99.json",
         "alpha_on_swap": root / "alpha_on_swap.json",
         "imfs_on_trend_exchange": root / "imfs_on_trend_exchange.json",
+        "source_on_zero": root / "source_on_zero.json",
         "bad_value_bvh": root / "bad_value.bvh",
         "wav_100_samples": root / "short.wav",
         "clicks_wav": root / "clicks.wav",
@@ -692,6 +693,8 @@ def failure_inputs(tmp_path_factory):
         json.dumps({"operations": [{"kind": "swap", "alpha": 0.5}]}))
     files["imfs_on_trend_exchange"].write_text(
         json.dumps({"operations": [{"kind": "trend_exchange", "imfs": [1]}]}))
+    files["source_on_zero"].write_text(
+        json.dumps({"operations": [{"kind": "zero", "source": "a"}]}))
     # "oops" for a channel value on the second motion line, line 15
     files["bad_value_bvh"].write_text(MINI_BVH.replace("21.000000", "oops"))
     write_wav_pcm16(files["wav_100_samples"], TimeSeries(np.zeros(100), 22050.0))
@@ -755,6 +758,9 @@ FAILURES = {
     "spec-imfs-on-trend-exchange": (6, lambda f: _blend(f, spec="imfs_on_trend_exchange"),
                                     "error: {imfs_on_trend_exchange}: trend_exchange moves "
                                     "trends; it takes no imfs"),
+    "spec-source-on-zero": (6, lambda f: _blend(f, spec="source_on_zero"),
+                            "error: {source_on_zero}: zero takes no source; only swap, "
+                            "blend and trend_exchange do"),
     "archive-duplicate-label": (2, lambda f: ["analyze", f["duplicate_label"],
                                               "--out", f["out"]],
                                 "error: {duplicate_label}: channel hips.Xrotation is "

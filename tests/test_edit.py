@@ -246,6 +246,25 @@ class TestApplyBlend:
         op["alpha"] = None  # null is "not given"
         assert blend_spec_from_dict({"operations": [op]})[0].alpha is None
 
+    @pytest.mark.parametrize("kind", ["scale", "zero", "merge"])
+    def test_source_refused_where_ignored(self, kind):
+        op = {"kind": kind, "imfs": [1, 2] if kind == "merge" else None,
+              "alpha": 2.0 if kind == "scale" else None, "source": "b"}
+        with pytest.raises(BlendSpecError, match=rf"^{kind} takes no source; only swap, "):
+            blend_spec_from_dict({"operations": [op]})
+        op["source"] = None  # null is "not given"
+        assert blend_spec_from_dict({"operations": [op]})[0].source is None
+
+    @pytest.mark.parametrize("kind", ["swap", "blend", "trend_exchange"])
+    def test_source_defaults_to_b(self, kind):
+        (a, b), _, _ = self.make_pair()
+        alpha = 0.25 if kind == "blend" else None
+        given = {side: apply_blend(a, b, [BlendOp(kind=kind, alpha=alpha, source=side)])
+                 for side in ("a", "b", None)}
+        assert np.array_equal(given[None].imfs, given["b"].imfs)
+        assert np.array_equal(given[None].trend, given["b"].trend)
+        assert not np.array_equal(given[None].reconstruct(), given["a"].reconstruct())
+
     @pytest.mark.parametrize("imfs", [[1], [99]])
     def test_trend_exchange_refuses_imfs(self, imfs):
         # the IMF numbers would be ignored, in range or not

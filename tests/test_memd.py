@@ -12,6 +12,7 @@ from hhtmotion.memd import (
     multivariate_to_dict,
     na_memd,
 )
+from hhtmotion import signal_core
 from hhtmotion.signal_core import TimeSeries, _extrema
 from hhtmotion.spline import mirrored_envelopes
 
@@ -187,6 +188,15 @@ class TestMemd:
                                  r"threshold 1e-300\)$"):
             memd(x, dirs=direction_set(2, 8, seed=0), sd_threshold=1e-300)
 
+    def test_sift_limit_accepts_on_sd_alone(self, monkeypatch):
+        # MEMD has no mode test: an iterate that reaches the limit near the
+        # SD threshold is kept, where emd would refuse it
+        monkeypatch.setattr(signal_core, "MAX_SIFTS", 2)
+        x = stack(50.0, *np.random.default_rng(0).standard_normal((2, 600)))
+        md = memd(x, dirs=direction_set(2, 8, seed=0))
+        assert md.imf_count > 0
+        assert np.allclose(md.reconstruct(), x.samples)
+
     @pytest.mark.parametrize("method, n_channels", [(memd, 33), (na_memd, 32)],
                              ids=["memd-33", "na_memd-32"])
     def test_default_directions_raised_to_two_per_dimension(self, method, n_channels):
@@ -271,7 +281,7 @@ class TestNaMemd:
             )
             md = memd(x, dirs=direction_set(2, 8, seed=seed))
             for d in md.per_channel:
-                freqs = wafa(d).per_imf_overall
+                _, freqs, _ = wafa(d)
                 for n in range(1, 5):
                     if len(freqs) > n and freqs[n - 1] > 0:
                         ratios[n].append(freqs[n] / freqs[n - 1])

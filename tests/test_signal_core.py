@@ -12,6 +12,7 @@ from hhtmotion.memd import (
     multivariate_to_dict,
     na_memd,
 )
+from hhtmotion import signal_core
 from hhtmotion.mocap_io import apply_channels, parse_bvh
 from hhtmotion.errors import (
     DegenerateSignal,
@@ -441,7 +442,7 @@ class TestEmd:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             d = emd(TimeSeries(rng.standard_normal(1000), 100.0))
-            freqs = wafa(d).per_imf_overall
+            _, freqs, _ = wafa(d)
             freqs = freqs[freqs > 0]
             for a, b in zip(freqs[:-1], freqs[1:]):
                 pairs += 1
@@ -463,3 +464,13 @@ class TestEmd:
                            match=r"^IMF 1: .* within 100 iterations \(SD \d[\d.e+-]*, "
                                  r"threshold 1e-300\)$"):
             emd(x, sd_threshold=1e-300)
+
+    def test_sift_limit_runs_the_mode_test(self, monkeypatch):
+        # after two sifts, noise IMF 1 has settled below 10 x the threshold
+        # but fails the mode criteria, so the limit does not keep it
+        monkeypatch.setattr(signal_core, "MAX_SIFTS", 2)
+        x = TimeSeries(np.random.default_rng(0).standard_normal(600), 50.0)
+        with pytest.raises(NoConvergence,
+                           match=r"^IMF 1: the iterate after 2 sifts fails the IMF criteria "
+                                 r"\(SD \d[\d.e+-]*, threshold 0.25\)$"):
+            emd(x)
