@@ -41,7 +41,6 @@ from .memd import (
 )
 from .mocap_io import (
     MotionClip,
-    Skeleton,
     apply_channels,
     extract_channels,
     parse_bvh,

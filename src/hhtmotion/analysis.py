@@ -18,6 +18,7 @@ from .signal_core import (
     TimeSeries,
     analytic_signal,
     instantaneous_attributes,
+    is_number,
     require_form,
 )
 
@@ -182,8 +183,12 @@ def fibonacci_relations(freqs, tolerance: float = 0.05) -> tuple:
     ``(triples, chain_length)``: every triple as (n, f_n, f_n1, f_n2,
     residual) with 1-based n and signed residual f_n - (f_n1 + f_n2), and the
     longest run of triples whose residual magnitude is within ``tolerance``,
-    so callers can trim noisy end IMFs themselves.
+    so callers can trim noisy end IMFs themselves.  A ``tolerance`` that is
+    not a finite number >= 0 raises :class:`InvalidValue` before ``freqs``
+    is looked at.
     """
+    if not (is_number(tolerance) and tolerance >= 0):
+        raise InvalidValue(f"tolerance must be a finite number >= 0, got {tolerance}")
     freqs = [float(f) for f in freqs]
     if len(freqs) < 3:
         raise DegenerateSignal("need at least 3 frequencies")

@@ -43,7 +43,7 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass
 class BeatGrid:
-    """Ascending beat timestamps with a strong-beat flag per beat."""
+    """Finite, ascending beat timestamps with a strong-beat flag per beat."""
 
     beats: np.ndarray
     bpm: float
@@ -54,6 +54,8 @@ class BeatGrid:
         self.strong = np.asarray(self.strong, dtype=bool)
         if self.beats.size != self.strong.size:
             raise ValueError("one strong flag per beat required")
+        if not np.all(np.isfinite(self.beats)):
+            raise ValueError("beats must be finite")
         if self.beats.size >= 2:
             gaps = np.diff(self.beats)
             if np.any(gaps <= 0):
@@ -74,11 +76,10 @@ def _strong_flags(count, period):
     return flags
 
 
-def fixed_grid(bpm: float, duration: float, offset: float = 0.0,
-               strong_period: int = 4) -> BeatGrid:
+def fixed_grid(bpm: float, duration: float, strong_period: int = 4) -> BeatGrid:
     """Evenly spaced beats for a known tempo.
 
-    Produces floor(duration * bpm / 60) beats starting at ``offset``; every
+    Produces floor(duration * bpm / 60) beats starting at 0; every
     ``strong_period``-th beat is flagged strong.
     """
     if not 20.0 <= bpm <= 400.0:
@@ -87,7 +88,7 @@ def fixed_grid(bpm: float, duration: float, offset: float = 0.0,
     if not period < duration < np.inf:
         raise InvalidValue("duration must be finite and exceed one beat period")
     count = int(np.floor(duration * bpm / 60.0))
-    beats = offset + period * np.arange(count)
+    beats = period * np.arange(count)
     return BeatGrid(beats=beats, bpm=bpm, strong=_strong_flags(count, strong_period))
 
 

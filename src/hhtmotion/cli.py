@@ -42,6 +42,7 @@ from .analysis import (
     wafa,
 )
 from .beat import (
+    BeatGrid,
     estimate_tempo,
     fixed_grid,
     grid_from_dict,
@@ -286,7 +287,7 @@ def cmd_beats(wav_path, bpm, duration, offset, strong_period, tightness, out):
         if ctx.get_parameter_source("tightness") is not ParameterSource.DEFAULT:
             raise errors.InvalidValue("--tightness applies to a WAV path, not to --bpm")
         _check_size(duration * bpm / 60.0, f"--duration {duration:g} at --bpm {bpm:g}")
-        grid = fixed_grid(bpm, duration, offset=offset, strong_period=strong_period)
+        grid = fixed_grid(bpm, duration, strong_period=strong_period)
     else:
         if duration is not None:
             raise errors.InvalidValue("--duration applies to --bpm, not to a WAV path")
@@ -295,7 +296,10 @@ def cmd_beats(wav_path, bpm, duration, offset, strong_period, tightness, out):
         tempo = estimate_tempo(envelope)
         grid = track_beats(envelope, tempo, tightness=tightness,
                            strong_period=strong_period)
-        grid.beats = grid.beats + offset
+    try:
+        grid = BeatGrid(beats=grid.beats + offset, bpm=grid.bpm, strong=grid.strong)
+    except ValueError as exc:
+        raise errors.InvalidValue(f"--offset {offset:g}: {exc}") from None
 
     _atomic_write(out, _dump_json(grid_to_dict(grid)))
     _write_manifest([out])

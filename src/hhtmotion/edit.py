@@ -10,6 +10,7 @@ written back into a motion clip.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import BlendSpecError, ChannelError, InvalidValue
 from .mocap_io import MotionClip, apply_channels
-from .signal_core import Decomposition, TimeSeries, is_number, require_form
+from .signal_core import Decomposition, TimeSeries, is_number, require_form, sum_modes
 from .spline import cubic_spline
 
 __all__ = [
@@ -146,9 +147,7 @@ def _merge_rows(imfs, i, j):
     """IMFs ``i..j`` (1-based, inclusive, along axis -2) summed in order into one."""
     if not (1 <= i < j <= imfs.shape[-2]):
         raise BlendSpecError(f"merge range [{i}, {j}] invalid for {imfs.shape[-2]} IMFs")
-    merged = imfs[..., i - 1, :].copy()
-    for k in range(i, j):
-        merged += imfs[..., k, :]
+    merged = sum_modes(imfs[..., i:j, :], imfs[..., i - 1, :])
     return np.concatenate(
         [imfs[..., : i - 1, :], merged[..., None, :], imfs[..., j:, :]], axis=-2
     )
@@ -187,20 +186,6 @@ def _imf_rows(op_imfs, count):
     return rows
 
 
-def _passes(channels, rows):
-    """(channel, row) index arrays of each pass over the selected cells.
-
-    A cell selected m times (a channel or an IMF listed twice) is in the
-    first m passes, so an operation applies to it m times, as if looped.
-    """
-    ch, ch_times = np.unique(np.asarray(channels, dtype=int), return_counts=True)
-    row, row_times = np.unique(np.asarray(rows, dtype=int), return_counts=True)
-    times = np.outer(ch_times, row_times)
-    for n in range(times.max(initial=0)):
-        i, j = np.nonzero(times > n)
-        yield ch[i], row[j]
-
-
 def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decomposition:
     """Apply the :class:`BlendOp` list ``operations`` in order to a working
     copy of ``a``, with ``b`` as the donor.
@@ -217,29 +202,30 @@ def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decompo
     if a.imfs.shape != b.imfs.shape:
         raise ChannelError(f"IMFs shaped {a.imfs.shape} vs {b.imfs.shape}; align them first")
     imfs, trend = a.imfs.copy(), a.trend.copy()
-    donors = {"a": a, "b": b}
+    donors = {"a": a.imfs, "b": b.imfs}
     for op in operations:
         if op.kind == "merge":
             span = min(op.imfs), max(op.imfs)
             imfs = _merge_rows(imfs, *span)
-            donors = {side: merge_imfs(d, span) for side, d in donors.items()}
+            donors = {side: _merge_rows(d, *span) for side, d in donors.items()}
             continue
         channels = _channel_indices(a.labels, op.channels)
-        donor = donors[op.source or "b"]
+        side = op.source or "b"
         if op.kind == "trend_exchange":
-            trend[channels] = donor.trend[channels]
+            trend[channels] = (a if side == "a" else b).trend[channels]
             continue
         rows = _imf_rows(op.imfs, imfs.shape[-2])
-        for cells in _passes(channels, rows):
+        donor = donors[side]
+        for cell in itertools.product(channels, rows):
             if op.kind == "scale":
-                imfs[cells] = imfs[cells] * op.alpha
+                imfs[cell] = imfs[cell] * op.alpha
             elif op.kind == "zero":
-                imfs[cells] = 0.0
+                imfs[cell] = 0.0
             elif op.kind == "swap":
-                imfs[cells] = donor.imfs[cells]
+                imfs[cell] = donor[cell]
             else:
-                donated = (1.0 - op.alpha) * donor.imfs[cells]
-                imfs[cells] = op.alpha * imfs[cells] + donated
+                donated = (1.0 - op.alpha) * donor[cell]
+                imfs[cell] = op.alpha * imfs[cell] + donated
     return Decomposition(imfs=imfs, trend=trend, rate=a.rate, meta=dict(a.meta),
                          labels=a.labels)
 

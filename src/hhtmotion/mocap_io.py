@@ -17,7 +17,6 @@ from .signal_core import TimeSeries, require_form
 
 __all__ = [
     "Joint",
-    "Skeleton",
     "MotionClip",
     "parse_bvh",
     "write_bvh",
@@ -46,39 +45,23 @@ class Joint:
     end_site: np.ndarray | None = None
 
 
-@dataclass
-class Skeleton:
-    root: Joint
-
-    def joints(self):
-        """All joints in declaration (depth-first) order."""
-        out = []
-
-        def walk(joint):
-            out.append(joint)
-            for child in joint.children:
-                walk(child)
-
-        walk(self.root)
-        return out
-
-    def channel_labels(self):
-        """Column labels in frame order: '<joint>.<Channel>'."""
-        labels = []
-        for joint in self.joints():
-            labels.extend(f"{joint.name}.{ch}" for ch in joint.channels)
-        return labels
-
-    @property
-    def total_channels(self):
-        return sum(len(j.channels) for j in self.joints())
+def _labels(joint):
+    """Column labels of ``joint``'s subtree in frame order: '<joint>.<Channel>'."""
+    labels = [f"{joint.name}.{ch}" for ch in joint.channels]
+    for child in joint.children:
+        labels.extend(_labels(child))
+    return labels
 
 
 @dataclass
 class MotionClip:
-    skeleton: Skeleton
+    """Frames of the joint tree under ``root``; ``labels`` names their
+    columns in declaration (depth-first) order."""
+
+    root: Joint
     frames: np.ndarray
     frame_time: float
+    labels: list = field(init=False)
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -86,10 +69,11 @@ class MotionClip:
             raise ValueError("frames must be a matrix with at least 2 rows")
         if self.frame_time <= 0:
             raise ValueError("frame_time must be positive")
-        if self.frames.shape[1] != self.skeleton.total_channels:
+        self.labels = _labels(self.root)
+        if self.frames.shape[1] != len(self.labels):
             raise ValueError(
                 f"frame width {self.frames.shape[1]} does not match the "
-                f"skeleton's {self.skeleton.total_channels} channels"
+                f"skeleton's {len(self.labels)} channels"
             )
 
     @property
@@ -105,9 +89,8 @@ class MotionClip:
         return self.frame_count * self.frame_time
 
     def column(self, label):
-        labels = self.skeleton.channel_labels()
         try:
-            return labels.index(label)
+            return self.labels.index(label)
         except ValueError:
             raise ChannelError(f"unknown channel: {label}") from None
 
@@ -240,10 +223,10 @@ def parse_bvh(text: str) -> MotionClip:
     tokens = _Tokens(text)
     tokens.expect("HIERARCHY")
     tokens.expect("ROOT")
-    skeleton = Skeleton(root=_parse_joint(tokens, {}))
+    root = _parse_joint(tokens, {})
     if tokens.peek() == "ROOT":
         raise InputError(f"line {tokens.line()}: expected a single ROOT")
-    width = skeleton.total_channels
+    width = len(_labels(root))
     if width == 0:
         raise InputError(f"line {tokens.line()}: expected a joint that declares channels")
     tokens.expect("MOTION")
@@ -271,7 +254,7 @@ def parse_bvh(text: str) -> MotionClip:
         raise InputError(
             f"declared {frame_count} frames, found {frames.shape[0]}"
         )
-    return MotionClip(skeleton=skeleton, frames=frames, frame_time=frame_time)
+    return MotionClip(root=root, frames=frames, frame_time=frame_time)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +285,7 @@ def _write_joint(joint, depth, lines, is_root):
 def write_bvh(clip: MotionClip) -> str:
     """Emit parseable BVH text; numbers carry 6 decimal places."""
     lines = ["HIERARCHY"]
-    _write_joint(clip.skeleton.root, 0, lines, is_root=True)
+    _write_joint(clip.root, 0, lines, is_root=True)
     lines.append("MOTION")
     lines.append(f"Frames: {clip.frame_count}")
     lines.append(f"Frame Time: {clip.frame_time:.6f}")
@@ -353,4 +336,4 @@ def apply_channels(clip: MotionClip, series: TimeSeries) -> MotionClip:
     for label, values in zip(series.labels, series.samples):
         col = clip.column(label)
         frames[:, col] = wrap_degrees(values) if _is_rotation(label) else values
-    return MotionClip(skeleton=clip.skeleton, frames=frames, frame_time=clip.frame_time)
+    return MotionClip(root=clip.root, frames=frames, frame_time=clip.frame_time)

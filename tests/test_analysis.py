@@ -213,6 +213,11 @@ class TestFibonacci:
         with pytest.raises(DegenerateSignal, match=r"^need at least 3 frequencies$"):
             fibonacci_relations([1.0, 0.5])
 
+    @pytest.mark.parametrize("tolerance", [-0.1, float("nan"), float("inf"), -1e308])
+    def test_bad_tolerance_refused_before_the_count(self, tolerance):
+        with pytest.raises(InvalidValue, match=r"^tolerance must be a finite number >= 0, "):
+            fibonacci_relations([1.0, 0.5], tolerance=tolerance)
+
     def test_scale_covariance(self):
         freqs = [0.5, 0.3, 0.21, 0.1, 0.08]
         base, _ = fibonacci_relations(freqs, tolerance=0.05)

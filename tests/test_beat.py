@@ -5,6 +5,7 @@ from helpers import bvh_text, click_signal, write_wav_float32, write_wav_pcm16
 
 from hhtmotion import beat
 from hhtmotion.beat import (
+    BeatGrid,
     estimate_tempo,
     fixed_grid,
     grid_from_dict,
@@ -26,8 +27,16 @@ class TestFixedGrid:
         assert np.allclose(np.diff(grid.beats), 60.0 / 130.0)
 
     def test_offset(self):
-        grid = fixed_grid(60.0, 10.0, offset=0.5)
-        assert np.allclose(grid.beats, 0.5 + np.arange(10))
+        # the CLI's --offset shifts a grid through BeatGrid, which checks the shifted beats
+        grid = fixed_grid(60.0, 10.0)
+        shifted = BeatGrid(beats=grid.beats + 0.5, bpm=grid.bpm, strong=grid.strong)
+        assert np.allclose(shifted.beats, 0.5 + np.arange(10))
+        assert np.array_equal(shifted.strong, grid.strong)
+        for offset in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"^beats must be finite$"):
+                BeatGrid(beats=grid.beats + offset, bpm=grid.bpm, strong=grid.strong)
+        with pytest.raises(ValueError, match=r"^beats must be strictly ascending$"):
+            BeatGrid(beats=grid.beats + 1e308, bpm=grid.bpm, strong=grid.strong)
 
     def test_bad_tempo(self):
         with pytest.raises(InvalidValue, match=r"^bpm 10.0 outside \[20, 400\]$"):
@@ -151,7 +160,8 @@ class TestSegmentByBeats:
 
     def test_grid_outside_clip(self):
         clip = self.make_clip()
-        grid = fixed_grid(60.0, 5.0, offset=50.0)
+        grid = fixed_grid(60.0, 5.0)
+        grid = BeatGrid(beats=grid.beats + 50.0, bpm=grid.bpm, strong=grid.strong)
         with pytest.raises(ChannelError, match=r"^beat grid does not overlap the clip$"):
             segment_by_beats(clip.frame_count, clip.rate, grid)
 

@@ -851,6 +851,28 @@ FAILURES = {
     "bpm-out-of-range": (64, lambda f: ["beats", "--bpm", "500", "--duration", "5",
                                         "--out", f["out"]],
                          "error: bpm 500.0 outside [20, 400]"),
+    # an offset that leaves no beat grid: not finite, or so large the beats collapse
+    "offset-nan-with-bpm": (64, lambda f: ["beats", "--bpm", "120", "--duration", "4",
+                                           "--offset", "nan", "--out", f["out"]],
+                            "error: --offset nan: beats must be finite"),
+    "offset-inf-with-wav": (64, lambda f: ["beats", f["clicks_wav"], "--offset", "inf",
+                                           "--out", f["out"]],
+                            "error: --offset inf: beats must be finite"),
+    "offset-collapses-bpm-grid": (64, lambda f: ["beats", "--bpm", "120", "--duration", "4",
+                                                 "--offset", "1e308", "--out", f["out"]],
+                                  "error: --offset 1e+308: beats must be strictly ascending"),
+    "offset-collapses-wav-grid": (64, lambda f: ["beats", f["clicks_wav"], "--offset", "1e308",
+                                                 "--out", f["out"]],
+                                  "error: --offset 1e+308: beats must be strictly ascending"),
+    "fibonacci-tolerance-negative": (64, lambda f: ["analyze", f["archive"],
+                                                    "--fibonacci-tolerance", "-0.1",
+                                                    "--out", f["out"]],
+                                     "error: tolerance must be a finite number >= 0, "
+                                     "got -0.1"),
+    "fibonacci-tolerance-nan": (64, lambda f: ["analyze", f["archive"],
+                                               "--fibonacci-tolerance", "nan",
+                                               "--out", f["out"]],
+                                "error: tolerance must be a finite number >= 0, got nan"),
 }
 
 

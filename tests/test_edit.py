@@ -281,19 +281,26 @@ class TestApplyBlend:
             [
                 BlendOp(kind="scale", imfs=[1, 1], alpha=2.0),
                 BlendOp(kind="blend", imfs=[2], channels=["ch0", "ch0"], alpha=0.5),
+                BlendOp(kind="swap", imfs=[3, 3], channels=["ch1"]),
+                BlendOp(kind="zero", imfs=[3], channels=["ch0", "ch0"]),
             ],
         )
-        (a0, a1), b0 = a.per_channel, b.per_channel[0]
+        (a0, a1), (b0, b1) = a.per_channel, b.per_channel
         once = 0.5 * a0.imfs[1] + (1.0 - 0.5) * b0.imfs[1]
         assert np.array_equal(out.per_channel[0].imfs[0], a0.imfs[0] * 2.0 * 2.0)
         assert np.array_equal(out.per_channel[1].imfs[0], a1.imfs[0] * 2.0 * 2.0)
         assert np.array_equal(out.per_channel[0].imfs[1], 0.5 * once + 0.5 * b0.imfs[1])
         assert np.array_equal(out.per_channel[1].imfs[1], a1.imfs[1])
+        assert np.array_equal(out.per_channel[1].imfs[2], b1.imfs[2])
+        assert np.array_equal(out.per_channel[0].imfs[2], np.zeros_like(a0.imfs[2]))
 
     def test_out_of_bounds(self):
         (a, b), _, _ = self.make_pair()
         with pytest.raises(BlendSpecError, match=r"^IMF index 9 outside 1\.\.\d+$"):
             apply_blend(a, b, [BlendOp(kind="zero", imfs=[9])])
+        # checked even when no channel, so no cell, is selected
+        with pytest.raises(BlendSpecError, match=r"^IMF index 9 outside 1\.\.\d+$"):
+            apply_blend(a, b, [BlendOp(kind="swap", imfs=[1, 9], channels=[])])
 
     def test_unaligned_pair_refused(self):
         rng = np.random.default_rng(14)

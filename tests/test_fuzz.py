@@ -6,6 +6,7 @@ suite stays reproducible and quick.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -164,8 +165,8 @@ def cli_files(tmp_path_factory):
     return files
 
 
-# Option values stay small: the CLI puts no upper bound on values that size an
-# array (directions, durations, bins, rates), and a huge one only allocates.
+# Option values stay small so that each run is quick; test_extreme_option_value
+# tries every float option at nan, +-inf and +-1e308.
 FLOATS = ["-5", "0", "0.001", "0.05", "0.5", "2", "35", "nan", "inf", "-inf", "x"]
 INTS = ["-1", "0", "1", "3", "8", "x"]
 
@@ -225,3 +226,58 @@ def test_cli_exits_with_a_documented_code(cli_files, data):
     result = CliRunner().invoke(main, argv)
     assert result.exit_code in {0, 2, 3, 4, 5, 6, 64}, (argv, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), argv
+
+
+# Every float option with each extreme value, in each form of its command:
+# (form, option, the command's argv without the option, the output's name).
+def _decompose_form(method):
+    return lambda f: ["decompose", f["dance.bvh"], "--channels",
+                      "hips.Xrotation,hips.Yrotation", "--method", method, "--directions", "8"]
+
+
+def _beats_bpm_form(option):
+    given = {"--bpm": "120", "--duration": "4"}
+    given.pop(option, None)  # the value under test takes the option's place
+    return lambda f: ["beats"] + [word for pair in given.items() for word in pair]
+
+
+SWEEP_FORMS = [
+    ("decompose", "--sd-threshold", _decompose_form("memd"), "archive.json"),
+    ("decompose", "--noise-pct", _decompose_form("na-memd"), "archive.json"),
+    ("analyze", "--fibonacci-tolerance", lambda f: ["analyze", f["archive.json"]],
+     "analysis.json"),
+    ("spectrum", "--time-bin", lambda f: ["spectrum", f["archive.json"]], "spectrum.csv"),
+    ("spectrum", "--freq-max", lambda f: ["spectrum", f["archive.json"]], "spectrum.csv"),
+] + [
+    (form, option, base, "beats.json")
+    for option in ("--bpm", "--duration", "--offset", "--tightness")
+    for form, base in (("beats-bpm", _beats_bpm_form(option)),
+                       ("beats-wav", lambda f: ["beats", f["clicks.wav"]]))
+]
+EXTREMES = ["nan", "inf", "-inf", "1e308", "-1e308"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("form,option,base,out_name,value", [
+    pytest.param(form, option, base, out_name, value, id=f"{form}{option}={value}")
+    for form, option, base, out_name in SWEEP_FORMS for value in EXTREMES
+])
+def test_extreme_option_value(cli_files, tmp_path, form, option, base, out_name, value):
+    """Each run is refused with one ``error:`` line and exit 64, or writes
+    strict JSON (no NaN or Infinity) and, from ``beats``, a grid that reads back."""
+    out = tmp_path / out_name
+    result = CliRunner().invoke(main, base(cli_files) + [option, value, "--out", str(out)])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result
+    if result.exit_code != 0:
+        assert result.exit_code == 64, result.output
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        return
+    written = [name for name in os.listdir(tmp_path) if name.endswith(".json")]
+    assert len(written) >= 2, written  # an output and its manifest
+    for name in written:
+        json.loads((tmp_path / name).read_text(), parse_constant=_refuse_constant)
+    if form.startswith("beats"):
+        grid_from_dict(json.loads(out.read_text()))

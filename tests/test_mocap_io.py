@@ -18,13 +18,29 @@ from hhtmotion.mocap_io import (
 from hhtmotion.signal_core import TimeSeries
 
 
+def joint_names(joint):
+    """Names of ``joint`` and its descendants in declaration order."""
+    return [joint.name] + [name for child in joint.children for name in joint_names(child)]
+
+
+def header_labels(text):
+    """'<joint>.<Channel>' for every CHANNELS line of BVH ``text``, in order."""
+    labels, joint = [], None
+    for words in (line.split() for line in text.splitlines()):
+        if words[:1] in (["ROOT"], ["JOINT"]):
+            joint = words[1]
+        elif words[:1] == ["CHANNELS"]:
+            labels += [f"{joint}.{channel}" for channel in words[2:]]
+    return labels
+
+
 class TestParse:
     def test_minimal_fixture(self):
         clip = parse_bvh(MINI_BVH)
-        assert len(clip.skeleton.joints()) == 1
+        assert joint_names(clip.root) == ["hips"]
         assert clip.frames.shape == (2, 6)
         assert clip.frame_time == pytest.approx(0.025)
-        assert clip.skeleton.channel_labels()[0] == "hips.Xposition"
+        assert clip.labels[0] == "hips.Xposition"
 
     def test_frame_count_mismatch(self):
         bad = MINI_BVH.replace("Frames: 2", "Frames: 3")
@@ -46,7 +62,7 @@ class TestParse:
             "JOINT chest", "JOINT hips"
         )
         clip = parse_bvh(text)
-        names = [j.name for j in clip.skeleton.joints()]
+        names = joint_names(clip.root)
         assert names == ["hips", "hips_2"]
 
     def test_long_clip_metadata(self):
@@ -70,11 +86,11 @@ class TestWrite:
     def test_round_trip_random_skeletons(self, seed):
         rng = np.random.default_rng(seed)
         clip = parse_bvh(random_skeleton_bvh(rng, max_joints=20, n_frames=60))
-        again = parse_bvh(write_bvh(clip))
+        text = write_bvh(clip)
+        again = parse_bvh(text)
         assert np.max(np.abs(clip.frames - again.frames)) < 1e-5
-        assert [j.name for j in again.skeleton.joints()] == [
-            j.name for j in clip.skeleton.joints()
-        ]
+        assert joint_names(again.root) == joint_names(clip.root)
+        assert again.labels == clip.labels == header_labels(text)
 
     def test_write_parse_write_fixed_point(self):
         rng = np.random.default_rng(9)
@@ -137,7 +153,7 @@ class TestMotionBlock:
         clip = parse_bvh(text)
         assert np.array_equal(clip.frames, reference_frames(text, 6), equal_nan=True)
         assert clip.frame_time == 0.025
-        assert clip.skeleton.channel_labels() == parse_bvh(MINI_BVH).skeleton.channel_labels()
+        assert clip.labels == parse_bvh(MINI_BVH).labels
 
     @EXAMPLES
     @given(st.integers(2, 5).flatmap(lambda rows: st.lists(
@@ -145,12 +161,12 @@ class TestMotionBlock:
         min_size=6 * rows, max_size=6 * rows)))
     def test_write_equals_per_value_format(self, values):
         frames = np.reshape(values, (-1, 6))
-        clip = MotionClip(parse_bvh(MINI_BVH).skeleton, frames, 0.025)
+        clip = MotionClip(parse_bvh(MINI_BVH).root, frames, 0.025)
         assert write_bvh(clip).endswith("Frame Time: 0.025000\n" + reference_rows(frames))
 
     def test_write_special_values(self):
         frames = np.reshape(WRITE_SPECIALS + [0.0] * 4, (-1, 6))
-        text = write_bvh(MotionClip(parse_bvh(MINI_BVH).skeleton, frames, 0.025))
+        text = write_bvh(MotionClip(parse_bvh(MINI_BVH).root, frames, 0.025))
         assert text.endswith("Frame Time: 0.025000\n" + reference_rows(frames))
         assert "-0.000000 -0.000000 1" in text
         assert "0.007812 0.023438 -0.039062 1000000.007812" in text
@@ -340,7 +356,7 @@ class TestExtractApply:
         out = apply_channels(clip, series)
         assert np.all(out.frames[:, clip.column("chest.Zrotation")] == 10.0)
         assert np.all(out.frames[:, clip.column("hips.Xrotation")] == 20.0)
-        untouched = [clip.column(label) for label in clip.skeleton.channel_labels()
+        untouched = [clip.column(label) for label in clip.labels
                      if label not in series.labels]
         assert np.array_equal(out.frames[:, untouched], clip.frames[:, untouched])
 
