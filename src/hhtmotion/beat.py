@@ -157,21 +157,23 @@ def estimate_tempo(onset: TimeSeries) -> float:
     The autocorrelation is weighted by a log-Gaussian prior centered at
     120 BPM with a one-octave standard deviation, which settles octave
     ambiguities.  The winning lag is refined by parabolic interpolation.
+    Lags are counted at the envelope's own ``rate``.
     """
     require_form(onset, False, "estimate_tempo")
     o = onset.samples
     n = o.size
+    rate = onset.rate
     spectrum = np.fft.rfft(o, 2 * n)
     ac = np.fft.irfft(spectrum * np.conj(spectrum))[:n]
     if ac[0] <= 0:
         raise NoBeats("onset envelope carries no energy")
 
-    lag_min = max(2, int(np.ceil(ONSET_RATE * 60.0 / BPM_RANGE[1])))
-    lag_max = min(n - 2, int(np.floor(ONSET_RATE * 60.0 / BPM_RANGE[0])))
+    lag_min = max(2, int(np.ceil(rate * 60.0 / BPM_RANGE[1])))
+    lag_max = min(n - 2, int(np.floor(rate * 60.0 / BPM_RANGE[0])))
     if lag_max <= lag_min:
         raise NoBeats("onset envelope too short for the tempo range")
     lags = np.arange(lag_min, lag_max + 1)
-    bpms = ONSET_RATE * 60.0 / lags
+    bpms = rate * 60.0 / lags
     weight = np.exp(-0.5 * np.square(np.log2(bpms / 120.0)))
     scores = ac[lags] * weight
     best = int(np.argmax(scores))
@@ -184,7 +186,7 @@ def estimate_tempo(onset: TimeSeries) -> float:
         denom = y0 - 2 * y1 + y2
         if denom < 0:
             lag += 0.5 * (y0 - y2) / denom
-    return ONSET_RATE * 60.0 / lag
+    return rate * 60.0 / lag
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +199,11 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
 
     Maximizes the summed onset strength at the beats minus
     ``tightness * log(gap / period)^2`` for each inter-beat gap, then
-    backtracks from the best final beat.  The grid's bpm field reports the
-    median inter-beat interval.
+    backtracks from the best final beat.  Beat times follow the envelope's
+    ``rate`` and ``start_time``.  The grid's bpm field reports the median
+    inter-beat interval.  A ``tightness`` whose penalty outweighs the onsets
+    (the median cumulative score at its peaks is not above 0) raises
+    :class:`InvalidValue`: the beats would stop short of the clip's end.
     """
     require_form(onset, False, "track_beats")
     if not 20.0 <= bpm <= 400.0:
@@ -208,7 +213,7 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
     o = onset.samples
     if o.max() <= 0:
         raise NoBeats("onset envelope is all zero")
-    period = ONSET_RATE * 60.0 / bpm
+    period = onset.rate * 60.0 / bpm
     n = o.size
 
     backlink = np.full(n, -1, dtype=int)
@@ -242,7 +247,13 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
     ]
     if local_max.size == 0:
         raise NoBeats("cumulative score has no peaks")
-    threshold = 0.5 * np.median(cumscore[local_max])
+    median = np.median(cumscore[local_max])
+    if not median > 0:
+        # the spacing penalty outweighs the onsets: a threshold of half a
+        # non-positive median would cut the grid short
+        raise InvalidValue(f"tightness {tightness:g} outweighs the onsets: the median "
+                           f"cumulative score at its peaks is {median:.3g}, not above 0")
+    threshold = 0.5 * median
     qualifying = local_max[cumscore[local_max] >= threshold]
     tail = int(qualifying[-1]) if qualifying.size else int(local_max[-1])
 
@@ -254,7 +265,7 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
     frames.reverse()
     if len(frames) < 2:
         raise NoBeats("fewer than 2 beats tracked")
-    beats = onset.start_time + np.asarray(frames) / ONSET_RATE
+    beats = onset.start_time + np.asarray(frames) / onset.rate
     grid_bpm = 60.0 / float(np.median(np.diff(beats)))
     strong = _strong_flags(len(beats), strong_period)
     try:

@@ -88,6 +88,16 @@ def _check_size(elements, what):
         )
 
 
+def _refuse_ignored(names, applies_to, given):
+    """Refuse the options in ``names`` that were given explicitly although
+    ``given`` ignores them: exit 64 naming the first, and what it applies to."""
+    ctx = click.get_current_context()
+    for name in names:
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            option = "--" + name.replace("_", "-")
+            raise errors.InvalidValue(f"{option} applies to {applies_to}, not to {given}")
+
+
 class _Pipeline(click.Group):
     """The command group: an hhtmotion error ends any command with one
     ``error:`` line and the exit code ``EXIT_CODES`` gives its type."""
@@ -199,13 +209,21 @@ def main():
               help="Projection direction count for memd/na-memd; raised to "
                    "2 x dimensions (channels, plus noise channels for na-memd) "
                    "when below that")
-@click.option("--noise-pct", type=float, default=0.09, show_default=True)
-@click.option("--noise-channels", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--noise-pct", type=float, default=0.09, show_default=True,
+              help="Noise amplitude as a share of the signal RMS (na-memd)")
+@click.option("--noise-channels", type=int, default=1, show_default=True,
+              help="Noise channel count (na-memd)")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of the direction set and of na-memd's noise (memd/na-memd)")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
                   noise_pct, noise_channels, seed, out):
     """Decompose selected BVH channels into an IMF archive."""
+    if method != "na-memd":
+        _refuse_ignored(["noise_pct", "noise_channels"], "--method na-memd",
+                        f"--method {method}")
+    if method == "emd":
+        _refuse_ignored(["directions", "seed"], "--method memd or na-memd", "--method emd")
     clip = _load_bvh(bvh_path)
     selection = [name.strip() for name in channels.split(",") if name.strip()]
     if not selection:
@@ -283,14 +301,11 @@ def cmd_beats(wav_path, bpm, duration, offset, strong_period, tightness, out):
     if bpm is not None:
         if duration is None:
             raise errors.InvalidValue("--bpm needs --duration")
-        ctx = click.get_current_context()
-        if ctx.get_parameter_source("tightness") is not ParameterSource.DEFAULT:
-            raise errors.InvalidValue("--tightness applies to a WAV path, not to --bpm")
+        _refuse_ignored(["tightness"], "a WAV path", "--bpm")
         _check_size(duration * bpm / 60.0, f"--duration {duration:g} at --bpm {bpm:g}")
         grid = fixed_grid(bpm, duration, strong_period=strong_period)
     else:
-        if duration is not None:
-            raise errors.InvalidValue("--duration applies to --bpm, not to a WAV path")
+        _refuse_ignored(["duration"], "--bpm", "a WAV path")
         with _reading(wav_path):
             envelope = onset_envelope(read_wav(wav_path))
         tempo = estimate_tempo(envelope)

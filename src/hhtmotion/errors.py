@@ -1,6 +1,9 @@
 """Exception types shared across the toolkit: one public type per CLI exit
 code, plus two that only library callers see."""
 
+__all__ = ["HhtMotionError", "InputError", "ChannelError", "NoConvergence", "NoBeats",
+           "BlendSpecError", "InvalidValue", "TooFewExtrema", "DegenerateSignal"]
+
 
 class HhtMotionError(Exception):
     """Base class for all hhtmotion errors."""

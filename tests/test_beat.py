@@ -135,6 +135,20 @@ class TestTrackBeats:
         with pytest.raises(NoBeats, match=r"^onset envelope is all zero$"):
             track_beats(TimeSeries(np.zeros(2000), 100.0), 120.0)
 
+    def test_envelope_rate_and_start_time_are_read(self):
+        """A 200 Hz envelope (the 100 Hz one, each sample twice) gives the same
+        tempo and beats; shifting its start time shifts the beats."""
+        env = onset_envelope(click_signal(120.0, 10.0, 22050))
+        doubled = TimeSeries(np.repeat(env.samples, 2), 200.0, start_time=env.start_time)
+        assert estimate_tempo(doubled) == pytest.approx(120.0, abs=0.5)
+        grid = track_beats(env, 120.0)
+        fast = track_beats(doubled, 120.0)
+        assert len(fast) == len(grid) == 20
+        np.testing.assert_allclose(fast.beats, grid.beats, atol=0.01)
+        assert fast.beats[-1] < 10.0
+        later = TimeSeries(env.samples, 100.0, start_time=env.start_time + 5.0)
+        np.testing.assert_allclose(track_beats(later, 120.0).beats, grid.beats + 5.0)
+
 
 class TestSegmentByBeats:
     def make_clip(self, duration=10.0, fps=40.0):

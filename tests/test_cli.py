@@ -798,6 +798,28 @@ FAILURES = {
     "tightness-with-bpm": (64, lambda f: ["beats", "--bpm", "120", "--duration", "5",
                                           "--tightness", "400", "--out", f["out"]],
                            "error: --tightness applies to a WAV path, not to --bpm"),
+    # options that the chosen decomposition method would ignore
+    "noise-pct-with-memd": (64, lambda f: _decompose(f, "--method", "memd",
+                                                     "--noise-pct", "0.1"),
+                            "error: --noise-pct applies to --method na-memd, "
+                            "not to --method memd"),
+    "noise-channels-with-emd": (64, lambda f: _decompose(f, "--method", "emd",
+                                                         "--noise-channels", "2"),
+                                "error: --noise-channels applies to --method na-memd, "
+                                "not to --method emd"),
+    "directions-with-emd": (64, lambda f: _decompose(f, "--method", "emd",
+                                                     "--directions", "8"),
+                            "error: --directions applies to --method memd or na-memd, "
+                            "not to --method emd"),
+    "seed-with-emd": (64, lambda f: _decompose(f, "--method", "emd", "--seed", "0"),
+                      "error: --seed applies to --method memd or na-memd, "
+                      "not to --method emd"),
+    # a penalty that outweighs the clicks: the grid would end at 1.5 s of 8
+    "tightness-truncates-grid": (64, lambda f: ["beats", f["clicks_wav"], "--tightness",
+                                                "1e12", "--out", f["out"]],
+                                 re.compile(r"error: tightness 1e\+12 outweighs the onsets: "
+                                            r"the median cumulative score at its peaks is "
+                                            r"-\d[\d.e+]*, not above 0")),
     "wav-1-hz": (2, lambda f: ["beats", f["wav_1_hz"], "--out", f["out"]],
                  "error: {wav_1_hz}: audio rate must be at least 8000 Hz, got 1"),
     "decompose-out-missing-dir": (64, lambda f: _decompose(f, out="missing_dir"), _NO_DIR),

@@ -231,8 +231,9 @@ def test_cli_exits_with_a_documented_code(cli_files, data):
 # Every float option with each extreme value, in each form of its command:
 # (form, option, the command's argv without the option, the output's name).
 def _decompose_form(method):
+    directions = [] if method == "emd" else ["--directions", "8"]  # emd refuses --directions
     return lambda f: ["decompose", f["dance.bvh"], "--channels",
-                      "hips.Xrotation,hips.Yrotation", "--method", method, "--directions", "8"]
+                      "hips.Xrotation,hips.Yrotation", "--method", method, *directions]
 
 
 def _beats_bpm_form(option):
@@ -244,6 +245,8 @@ def _beats_bpm_form(option):
 SWEEP_FORMS = [
     ("decompose", "--sd-threshold", _decompose_form("memd"), "archive.json"),
     ("decompose", "--noise-pct", _decompose_form("na-memd"), "archive.json"),
+    ("decompose-memd", "--noise-pct", _decompose_form("memd"), "archive.json"),
+    ("decompose-emd", "--noise-pct", _decompose_form("emd"), "archive.json"),
     ("analyze", "--fibonacci-tolerance", lambda f: ["analyze", f["archive.json"]],
      "analysis.json"),
     ("spectrum", "--time-bin", lambda f: ["spectrum", f["archive.json"]], "spectrum.csv"),

@@ -1,5 +1,6 @@
 """The README's library quickstart runs as written."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -22,3 +23,11 @@ def test_library_quickstart_runs(tmp_path, monkeypatch):
     (tmp_path / "dance.bvh").write_text(bvh_text(hips, frame_time=1 / 40.0))
     monkeypatch.chdir(tmp_path)
     exec(compile(code, str(README), "exec"), {})
+
+
+def test_module_table_lists_each_modules_api():
+    """Each row of the README's module table names exactly its module's ``__all__``."""
+    rows = re.findall(r"^\| `(hhtmotion\.\w+)` \| (.+) \|$", README.read_text(), re.MULTILINE)
+    assert len(rows) == 8
+    for module, names in rows:
+        assert set(re.findall(r"`(\w+)`", names)) == set(importlib.import_module(module).__all__)
