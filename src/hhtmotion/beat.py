@@ -271,7 +271,8 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
     try:
         return BeatGrid(beats=beats, bpm=grid_bpm, strong=strong)
     except ValueError as exc:
-        raise NoBeats(f"tracked beats keep no steady tempo: {exc}") from None
+        raise NoBeats(f"tracked beats keep no steady tempo at tightness {tightness:g}: "
+                      f"{exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import sys
 import tempfile
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from . import __version__, errors
@@ -61,7 +60,7 @@ from .memd import (
     na_memd,
 )
 from .mocap_io import extract_channels, parse_bvh, write_bvh
-from .signal_core import Decomposition, TimeSeries, emd
+from .signal_core import emd
 
 # Exit code of each error type, looked up along the raised type's MRO.
 EXIT_CODES = {
@@ -235,7 +234,7 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
         series = extract_channels(clip, selection)
 
     if method == "emd":
-        decomp = _emd_multichannel(series, sd_threshold)
+        decomp = emd(series, sd_threshold=sd_threshold)
     else:
         # one direction set over the channels plus na-memd's noise channels;
         # direction_set raises the count to 2 per dimension
@@ -263,22 +262,6 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
     click.echo(
         f"{decomp.imf_count} IMFs; trend RMS fraction "
         f"{trend_rms_fraction(decomp):.4f}"
-    )
-
-
-def _emd_multichannel(series, sd_threshold):
-    """Independent univariate decompositions, zero-padded to a common count."""
-    decomps = [emd(TimeSeries(row, series.rate), sd_threshold=sd_threshold)
-               for row in series.samples]
-    imfs = np.zeros((len(decomps), max(d.imf_count for d in decomps), len(series)))
-    for channel, d in zip(imfs, decomps):
-        channel[: d.imf_count] = d.imfs
-    return Decomposition(
-        imfs=imfs,
-        trend=[d.trend for d in decomps],
-        rate=series.rate,
-        labels=list(series.labels),
-        meta=dict(decomps[0].meta, source="emd"),
     )
 
 

@@ -322,14 +322,17 @@ def _mean_envelope(s: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.
 
 def envelope_pair(x: TimeSeries) -> tuple:
     """``(upper, lower)``: natural cubic-spline envelopes through the maxima
-    and minima of ``x``, on its sample grid.
+    and minima of ``x``, on its sample grid; on a channel axis each row is
+    fitted alone, and each envelope is (channels, samples).
 
     Boundaries are handled by mirror extension: the two extrema nearest each
     end are reflected across the signal boundary before fitting, and the
     splines are evaluated only on the original domain.
     """
-    require_form(x, False, "envelope_pair")
-    return _envelopes(x.samples, *_extrema(x.samples))
+    if x.labels is None:
+        return _envelopes(x.samples, *_extrema(x.samples))
+    upper, lower = zip(*(_envelopes(row, *_extrema(row)) for row in x.samples))
+    return np.array(upper), np.array(lower)
 
 
 def sift(c: TimeSeries) -> TimeSeries:
@@ -528,12 +531,21 @@ def emd(x: TimeSeries, sd_threshold: float = 0.25) -> Decomposition:
     Decomposition stops when the residual has too few extrema for envelopes
     or ``MAX_IMFS`` is reached; the remaining residual is the trend.
     Reconstruction is exact by construction up to float rounding.
+
+    On a channel axis each row is decomposed alone, and the rows' IMFs are
+    zero-padded to the largest count; the IMFs of different rows need not
+    share a mode.
     """
-    require_form(x, False, "emd")
     if len(x) < 4:
         raise InputError("decomposition needs at least 4 samples")
     check_sd_threshold(sd_threshold)
-    imfs, trend = _sift(x.samples, _emd_step, sd_threshold)
+    rows = [_sift(row, _emd_step, sd_threshold) for row in np.atleast_2d(x.samples)]
+    imfs = np.zeros((len(rows), max(len(row_imfs) for row_imfs, _ in rows), len(x)))
+    for channel, (row_imfs, _) in zip(imfs, rows):
+        channel[: len(row_imfs)] = row_imfs
+    trend = np.array([row_trend for _, row_trend in rows])
+    if x.labels is None:
+        imfs, trend = imfs[0], trend[0]
     return Decomposition(imfs=imfs, trend=trend, rate=x.rate,
+                         labels=None if x.labels is None else list(x.labels),
                          meta=_sift_meta("emd", sd_threshold))
-

@@ -820,6 +820,11 @@ FAILURES = {
                                  re.compile(r"error: tightness 1e\+12 outweighs the onsets: "
                                             r"the median cumulative score at its peaks is "
                                             r"-\d[\d.e+]*, not above 0")),
+    # no spacing penalty: the tracked beats keep no steady tempo
+    "tightness-zero": (5, lambda f: ["beats", f["clicks_wav"], "--tightness", "0",
+                                     "--out", f["out"]],
+                       "error: tracked beats keep no steady tempo at tightness 0: "
+                       "beat gaps deviate more than 25% from 60/bpm"),
     "wav-1-hz": (2, lambda f: ["beats", f["wav_1_hz"], "--out", f["out"]],
                  "error: {wav_1_hz}: audio rate must be at least 8000 Hz, got 1"),
     "decompose-out-missing-dir": (64, lambda f: _decompose(f, out="missing_dir"), _NO_DIR),

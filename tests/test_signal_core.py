@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hhtmotion.beat import estimate_tempo, onset_envelope, track_beats
 from hhtmotion.edit import align, apply_blend, synthesize_clip
 from hhtmotion.memd import (
     direction_set,
+    multivariate_from_dict,
     multivariate_mean_envelope,
     multivariate_to_dict,
     na_memd,
@@ -163,11 +166,9 @@ def _channel_axis_decomposition():
 
 # each public function that takes one of the two forms, given the other
 ONE_CHANNEL_ONLY = {
-    "emd": lambda: emd(_channel_axis()),
     "analytic_signal": lambda: analytic_signal(_channel_axis()),
     "imf_check": lambda: imf_check(_channel_axis()),
     "find_extrema": lambda: find_extrema(_channel_axis()),
-    "envelope_pair": lambda: envelope_pair(_channel_axis()),
     "sift": lambda: sift(_channel_axis()),
     "wafa": lambda: wafa(_channel_axis_decomposition()),
     "hilbert_spectrum": lambda: hilbert_spectrum(_channel_axis_decomposition()),
@@ -331,6 +332,15 @@ class TestEnvelopePair:
         with pytest.raises(TooFewExtrema):
             envelope_pair(TimeSeries(s, 10.0))
 
+    def test_channel_axis_fits_each_row(self):
+        x = _mixed_channels()
+        upper, lower = envelope_pair(x)
+        assert upper.shape == lower.shape == x.samples.shape
+        for row, row_upper, row_lower in zip(x.samples, upper, lower):
+            one_upper, one_lower = envelope_pair(TimeSeries(row, x.rate))
+            assert np.array_equal(row_upper, one_upper)
+            assert np.array_equal(row_lower, one_lower)
+
 
 class TestSift:
     def test_fixed_point_for_clean_imf(self):
@@ -385,7 +395,44 @@ class TestImfCheck:
         assert report.zero_crossings == zc
 
 
+def _mixed_channels():
+    """Three rows of unequal IMF counts: a tone, a two-tone sum and noise."""
+    rate = 50.0
+    t = np.arange(600) / rate
+    rows = [np.sin(2 * np.pi * 2 * t),
+            np.sin(2 * np.pi * 0.5 * t) + 0.5 * np.sin(2 * np.pi * 5 * t),
+            np.random.default_rng(4).standard_normal(600)]
+    return TimeSeries(np.stack(rows), rate, labels=["a.Xrotation", "b.Xrotation", "c.Xrotation"])
+
+
 class TestEmd:
+    def test_channel_axis_pads_each_rows_decomposition(self):
+        x = _mixed_channels()
+        ramp = np.linspace(-3.0, 3.0, len(x))  # no extrema: no IMF at all
+        x = TimeSeries(np.vstack([x.samples, ramp]), x.rate, labels=x.labels + ["d.Xrotation"])
+        d = emd(x, sd_threshold=0.2)
+        rows = [emd(TimeSeries(row, x.rate), sd_threshold=0.2) for row in x.samples]
+        counts = [row.imf_count for row in rows]
+        assert len(set(counts)) > 2 and counts[-1] == 0
+        assert d.imfs.shape == (4, max(counts), len(x))
+        assert d.labels == x.labels and d.labels is not x.labels
+        assert d.meta == rows[0].meta == signal_core._sift_meta("emd", 0.2)
+        for channel, row in zip(d.per_channel, rows):
+            assert np.array_equal(channel.imfs[: row.imf_count], row.imfs)
+            assert not channel.imfs[row.imf_count :].any()
+            assert np.array_equal(channel.trend, row.trend)
+        assert np.array_equal(d.trend[-1], ramp)
+        assert np.allclose(d.reconstruct(), x.samples, rtol=0, atol=1e-12)
+
+    def test_channel_axis_round_trips_through_the_archive(self):
+        d = emd(_mixed_channels())
+        back = multivariate_from_dict(json.loads(json.dumps(multivariate_to_dict(d))))
+        assert back.labels == d.labels
+        assert back.meta == d.meta
+        assert back.rate == d.rate
+        assert np.array_equal(back.imfs, d.imfs)
+        assert np.array_equal(back.trend, d.trend)
+
     def test_single_tone_near_identity(self):
         x = tone(2.0, 10.0, 100.0)
         d = emd(x)
