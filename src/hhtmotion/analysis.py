@@ -151,21 +151,16 @@ def trend_rms_fraction(d: Decomposition) -> float:
     return float(np.sqrt(trend_sq / input_sq)) if input_sq > 0 else 0.0
 
 
-def summarize(d: Decomposition, overall=None) -> tuple:
+def summarize(d: Decomposition, overall) -> tuple:
     """The ``(low, high)`` range of overall weighted frequencies.
 
-    With a channel axis the range spans all channels.  It covers only IMFs
-    carrying at least 1% of the input RMS, so near-empty residue modes do
-    not stretch it; ``(0.0, 0.0)`` when none qualifies.  ``overall`` lists
-    each channel's overall frequencies (``wafa``'s second value, which
-    segments do not change) for a caller that has them; by default they are
-    computed here.
+    ``overall`` holds ``wafa``'s second value (segments do not change it) for
+    each of ``d.per_channel``; with a channel axis the range spans all of
+    them.  It covers only IMFs carrying at least 1% of the input RMS, so
+    near-empty residue modes do not stretch it; ``(0.0, 0.0)`` if none does.
     """
-    decomps = d.per_channel
-    if overall is None:
-        overall = [wafa(dec)[1] for dec in decomps]
     freqs = []
-    for dec, channel_freqs in zip(decomps, overall):
+    for dec, channel_freqs in zip(d.per_channel, overall):
         input_rms = float(np.sqrt(np.mean(np.square(dec.reconstruct()))))
         for c, f in zip(dec.imfs, channel_freqs):
             imf_rms = float(np.sqrt(np.mean(np.square(c))))

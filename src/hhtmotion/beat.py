@@ -68,19 +68,16 @@ class BeatGrid:
         return self.beats.size
 
 
-def _strong_flags(count, period):
-    if period < 1:
-        raise InvalidValue(f"strong period must be at least 1, got {period}")
-    flags = np.zeros(count, dtype=bool)
-    flags[::period] = True
-    return flags
+def _strong_flags(count):
+    """Every fourth beat flagged strong, from the first."""
+    return np.arange(count) % 4 == 0
 
 
-def fixed_grid(bpm: float, duration: float, strong_period: int = 4) -> BeatGrid:
+def fixed_grid(bpm: float, duration: float) -> BeatGrid:
     """Evenly spaced beats for a known tempo.
 
-    Produces floor(duration * bpm / 60) beats starting at 0; every
-    ``strong_period``-th beat is flagged strong.
+    Produces floor(duration * bpm / 60) beats starting at 0; every fourth
+    beat is flagged strong.
     """
     if not 20.0 <= bpm <= 400.0:
         raise InvalidValue(f"bpm {bpm} outside [20, 400]")
@@ -89,7 +86,7 @@ def fixed_grid(bpm: float, duration: float, strong_period: int = 4) -> BeatGrid:
         raise InvalidValue("duration must be finite and exceed one beat period")
     count = int(np.floor(duration * bpm / 60.0))
     beats = period * np.arange(count)
-    return BeatGrid(beats=beats, bpm=bpm, strong=_strong_flags(count, strong_period))
+    return BeatGrid(beats=beats, bpm=bpm, strong=_strong_flags(count))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +190,7 @@ def estimate_tempo(onset: TimeSeries) -> float:
 # beat tracking
 
 
-def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
-                strong_period: int = 4) -> BeatGrid:
+def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0) -> BeatGrid:
     """Place beats on onset peaks by dynamic programming.
 
     Maximizes the summed onset strength at the beats minus
@@ -267,9 +263,8 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0,
         raise NoBeats("fewer than 2 beats tracked")
     beats = onset.start_time + np.asarray(frames) / onset.rate
     grid_bpm = 60.0 / float(np.median(np.diff(beats)))
-    strong = _strong_flags(len(beats), strong_period)
     try:
-        return BeatGrid(beats=beats, bpm=grid_bpm, strong=strong)
+        return BeatGrid(beats=beats, bpm=grid_bpm, strong=_strong_flags(len(beats)))
     except ValueError as exc:
         raise NoBeats(f"tracked beats keep no steady tempo at tightness {tightness:g}: "
                       f"{exc}") from None

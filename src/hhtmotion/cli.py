@@ -87,14 +87,28 @@ def _check_size(elements, what):
         )
 
 
-def _refuse_ignored(names, applies_to, given):
-    """Refuse the options in ``names`` that were given explicitly although
-    ``given`` ignores them: exit 64 naming the first, and what it applies to."""
+# The options each mode ignores, each with what it applies to instead: given,
+# they are refused (exit 64); defaulted, the manifest leaves them out.
+_NA_MEMD, _MEMD = "--method na-memd", "--method memd or na-memd"
+_IGNORED = {
+    "--method emd": {"noise_pct": _NA_MEMD, "noise_channels": _NA_MEMD,
+                     "directions": _MEMD, "seed": _MEMD},
+    "--method memd": {"noise_pct": _NA_MEMD, "noise_channels": _NA_MEMD},
+    "--method na-memd": {},
+    "--bpm": {"tightness": "a WAV path"},
+    "a WAV path": {"duration": "--bpm"},
+}
+
+
+def _refuse_ignored(mode):
+    """Refuse the options that ``mode`` ignores if any was given explicitly:
+    exit 64 naming the first, and what it applies to.  Returns those options."""
     ctx = click.get_current_context()
-    for name in names:
+    for name, applies_to in _IGNORED[mode].items():
         if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
             option = "--" + name.replace("_", "-")
-            raise errors.InvalidValue(f"{option} applies to {applies_to}, not to {given}")
+            raise errors.InvalidValue(f"{option} applies to {applies_to}, not to {mode}")
+    return _IGNORED[mode]
 
 
 class _Pipeline(click.Group):
@@ -137,12 +151,13 @@ def _dump_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _write_manifest(outputs, **recorded):
+def _write_manifest(outputs, ignored=(), **recorded):
     """Write ``<outputs[0]>.manifest.json`` for the running command.
 
     The command's existing-path arguments that were given are its inputs,
     hashed, and its other options but paths and ``--seed`` its parameters,
-    as given; ``recorded`` replaces a value the command normalised.
+    as given, but for the ``ignored`` ones the run did not use (a null
+    ``seed``); ``recorded`` replaces a value the command normalised.
     """
     ctx = click.get_current_context()
     inputs, parameters = {}, {}
@@ -151,14 +166,14 @@ def _write_manifest(outputs, **recorded):
         if isinstance(param.type, click.Path):
             if param.type.exists and value is not None:
                 inputs[value] = _sha256(value)
-        elif param.name != "seed":
+        elif param.name not in ("seed", *ignored):
             parameters[param.name] = value
     parameters.update(recorded)
     manifest = {
         "command": ctx.info_name,
         "inputs": inputs,
         "parameters": parameters,
-        "seed": ctx.params.get("seed"),
+        "seed": None if "seed" in ignored else ctx.params.get("seed"),
         "tool_version": __version__,
         "outputs": [str(p) for p in outputs],
     }
@@ -218,11 +233,7 @@ def main():
 def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
                   noise_pct, noise_channels, seed, out):
     """Decompose selected BVH channels into an IMF archive."""
-    if method != "na-memd":
-        _refuse_ignored(["noise_pct", "noise_channels"], "--method na-memd",
-                        f"--method {method}")
-    if method == "emd":
-        _refuse_ignored(["directions", "seed"], "--method memd or na-memd", "--method emd")
+    ignored = _refuse_ignored(f"--method {method}")
     clip = _load_bvh(bvh_path)
     selection = [name.strip() for name in channels.split(",") if name.strip()]
     if not selection:
@@ -258,7 +269,7 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
             )
 
     _atomic_write(out, _dump_json(multivariate_to_dict(decomp)))
-    _write_manifest([out], channels=selection)
+    _write_manifest([out], ignored, channels=selection)
     click.echo(
         f"{decomp.imf_count} IMFs; trend RMS fraction "
         f"{trend_rms_fraction(decomp):.4f}"
@@ -273,34 +284,32 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
 @click.option("--duration", type=float, default=None,
               help="Grid length in seconds (with --bpm)")
 @click.option("--offset", type=float, default=0.0, show_default=True)
-@click.option("--strong-period", type=int, default=4, show_default=True)
 @click.option("--tightness", type=float, default=400.0, show_default=True,
               help="Beat tracking's tempo rigidity (with a WAV path)")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-def cmd_beats(wav_path, bpm, duration, offset, strong_period, tightness, out):
+def cmd_beats(wav_path, bpm, duration, offset, tightness, out):
     """Produce a beat grid from audio or from a fixed tempo."""
     if (wav_path is None) == (bpm is None):
         raise errors.InvalidValue("provide exactly one of a WAV path or --bpm")
     if bpm is not None:
         if duration is None:
             raise errors.InvalidValue("--bpm needs --duration")
-        _refuse_ignored(["tightness"], "a WAV path", "--bpm")
+        ignored = _refuse_ignored("--bpm")
         _check_size(duration * bpm / 60.0, f"--duration {duration:g} at --bpm {bpm:g}")
-        grid = fixed_grid(bpm, duration, strong_period=strong_period)
+        grid = fixed_grid(bpm, duration)
     else:
-        _refuse_ignored(["duration"], "--bpm", "a WAV path")
+        ignored = _refuse_ignored("a WAV path")
         with _reading(wav_path):
             envelope = onset_envelope(read_wav(wav_path))
         tempo = estimate_tempo(envelope)
-        grid = track_beats(envelope, tempo, tightness=tightness,
-                           strong_period=strong_period)
+        grid = track_beats(envelope, tempo, tightness=tightness)
     try:
         grid = BeatGrid(beats=grid.beats + offset, bpm=grid.bpm, strong=grid.strong)
     except ValueError as exc:
         raise errors.InvalidValue(f"--offset {offset:g}: {exc}") from None
 
     _atomic_write(out, _dump_json(grid_to_dict(grid)))
-    _write_manifest([out])
+    _write_manifest([out], ignored)
     click.echo(f"{len(grid)} beats at {grid.bpm:.2f} BPM")
 
 

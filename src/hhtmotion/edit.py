@@ -24,7 +24,6 @@ from .spline import cubic_spline
 __all__ = [
     "BlendOp",
     "align",
-    "merge_imfs",
     "apply_blend",
     "synthesize_clip",
     "blend_spec_from_dict",
@@ -151,13 +150,6 @@ def _merge_rows(imfs, i, j):
     return np.concatenate(
         [imfs[..., : i - 1, :], merged[..., None, :], imfs[..., j:, :]], axis=-2
     )
-
-
-def merge_imfs(d: Decomposition, imf_range) -> Decomposition:
-    """Sum IMFs ``i..j`` (1-based, inclusive) into one; reconstruction unchanged."""
-    i, j = imf_range
-    return Decomposition(imfs=_merge_rows(d.imfs, i, j), trend=d.trend.copy(),
-                         rate=d.rate, meta=dict(d.meta), labels=d.labels)
 
 
 # ---------------------------------------------------------------------------

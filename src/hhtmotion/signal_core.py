@@ -32,9 +32,7 @@ __all__ = [
     "ImfReport",
     "analytic_signal",
     "instantaneous_attributes",
-    "find_extrema",
     "envelope_pair",
-    "sift",
     "imf_check",
     "emd",
 ]
@@ -301,12 +299,6 @@ def _extrema(s: np.ndarray):
     return maxima.astype(np.int64), minima.astype(np.int64)
 
 
-def find_extrema(x: TimeSeries):
-    """Return (maxima indices, minima indices) of ``x``."""
-    require_form(x, False, "find_extrema")
-    return _extrema(x.samples)
-
-
 def _envelopes(s: np.ndarray, maxima: np.ndarray, minima: np.ndarray):
     if maxima.size < 2 or minima.size < 2:
         raise TooFewExtrema(
@@ -333,13 +325,6 @@ def envelope_pair(x: TimeSeries) -> tuple:
         return _envelopes(x.samples, *_extrema(x.samples))
     upper, lower = zip(*(_envelopes(row, *_extrema(row)) for row in x.samples))
     return np.array(upper), np.array(lower)
-
-
-def sift(c: TimeSeries) -> TimeSeries:
-    """One sifting step: subtract the mean of the upper and lower envelopes."""
-    require_form(c, False, "sift")
-    sifted = c.samples - _mean_envelope(c.samples, *_extrema(c.samples))
-    return TimeSeries(sifted, rate=c.rate, start_time=c.start_time)
 
 
 # ---------------------------------------------------------------------------

@@ -166,14 +166,14 @@ class TestSummarize:
         rate = 100.0
         t = np.arange(0, 10, 1 / rate)
         d = emd(TimeSeries(np.sin(2 * np.pi * t) + np.sin(2 * np.pi * 5 * t), rate))
-        low, high = summarize(d)
+        low, high = summarize(d, [wafa(d)[1]])
         assert d.imf_count >= 2
         assert low == pytest.approx(1.0, abs=0.3)
         assert high == pytest.approx(5.0, abs=0.5)
 
     def test_pure_tone_single_imf(self):
         d = emd(tone(2.0, 10.0, 100.0))
-        low, high = summarize(d)
+        low, high = summarize(d, [wafa(d)[1]])
         assert d.imf_count == 1
         assert low == high == pytest.approx(2.0, abs=0.05)
 
@@ -185,7 +185,7 @@ class TestSummarize:
             np.sin(2 * np.pi * f * t + 0.6 * k) for k, f in enumerate(designed)
         ]
         d = Decomposition(imfs=imfs, trend=0.2 * np.ones(t.size), rate=rate)
-        low, high = summarize(d)
+        low, high = summarize(d, [wafa(d)[1]])
         assert low == pytest.approx(0.1, rel=0.1)
         assert high == pytest.approx(4.8, rel=0.05)
         assert trend_rms_fraction(d) > 0

@@ -43,10 +43,9 @@ class TestFixedGrid:
             fixed_grid(10.0, 60.0)
 
     def test_strong_flags(self):
-        grid = fixed_grid(120.0, 10.0, strong_period=4)
-        assert grid.strong[0]
-        assert not grid.strong[1]
-        assert grid.strong[4]
+        grid = fixed_grid(120.0, 10.0)
+        # every fourth beat, from the first, of 20
+        assert np.array_equal(np.flatnonzero(grid.strong), np.arange(0, 20, 4))
 
 
 class TestOnsetEnvelope:

@@ -786,9 +786,6 @@ FAILURES = {
                          "error: direction sampling needs at least 2 dimensions"),
     "sd-threshold-5": (64, lambda f: _decompose(f, "--method", "emd", "--sd-threshold", "5"),
                        "error: sd_threshold must lie in (0, 1), got 5.0"),
-    "strong-period-0": (64, lambda f: ["beats", "--bpm", "120", "--duration", "5",
-                                       "--strong-period", "0", "--out", f["out"]],
-                        "error: strong period must be at least 1, got 0"),
     "wav-100-samples": (2, lambda f: ["beats", f["wav_100_samples"], "--out", f["out"]],
                         "error: {wav_100_samples}: need at least 1 s of audio"),
     # options that the chosen beat source would ignore
@@ -930,8 +927,9 @@ def test_flat_archive_error_names_the_file(runner, failure_inputs, name):
 
 # Each command with some options given and the rest at their defaults:
 # (argv, the input files given, the manifest's parameters, its seed).  The
-# parameters are every option but the paths and --seed, as given; decompose
-# records its channel list as it was split.
+# parameters are every option but the paths, --seed and the options the
+# command's mode ignores, as given; decompose records its channel list as it
+# was split.
 MANIFESTS = {
     "decompose": (
         lambda f, out: ["decompose", f["bvh"], "--channels", " hips.Xrotation, hips.Yrotation",
@@ -939,22 +937,35 @@ MANIFESTS = {
                         "--seed", "3", "--out", out],
         ["bvh"],
         {"channels": ["hips.Xrotation", "hips.Yrotation"], "method": "memd",
-         "sd_threshold": 0.3, "directions": 8, "noise_pct": 0.09, "noise_channels": 1},
+         "sd_threshold": 0.3, "directions": 8},
         3,
+    ),
+    "decompose-emd": (
+        lambda f, out: ["decompose", f["bvh"], "--channels", "hips.Xrotation",
+                        "--method", "emd", "--out", out],
+        ["bvh"],
+        {"channels": ["hips.Xrotation"], "method": "emd", "sd_threshold": 0.25},
+        None,
+    ),
+    "decompose-na-memd": (
+        lambda f, out: ["decompose", f["bvh"], "--channels", "hips.Xrotation",
+                        "--noise-pct", "0.2", "--out", out],
+        ["bvh"],
+        {"channels": ["hips.Xrotation"], "method": "na-memd", "sd_threshold": 0.25,
+         "directions": 64, "noise_pct": 0.2, "noise_channels": 1},
+        0,
     ),
     "beats-bpm": (
         lambda f, out: ["beats", "--bpm", "130", "--duration", "5", "--offset", "0.25",
                         "--out", out],
         [],
-        {"bpm": 130.0, "duration": 5.0, "offset": 0.25, "strong_period": 4,
-         "tightness": 400.0},
+        {"bpm": 130.0, "duration": 5.0, "offset": 0.25},
         None,
     ),
     "beats-wav": (
-        lambda f, out: ["beats", f["clicks_wav"], "--strong-period", "3", "--out", out],
+        lambda f, out: ["beats", f["clicks_wav"], "--tightness", "300", "--out", out],
         ["clicks_wav"],
-        {"bpm": None, "duration": None, "offset": 0.0, "strong_period": 3,
-         "tightness": 400.0},
+        {"bpm": None, "offset": 0.0, "tightness": 300.0},
         None,
     ),
     "analyze": (
@@ -1006,3 +1017,30 @@ def test_manifest_records_what_the_command_was_given(runner, failure_inputs, tmp
             inputs[failure_inputs[key]] = "sha256:" + hashlib.sha256(handle.read()).hexdigest()
     assert manifest["inputs"] == inputs
     assert manifest["outputs"][0] == out
+
+
+# The options each mode ignores, by its MANIFESTS row: refused when given, and
+# left out of the manifest when defaulted, --seed as null.
+IGNORED_BY_MODE = {
+    "decompose-emd": ["noise_pct", "noise_channels", "directions", "seed"],
+    "decompose": ["noise_pct", "noise_channels"],  # --method memd
+    "beats-bpm": ["tightness"],
+    "beats-wav": ["duration"],
+}
+
+
+@pytest.mark.parametrize("name", list(IGNORED_BY_MODE))
+def test_manifest_leaves_out_what_the_mode_refuses(runner, failure_inputs, tmp_path, name):
+    out = str(tmp_path / "out.json")
+    argv = MANIFESTS[name][0](failure_inputs, out)
+    assert runner.invoke(main, argv).exit_code == 0
+    with open(out + ".manifest.json") as handle:
+        manifest = json.load(handle)
+    ignored = IGNORED_BY_MODE[name]
+    assert not set(ignored) & set(manifest["parameters"]), manifest["parameters"]
+    assert "seed" not in ignored or manifest["seed"] is None
+    for key in ignored:
+        option = "--" + key.replace("_", "-")
+        result = runner.invoke(main, argv[:-2] + [option, "1", "--out", out])
+        assert result.exit_code == 64, result.output
+        assert result.output.startswith(f"error: {option} applies to ")

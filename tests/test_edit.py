@@ -6,7 +6,6 @@ from hhtmotion.edit import (
     align,
     apply_blend,
     blend_spec_from_dict,
-    merge_imfs,
     synthesize_clip,
 )
 from hhtmotion.errors import BlendSpecError, ChannelError
@@ -71,8 +70,6 @@ class TestAlign:
         a, b = align(a, b, target_rate=40.0)
         assert a.imfs.shape == b.imfs.shape == (3, 400)
         assert a.labels is None and np.all(b.imfs[2] == 0)
-        merged = merge_imfs(a, (1, 3)).imfs[0]
-        assert np.array_equal(merged, a.imfs[0] + a.imfs[1] + a.imfs[2])
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(3)
@@ -82,42 +79,32 @@ class TestAlign:
             align(a, b, target_rate=40.0)
 
 
+def merge(d, imfs):
+    """``d`` with the IMFs ``imfs`` merged by ``apply_blend``, ``d`` its own donor."""
+    return apply_blend(d, d, [BlendOp(kind="merge", imfs=imfs)])
+
+
 class TestMergeImfs:
     def test_merge_adjacent_pair(self):
-        rng = np.random.default_rng(4)
-        d = Decomposition(
-            imfs=[rng.standard_normal(100) for _ in range(3)],
-            trend=rng.standard_normal(100),
-            rate=10.0,
-        )
-        merged = merge_imfs(d, (1, 2))
+        d = random_md(np.random.default_rng(4), n=100, rate=10.0)
+        merged = merge(d, [1, 2])
         assert merged.imf_count == 2
         assert np.allclose(
             merged.reconstruct(), d.reconstruct(), atol=1e-12 * np.max(np.abs(d.reconstruct()))
         )
 
     def test_merge_all(self):
-        rng = np.random.default_rng(5)
-        d = Decomposition(
-            imfs=[rng.standard_normal(100) for _ in range(3)],
-            trend=rng.standard_normal(100),
-            rate=10.0,
-        )
-        merged = merge_imfs(d, (1, 3))
+        d = random_md(np.random.default_rng(5), n=100, rate=10.0)
+        merged = merge(d, [1, 3])
         assert merged.imf_count == 1
-        assert np.allclose(merged.imfs[0], d.reconstruct() - d.trend)
+        assert np.allclose(merged.imfs[:, 0], d.reconstruct() - d.trend)
 
     def test_bad_range(self):
-        rng = np.random.default_rng(6)
-        d = Decomposition(
-            imfs=[rng.standard_normal(50) for _ in range(3)],
-            trend=np.zeros(50),
-            rate=10.0,
-        )
+        d = random_md(np.random.default_rng(6), n=50, rate=10.0)
         with pytest.raises(BlendSpecError, match=r"^merge range \[2, 2\] invalid for 3 IMFs$"):
-            merge_imfs(d, (2, 2))
+            merge(d, [2, 2])
         with pytest.raises(BlendSpecError, match=r"^merge range \[0, 2\] invalid for 3 IMFs$"):
-            merge_imfs(d, (0, 2))
+            merge(d, [0, 2])
 
 
 class TestApplyBlend:

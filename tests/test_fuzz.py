@@ -198,8 +198,7 @@ def _argv(draw, files):
         argv = draw(st.sampled_from([[], [files["clicks.wav"]], [files["one_hertz.wav"]],
                                      [files["garbage.txt"]]]))
         argv += _options(draw, {"--bpm": FLOATS + ["120"], "--duration": FLOATS,
-                                "--offset": FLOATS, "--strong-period": INTS,
-                                "--tightness": FLOATS})
+                                "--offset": FLOATS, "--tightness": FLOATS})
     elif command == "analyze":
         argv = [pick(archives)]
         argv += _options(draw, {"--beats": [files[n] for n in

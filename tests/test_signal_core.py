@@ -30,10 +30,8 @@ from hhtmotion.signal_core import (
     analytic_signal,
     emd,
     envelope_pair,
-    find_extrema,
     imf_check,
     instantaneous_attributes,
-    sift,
 )
 
 
@@ -168,8 +166,6 @@ def _channel_axis_decomposition():
 ONE_CHANNEL_ONLY = {
     "analytic_signal": lambda: analytic_signal(_channel_axis()),
     "imf_check": lambda: imf_check(_channel_axis()),
-    "find_extrema": lambda: find_extrema(_channel_axis()),
-    "sift": lambda: sift(_channel_axis()),
     "wafa": lambda: wafa(_channel_axis_decomposition()),
     "hilbert_spectrum": lambda: hilbert_spectrum(_channel_axis_decomposition()),
     "onset_envelope": lambda: onset_envelope(_channel_axis()),
@@ -287,7 +283,7 @@ class TestInstantAttributes:
 
 class TestFindExtrema:
     def test_sine_counts_alternate(self):
-        maxima, minima = find_extrema(tone(1.0, 3.0, 50.0))
+        maxima, minima = signal_core._extrema(tone(1.0, 3.0, 50.0).samples)
         assert len(maxima) == 3
         assert len(minima) == 3
         merged = np.sort(np.concatenate([maxima, minima]))
@@ -295,17 +291,17 @@ class TestFindExtrema:
         assert all(kinds[i] != kinds[i + 1] for i in range(len(kinds) - 1))
 
     def test_monotone_ramp_empty(self):
-        maxima, minima = find_extrema(TimeSeries(np.linspace(0, 1, 50), 10.0))
+        maxima, minima = signal_core._extrema(np.linspace(0, 1, 50))
         assert len(maxima) == 0
         assert len(minima) == 0
 
     def test_plateau_midpoint(self):
-        maxima, minima = find_extrema(TimeSeries([0.0, 1.0, 1.0, 0.0], 10.0))
+        maxima, minima = signal_core._extrema(np.array([0.0, 1.0, 1.0, 0.0]))
         assert list(maxima) == [1]
         assert list(minima) == []
 
     def test_endpoints_never_reported(self):
-        maxima, minima = find_extrema(TimeSeries([5.0, 1.0, 2.0, 1.0, 5.0], 10.0))
+        maxima, minima = signal_core._extrema(np.array([5.0, 1.0, 2.0, 1.0, 5.0]))
         assert 0 not in maxima and 4 not in maxima
         assert list(maxima) == [2]
         assert list(minima) == [1, 3]
@@ -342,16 +338,22 @@ class TestEnvelopePair:
             assert np.array_equal(row_lower, one_lower)
 
 
+def _sift_step(x):
+    """One sifting step on ``x``: subtract the mean of its envelopes."""
+    s = x.samples
+    return TimeSeries(s - signal_core._mean_envelope(s, *signal_core._extrema(s)), x.rate)
+
+
 class TestSift:
     def test_fixed_point_for_clean_imf(self):
         x = tone(2.0, 10.0, 100.0)
-        out = sift(x)
+        out = _sift_step(x)
         assert rms(out.samples - x.samples) < 0.01 * rms(x.samples)
 
     def test_removes_dc_offset(self):
         x = tone(1.0, 10.0, 100.0)
         shifted = TimeSeries(x.samples + 0.3, x.rate)
-        out = sift(shifted)
+        out = _sift_step(shifted)
         upper, lower = envelope_pair(out)
         out_mean_env = rms(interior(upper + lower) / 2)
         assert out_mean_env < 0.3
@@ -361,7 +363,7 @@ class TestSift:
             tone(1.0, 10.0, 100.0).samples + tone(4.0, 10.0, 100.0).samples, 100.0
         )
         rms_before = rms(interior(sum(envelope_pair(x)))) / 2
-        out = sift(x)
+        out = _sift_step(x)
         rms_after = rms(interior(sum(envelope_pair(out)))) / 2
         assert rms_after < rms_before
 
