@@ -281,7 +281,8 @@ def segment_by_beats(frame_count: int, rate: float, grid: BeatGrid,
     Returns half-open ``(start, end)`` frame pairs, each from the first beat
     of its group.  Beat times are converted to frame indices by nearest-frame
     rounding; groups that poke outside the clip are dropped.  Raises
-    :class:`ChannelError` when no beat falls inside the clip.
+    :class:`ChannelError` when no beat falls inside the clip, or no whole
+    group does.
     """
     if beats_per_segment < 1:
         raise InvalidValue(f"beats_per_segment must be >= 1, got {beats_per_segment}")
@@ -295,6 +296,8 @@ def segment_by_beats(frame_count: int, rate: float, grid: BeatGrid,
         if lo < 0 or hi > frame_count or hi <= lo:
             continue
         segments.append((int(lo), int(hi)))
+    if not segments:
+        raise ChannelError(f"no segment of {beats_per_segment} beats fits inside the clip")
     return segments
 
 

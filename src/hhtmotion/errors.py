@@ -38,14 +38,7 @@ class InvalidValue(HhtMotionError, ValueError):
 # --- library only: no exit code of their own ---
 
 class TooFewExtrema(HhtMotionError):
-    """Not enough extrema to fit an envelope.
-
-    ``direction`` is set when raised for a projected multivariate signal.
-    """
-
-    def __init__(self, message, direction=None):
-        super().__init__(message)
-        self.direction = direction
+    """Not enough extrema to fit an envelope."""
 
 
 class DegenerateSignal(HhtMotionError):

@@ -122,7 +122,7 @@ def _mean_envelope_matrix(samples: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     for k, projection in enumerate(projections.T):
         idx, _ = _extrema(projection)
         if idx.size < 2:
-            raise TooFewExtrema(f"projection {k} has {idx.size} maxima", direction=k)
+            raise TooFewExtrema(f"projection {k} has {idx.size} maxima")
         maxima.append(idx)
     total = np.zeros_like(samples)
     for lo in range(0, len(dirs), _DIRECTION_BLOCK):

@@ -1,9 +1,10 @@
 """BVH motion-capture parsing, writing, and channel extraction.
 
 The parser accepts the usual HIERARCHY/MOTION layout with ROOT, nested
-JOINT, and End Site blocks.  Joint-angle channels are exposed as continuous
-signals: rotation columns are unwrapped so editing operates on smooth series,
-and wrapped back to (-180, 180] when written into a clip.
+JOINT, and End Site blocks.  A clip keeps its hierarchy as the text it was
+read from and writes it back unchanged.  Joint-angle channels are exposed as
+continuous signals: rotation columns are unwrapped so editing operates on
+smooth series, and wrapped back to (-180, 180] when written into a clip.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .errors import ChannelError, InputError
 from .signal_core import TimeSeries, require_form
 
 __all__ = [
-    "Joint",
     "MotionClip",
     "parse_bvh",
     "write_bvh",
@@ -37,28 +37,12 @@ CHANNEL_NAMES = (
 
 
 @dataclass
-class Joint:
-    name: str
-    offset: np.ndarray
-    channels: list
-    children: list = field(default_factory=list)
-    end_site: np.ndarray | None = None
-
-
-def _labels(joint):
-    """Column labels of ``joint``'s subtree in frame order: '<joint>.<Channel>'."""
-    labels = [f"{joint.name}.{ch}" for ch in joint.channels]
-    for child in joint.children:
-        labels.extend(_labels(child))
-    return labels
-
-
-@dataclass
 class MotionClip:
-    """Frames of the joint tree under ``root``; ``labels`` names their
-    columns in declaration (depth-first) order."""
+    """Frames of the skeleton that ``hierarchy`` declares, the BVH text from
+    ``HIERARCHY`` through the root's closing brace as it was read; ``labels``
+    names the frames' columns in declaration (depth-first) order."""
 
-    root: Joint
+    hierarchy: str
     frames: np.ndarray
     frame_time: float
     labels: list = field(init=False)
@@ -69,7 +53,11 @@ class MotionClip:
             raise ValueError("frames must be a matrix with at least 2 rows")
         if self.frame_time <= 0:
             raise ValueError("frame_time must be positive")
-        self.labels = _labels(self.root)
+        tokens = _Tokens(self.hierarchy)
+        self.labels = _parse_hierarchy(tokens)
+        if tokens.peek() is not None:
+            raise InputError(f"line {tokens.line()}: expected the hierarchy to end "
+                             "at the root's closing brace")
         if self.frames.shape[1] != len(self.labels):
             raise ValueError(
                 f"frame width {self.frames.shape[1]} does not match the "
@@ -156,8 +144,16 @@ class _Tokens:
         return token
 
     def expect(self, literal):
-        if self.next(expected=repr(literal)) != literal:
-            raise InputError(f"line {self.line(-1)}: expected {literal!r}")
+        if self.peek() != literal:
+            raise InputError(f"line {self.line()}: expected {literal!r}")
+        self.pos += 1
+
+    def consumed(self):
+        """The text of the tokens read so far, from the first one's start."""
+        end = 0
+        for word in self.words[:self.pos]:
+            end = self.text.find(word, end) + len(word)
+        return self.text[:end].lstrip()
 
     def parse(self, kind, what):
         """The next token read by ``kind`` (``int`` or ``float``)."""
@@ -169,18 +165,22 @@ class _Tokens:
 
 
 def _parse_offset(tokens):
+    """Read an OFFSET line; the values are checked, not kept."""
     tokens.expect("OFFSET")
-    return np.array([tokens.parse(float, "offset value") for _ in range(3)])
+    for _ in range(3):
+        tokens.parse(float, "offset value")
 
 
 def _parse_joint(tokens, names_seen):
+    """Column labels of the joint whose name is next and of its subtree,
+    '<joint>.<Channel>' in frame order; a repeated name gets a numeric suffix."""
     name = tokens.next(expected="joint name")
     names_seen[name] = names_seen.get(name, 0) + 1
     if names_seen[name] > 1:
         name = f"{name}_{names_seen[name]}"
     tokens.expect("{")
-    offset = _parse_offset(tokens)
-    channels = []
+    _parse_offset(tokens)
+    labels = []
     if tokens.peek() == "CHANNELS":
         tokens.next()
         count = tokens.parse(int, "channel count")
@@ -190,45 +190,49 @@ def _parse_joint(tokens, names_seen):
             ch = tokens.next(expected="channel name")
             if ch not in CHANNEL_NAMES:
                 raise InputError(f"line {tokens.line(-1)}: {ch}")
-            channels.append(ch)
-    joint = Joint(name=name, offset=offset, channels=channels)
+            labels.append(f"{name}.{ch}")
     while True:
-        token = tokens.peek()
+        token = tokens.next(expected="'JOINT', 'End Site', or '}'")
         if token == "JOINT":
-            tokens.next()
-            joint.children.append(_parse_joint(tokens, names_seen))
+            labels.extend(_parse_joint(tokens, names_seen))
         elif token == "End":
-            tokens.next()
             tokens.expect("Site")
             tokens.expect("{")
-            joint.end_site = _parse_offset(tokens)
+            _parse_offset(tokens)
             tokens.expect("}")
         elif token == "}":
-            tokens.next()
-            return joint
+            return labels
         else:
-            raise InputError(f"line {tokens.line()}: expected 'JOINT', 'End Site', or '}}'")
+            raise InputError(f"line {tokens.line(-1)}: expected 'JOINT', 'End Site', or '}}'")
+
+
+def _parse_hierarchy(tokens):
+    """Column labels of the skeleton declared from the next token, HIERARCHY,
+    through the root's closing brace."""
+    tokens.expect("HIERARCHY")
+    tokens.expect("ROOT")
+    labels = _parse_joint(tokens, {})
+    if tokens.peek() == "ROOT":
+        raise InputError(f"line {tokens.line()}: expected a single ROOT")
+    if not labels:
+        raise InputError(f"line {tokens.line()}: expected a joint that declares channels")
+    return labels
 
 
 def parse_bvh(text: str) -> MotionClip:
     """Parse BVH source into a motion clip.
 
-    Channel column order follows the declaration order exactly.  The declared
-    frame count must match the number of data rows.  Duplicate joint names
-    get numeric suffixes.  A skeleton without channels, fewer than two
-    frames and a frame time that is not positive raise
+    The clip keeps the hierarchy as text, as it was read.  Channel column
+    order follows the declaration order exactly.  The declared frame count
+    must match the number of data rows.  Duplicate joint names get numeric
+    suffixes in the column labels.  A skeleton without channels, fewer than
+    two frames and a frame time that is not positive raise
     :class:`InputError`.  The motion block is read in one pass; a value
     that ``float`` rejects and a short last row raise it with their line.
     """
     tokens = _Tokens(text)
-    tokens.expect("HIERARCHY")
-    tokens.expect("ROOT")
-    root = _parse_joint(tokens, {})
-    if tokens.peek() == "ROOT":
-        raise InputError(f"line {tokens.line()}: expected a single ROOT")
-    width = len(_labels(root))
-    if width == 0:
-        raise InputError(f"line {tokens.line()}: expected a joint that declares channels")
+    width = len(_parse_hierarchy(tokens))
+    hierarchy = tokens.consumed()
     tokens.expect("MOTION")
     tokens.expect("Frames:")
     frame_count = tokens.parse(int, "frame count")
@@ -254,45 +258,21 @@ def parse_bvh(text: str) -> MotionClip:
         raise InputError(
             f"declared {frame_count} frames, found {frames.shape[0]}"
         )
-    return MotionClip(root=root, frames=frames, frame_time=frame_time)
+    return MotionClip(hierarchy, frames, frame_time)
 
 
 # ---------------------------------------------------------------------------
 # writing
 
 
-def _write_joint(joint, depth, lines, is_root):
-    indent = "\t" * depth
-    lines.append(f"{indent}{'ROOT' if is_root else 'JOINT'} {joint.name}")
-    lines.append(indent + "{")
-    ox, oy, oz = joint.offset
-    lines.append(f"{indent}\tOFFSET {ox:.6f} {oy:.6f} {oz:.6f}")
-    if joint.channels:
-        lines.append(
-            f"{indent}\tCHANNELS {len(joint.channels)} " + " ".join(joint.channels)
-        )
-    for child in joint.children:
-        _write_joint(child, depth + 1, lines, is_root=False)
-    if joint.end_site is not None:
-        ex, ey, ez = joint.end_site
-        lines.append(f"{indent}\tEnd Site")
-        lines.append(indent + "\t{")
-        lines.append(f"{indent}\t\tOFFSET {ex:.6f} {ey:.6f} {ez:.6f}")
-        lines.append(indent + "\t}")
-    lines.append(indent + "}")
-
-
 def write_bvh(clip: MotionClip) -> str:
-    """Emit parseable BVH text; numbers carry 6 decimal places."""
-    lines = ["HIERARCHY"]
-    _write_joint(clip.root, 0, lines, is_root=True)
-    lines.append("MOTION")
-    lines.append(f"Frames: {clip.frame_count}")
-    lines.append(f"Frame Time: {clip.frame_time:.6f}")
+    """Emit BVH text: the clip's hierarchy as it was read, then the motion
+    block, whose numbers carry 6 decimal places."""
     row = " ".join(["%.6f"] * clip.frames.shape[1])
     values = tuple(clip.frames.ravel().tolist())
-    lines.append("\n".join([row] * clip.frame_count) % values)
-    return "\n".join(lines) + "\n"
+    return "\n".join([clip.hierarchy, "MOTION", f"Frames: {clip.frame_count}",
+                      f"Frame Time: {clip.frame_time:.6f}",
+                      "\n".join([row] * clip.frame_count) % values]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -336,4 +316,4 @@ def apply_channels(clip: MotionClip, series: TimeSeries) -> MotionClip:
     for label, values in zip(series.labels, series.samples):
         col = clip.column(label)
         frames[:, col] = wrap_degrees(values) if _is_rotation(label) else values
-    return MotionClip(root=clip.root, frames=frames, frame_time=clip.frame_time)
+    return MotionClip(clip.hierarchy, frames, clip.frame_time)

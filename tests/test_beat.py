@@ -178,6 +178,15 @@ class TestSegmentByBeats:
         with pytest.raises(ChannelError, match=r"^beat grid does not overlap the clip$"):
             segment_by_beats(clip.frame_count, clip.rate, grid)
 
+    def test_no_whole_group_inside_the_clip(self):
+        # 10 beats hold 9 beat gaps: no group of 10 fits, and a group of 9 does
+        clip = self.make_clip()
+        grid = fixed_grid(60.0, 10.0)
+        assert len(grid) == 10
+        assert segment_by_beats(clip.frame_count, clip.rate, grid, beats_per_segment=9)
+        with pytest.raises(ChannelError, match=r"^no segment of 10 beats fits inside the clip$"):
+            segment_by_beats(clip.frame_count, clip.rate, grid, beats_per_segment=10)
+
     def test_segments_tile_contiguously(self):
         clip = self.make_clip(duration=8.3)
         grid = fixed_grid(90.0, 8.3)

@@ -442,6 +442,31 @@ class TestBlend:
         col = original.column("hips.Xrotation")
         assert np.max(np.abs(original.frames[:, col] - blended.frames[:, col])) < 1e-5
 
+    def test_blend_writes_the_template_hierarchy_as_read(self, runner, tmp_path):
+        # a repeated joint name, an offset %.6f would round and a layout of
+        # two spaces: the blended clip declares the template's skeleton unchanged
+        t = np.arange(200) / 40.0
+        text = bvh_text({"hips.Xrotation": 30 * np.sin(2 * np.pi * 1.5 * t),
+                         "hips.Yrotation": 20 * np.sin(2 * np.pi * 0.7 * t)})
+        text = (text.replace("JOINT chest", "JOINT hips").replace("\t", "  ")
+                .replace("OFFSET 0.000000 5.000000", "OFFSET 0 2.5e-7", 1))
+        hierarchy = text[:text.index("MOTION")]
+        template = tmp_path / "clip.bvh"
+        template.write_text(text)
+        archive = tmp_path / "clip.json"
+        result = runner.invoke(main, ["decompose", str(template), "--channels",
+                                      "hips.Xrotation,hips.Yrotation", "--method", "memd",
+                                      "--directions", "8", "--out", str(archive)])
+        assert result.exit_code == 0, result.output
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"operations": []}))
+        out = tmp_path / "out.bvh"
+        result = runner.invoke(main, ["blend", str(archive), str(archive), "--spec", str(spec),
+                                      "--template", str(template), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "JOINT hips\n" in hierarchy and "OFFSET 0 2.5e-7 0.000000\n" in hierarchy
+        assert out.read_text().startswith(hierarchy + "MOTION\n")
+
     def test_blend_aligns_at_the_template_rate(self, runner, tmp_path):
         # "Frame Time: 0.008333" is 120.0048 fps: a spec's target_rate of 120
         # is ignored, so an empty spec gives back the template's columns exactly
@@ -854,6 +879,11 @@ FAILURES = {
     "template-rate-too-high": (64, lambda f: _blend(f, spec="spec_at_40",
                                                     template="tiny_frame_time_bvh"),
                                "error: template rate 1e+12 " + _TOO_MANY.format("8e+13")),
+    # the grid's 3 beats hold 2 beat gaps, fewer than one segment of 3
+    "beats-per-segment-over-grid": (3, lambda f: ["analyze", f["archive"], "--beats", f["grid"],
+                                                  "--beats-per-segment", "3",
+                                                  "--out", f["out"]],
+                                    "error: no segment of 3 beats fits inside the clip"),
     "archive-nested-too-deep": (2, lambda f: ["analyze", f["deep"], "--out", f["out"]],
                                 "error: cannot read {deep}: maximum recursion depth exceeded "
                                 "while decoding a JSON array from a unicode string"),

@@ -105,9 +105,8 @@ class TestMeanEnvelope:
         rate = 10.0
         ramp = np.linspace(0.0, 1.0, 40)
         x = stack(rate, ramp, 2 * ramp)
-        with pytest.raises(TooFewExtrema) as exc:
+        with pytest.raises(TooFewExtrema, match=r"^projection 0 has 0 maxima$"):
             multivariate_mean_envelope(x, [[1.0, 0.0]])
-        assert exc.value.direction == 0
 
     def test_direction_length_does_not_matter(self):
         """Rescaling a direction moves none of its projection's peaks, so the

@@ -18,17 +18,14 @@ from hhtmotion.mocap_io import (
 from hhtmotion.signal_core import TimeSeries
 
 
-def joint_names(joint):
-    """Names of ``joint`` and its descendants in declaration order."""
-    return [joint.name] + [name for child in joint.children for name in joint_names(child)]
-
-
 def header_labels(text):
-    """'<joint>.<Channel>' for every CHANNELS line of BVH ``text``, in order."""
-    labels, joint = [], None
+    """'<joint>.<Channel>' for every CHANNELS line of BVH ``text``, in order;
+    the n-th joint of a name, from the second on, is called '<name>_<n>'."""
+    labels, joint, seen = [], None, {}
     for words in (line.split() for line in text.splitlines()):
         if words[:1] in (["ROOT"], ["JOINT"]):
-            joint = words[1]
+            seen[words[1]] = seen.get(words[1], 0) + 1
+            joint = words[1] if seen[words[1]] == 1 else f"{words[1]}_{seen[words[1]]}"
         elif words[:1] == ["CHANNELS"]:
             labels += [f"{joint}.{channel}" for channel in words[2:]]
     return labels
@@ -37,7 +34,7 @@ def header_labels(text):
 class TestParse:
     def test_minimal_fixture(self):
         clip = parse_bvh(MINI_BVH)
-        assert joint_names(clip.root) == ["hips"]
+        assert clip.hierarchy == MINI_BVH[:MINI_BVH.index("\nMOTION")]
         assert clip.frames.shape == (2, 6)
         assert clip.frame_time == pytest.approx(0.025)
         assert clip.labels[0] == "hips.Xposition"
@@ -62,8 +59,9 @@ class TestParse:
             "JOINT chest", "JOINT hips"
         )
         clip = parse_bvh(text)
-        names = joint_names(clip.root)
-        assert names == ["hips", "hips_2"]
+        assert clip.labels[6:] == ["hips_2.Zrotation", "hips_2.Xrotation", "hips_2.Yrotation"]
+        assert clip.labels == header_labels(text)
+        assert "JOINT hips\n" in clip.hierarchy and "hips_2" not in clip.hierarchy
 
     def test_long_clip_metadata(self):
         # 60.5 s at 40 fps comes out to 2420 frames
@@ -89,8 +87,35 @@ class TestWrite:
         text = write_bvh(clip)
         again = parse_bvh(text)
         assert np.max(np.abs(clip.frames - again.frames)) < 1e-5
-        assert joint_names(again.root) == joint_names(clip.root)
+        assert again.hierarchy == clip.hierarchy
         assert again.labels == clip.labels == header_labels(text)
+
+    def test_hierarchy_written_as_read(self):
+        # a repeated joint name, offsets %.6f would round, and a layout of
+        # spaces: the written file declares the skeleton byte for byte as read
+        hierarchy = (
+            "HIERARCHY\n"
+            "ROOT arm\n"
+            "{\n"
+            "  OFFSET 1.23456789 0 -2.5e-7\n"
+            "  CHANNELS 3 Zrotation Xrotation Yrotation\n"
+            "  JOINT arm\n"
+            "  {\n"
+            "    OFFSET 0 2.5e-7 0\n"
+            "    CHANNELS 3 Zrotation Xrotation Yrotation\n"
+            "    End Site\n"
+            "    {\n"
+            "      OFFSET 0 1.23456789 0\n"
+            "    }\n"
+            "  }\n"
+            "}"
+        )
+        text = (hierarchy + "\nMOTION\nFrames: 2\nFrame Time: 0.025000\n"
+                + "1.000000 2.000000 3.000000 4.000000 5.000000 6.000000\n" * 2)
+        clip = parse_bvh("\n\n" + text)
+        assert clip.hierarchy == hierarchy
+        assert clip.labels[3:] == ["arm_2.Zrotation", "arm_2.Xrotation", "arm_2.Yrotation"]
+        assert write_bvh(clip) == text
 
     def test_write_parse_write_fixed_point(self):
         rng = np.random.default_rng(9)
@@ -146,6 +171,25 @@ WRITE_SPECIALS = [-0.0, -1e-9, 1e300, -1e300, float("inf"), float("-inf"), float
                   1 / 128, 3 / 128, -5 / 128, 1e6 + 1 / 128, 0.0000005, 5e-324, 179.9999995]
 
 
+class TestClip:
+    def test_hierarchy_with_tokens_left_over(self):
+        hierarchy = parse_bvh(MINI_BVH).hierarchy
+        with pytest.raises(InputError, match=r"^line 11: expected the hierarchy to end "
+                                             r"at the root's closing brace$"):
+            MotionClip(hierarchy + "\nMOTION", np.zeros((2, 6)), 0.025)
+
+    def test_hierarchy_without_channels(self):
+        hierarchy = "HIERARCHY\nROOT hips\n{\n\tOFFSET 0 0 0\n\tCHANNELS 0\n}"
+        with pytest.raises(InputError, match=r"^line 6: expected a joint that declares "
+                                             r"channels$"):
+            MotionClip(hierarchy, np.zeros((2, 6)), 0.025)
+
+    def test_labels_come_from_the_hierarchy(self):
+        clip = parse_bvh(bvh_text({"hips.Xrotation": np.zeros(3)}))
+        again = MotionClip(clip.hierarchy, clip.frames, clip.frame_time)
+        assert again.labels == clip.labels == header_labels(clip.hierarchy)
+
+
 class TestMotionBlock:
     @EXAMPLES
     @given(motion_texts())
@@ -161,12 +205,12 @@ class TestMotionBlock:
         min_size=6 * rows, max_size=6 * rows)))
     def test_write_equals_per_value_format(self, values):
         frames = np.reshape(values, (-1, 6))
-        clip = MotionClip(parse_bvh(MINI_BVH).root, frames, 0.025)
+        clip = MotionClip(parse_bvh(MINI_BVH).hierarchy, frames, 0.025)
         assert write_bvh(clip).endswith("Frame Time: 0.025000\n" + reference_rows(frames))
 
     def test_write_special_values(self):
         frames = np.reshape(WRITE_SPECIALS + [0.0] * 4, (-1, 6))
-        text = write_bvh(MotionClip(parse_bvh(MINI_BVH).root, frames, 0.025))
+        text = write_bvh(MotionClip(parse_bvh(MINI_BVH).hierarchy, frames, 0.025))
         assert text.endswith("Frame Time: 0.025000\n" + reference_rows(frames))
         assert "-0.000000 -0.000000 1" in text
         assert "0.007812 0.023438 -0.039062 1000000.007812" in text
