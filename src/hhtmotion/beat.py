@@ -114,24 +114,15 @@ def onset_envelope(audio: TimeSeries) -> TimeSeries:
     n_frames = int(audio.samples.size / (rate * _HOP_SECONDS)) + 1
     ends = np.round(np.arange(n_frames) * _HOP_SECONDS * rate).astype(int) + win
 
-    prev = None
     flux = np.zeros(n_frames)
-    # a row of the rfft output holds 16 * (win // 2 + 1) <= 8 * (win + 2) bytes
-    chunk = max(1, (_BLOCK_BYTES - 1) // (8 * (win + 2)))
-    for lo in range(0, n_frames, chunk):
-        hi = min(lo + chunk, n_frames)
-        idx = ends[lo:hi, None] - np.arange(win, 1 - 1, -1)[None, :]
-        segs = padded[idx] * window
+    # a row of the rfft output holds 16 * (win // 2 + 1) <= 8 * (win + 2) bytes;
+    # each block repeats the previous block's last frame to take its differences
+    rows = max(2, (_BLOCK_BYTES - 1) // (8 * (win + 2)))
+    for first in range(0, n_frames - 1, rows - 1):
+        hi = min(first + rows, n_frames)
+        segs = padded[ends[first:hi, None] - np.arange(win, 0, -1)] * window
         mags = np.log1p(_LOG_SCALE * np.abs(np.fft.rfft(segs, axis=1)))
-        block = np.vstack([prev, mags]) if prev is not None else mags
-        d = np.diff(block, axis=0)
-        d[d < 0] = 0.0
-        sums = d.sum(axis=1)
-        if prev is None:
-            flux[lo + 1 : hi] = sums
-        else:
-            flux[lo:hi] = sums
-        prev = mags[-1:]
+        flux[first + 1 : hi] = np.maximum(np.diff(mags, axis=0), 0.0).sum(axis=1)
     peak = flux.max()
     if peak > 0:
         flux /= peak
@@ -212,46 +203,34 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0) -> Beat
     period = onset.rate * 60.0 / bpm
     n = o.size
 
-    backlink = np.full(n, -1, dtype=int)
+    # a beat links back to the best-scoring sample 2 to 1/2 periods before it
+    far, near = int(round(2 * period)), int(round(period / 2))
+    penalty = tightness * np.square(np.log(np.arange(far, near - 1, -1) / period))
     cumscore = o.copy()
-    first_thresh = 0.01 * o.max()
-    first_beat = True
-    window = np.arange(-int(round(2 * period)), -int(round(period / 2)) + 1)
-    penalty = tightness * np.square(np.log(-window / period))
-    for i in range(n):
-        locs = i + window
-        valid = locs >= 0
-        if np.any(valid):
-            scores = cumscore[locs[valid]] - penalty[valid]
-            k = int(np.argmax(scores))
-            cumscore[i] = o[i] + scores[k]
-            best_loc = int(locs[valid][k])
-        else:
-            best_loc = -1
-        if first_beat and o[i] < first_thresh:
-            backlink[i] = -1
-        else:
-            backlink[i] = best_loc
-            first_beat = False
+    backlink = np.full(n, -1, dtype=int)
+    for i in range(near, n):
+        lo = max(i - far, 0)
+        scores = cumscore[lo : i - near + 1] - penalty[lo - i + far :]
+        k = int(np.argmax(scores))
+        cumscore[i] = o[i] + scores[k]
+        backlink[i] = lo + k
+    # no sample before the first onset of 1% of the maximum links back
+    backlink[: np.argmax(o >= 0.01 * o.max())] = -1
 
     # best final beat: last local maximum of the cumulative score that is
     # at least half the median local-maximum score
-    interior = np.arange(1, n - 1)
-    local_max = interior[
-        (cumscore[interior] > cumscore[interior - 1])
-        & (cumscore[interior] >= cumscore[interior + 1])
-    ]
-    if local_max.size == 0:
+    peaks = np.flatnonzero((cumscore[1:-1] > cumscore[:-2])
+                           & (cumscore[1:-1] >= cumscore[2:])) + 1
+    if peaks.size == 0:
         raise NoBeats("cumulative score has no peaks")
-    median = np.median(cumscore[local_max])
+    median = np.median(cumscore[peaks])
     if not median > 0:
         # the spacing penalty outweighs the onsets: a threshold of half a
         # non-positive median would cut the grid short
         raise InvalidValue(f"tightness {tightness:g} outweighs the onsets: the median "
                            f"cumulative score at its peaks is {median:.3g}, not above 0")
-    threshold = 0.5 * median
-    qualifying = local_max[cumscore[local_max] >= threshold]
-    tail = int(qualifying[-1]) if qualifying.size else int(local_max[-1])
+    # the largest peak is at least the median, so above half of it
+    tail = int(peaks[cumscore[peaks] >= 0.5 * median][-1])
 
     frames = []
     i = tail
@@ -289,13 +268,11 @@ def segment_by_beats(frame_count: int, rate: float, grid: BeatGrid,
     if grid.beats[0] >= frame_count / rate or grid.beats[-1] <= 0:
         raise ChannelError("beat grid does not overlap the clip")
     frames = np.round(grid.beats * rate).astype(int)
-    segments = []
-    for start in range(0, len(frames) - beats_per_segment, beats_per_segment):
-        lo = frames[start]
-        hi = frames[start + beats_per_segment]
-        if lo < 0 or hi > frame_count or hi <= lo:
-            continue
-        segments.append((int(lo), int(hi)))
+    # group g runs from beat g * beats_per_segment to the next group's first beat
+    lo = frames[:-beats_per_segment:beats_per_segment]
+    hi = frames[beats_per_segment::beats_per_segment]
+    inside = (lo >= 0) & (hi <= frame_count) & (hi > lo)
+    segments = list(zip(lo[inside].tolist(), hi[inside].tolist()))
     if not segments:
         raise ChannelError(f"no segment of {beats_per_segment} beats fits inside the clip")
     return segments
@@ -330,6 +307,8 @@ def read_wav(path) -> TimeSeries:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if sample_rate == 0:
         raise InputError("sample rate is 0")
+    if channels == 0:
+        raise InputError("fmt chunk declares 0 channels")
     payload = payload[: len(payload) - len(payload) % max(1, bits // 8)]
     if audio_format == 1 and bits == 16:
         samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0

@@ -51,8 +51,8 @@ class MotionClip:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2 or self.frames.shape[0] < 2:
             raise ValueError("frames must be a matrix with at least 2 rows")
-        if self.frame_time <= 0:
-            raise ValueError("frame_time must be positive")
+        if not 0.0 < self.frame_time < float("inf"):
+            raise ValueError("frame_time must be positive and finite")
         tokens = _Tokens(self.hierarchy)
         self.labels = _parse_hierarchy(tokens)
         if tokens.peek() is not None:
@@ -171,13 +171,16 @@ def _parse_offset(tokens):
         tokens.parse(float, "offset value")
 
 
-def _parse_joint(tokens, names_seen):
+def _parse_joint(tokens, taken):
     """Column labels of the joint whose name is next and of its subtree,
-    '<joint>.<Channel>' in frame order; a repeated name gets a numeric suffix."""
-    name = tokens.next(expected="joint name")
-    names_seen[name] = names_seen.get(name, 0) + 1
-    if names_seen[name] > 1:
-        name = f"{name}_{names_seen[name]}"
+    '<joint>.<Channel>' in frame order.  A name already in ``taken`` gets the
+    first suffix ``_<k>``, k >= 2, that is not; ``taken`` maps each name in
+    use to the last k tried for it, so no k is tried twice."""
+    name = label = tokens.next(expected="joint name")
+    while label in taken:
+        taken[name] += 1
+        label = f"{name}_{taken[name]}"
+    taken[label] = 1
     tokens.expect("{")
     _parse_offset(tokens)
     labels = []
@@ -190,11 +193,11 @@ def _parse_joint(tokens, names_seen):
             ch = tokens.next(expected="channel name")
             if ch not in CHANNEL_NAMES:
                 raise InputError(f"line {tokens.line(-1)}: {ch}")
-            labels.append(f"{name}.{ch}")
+            labels.append(f"{label}.{ch}")
     while True:
         token = tokens.next(expected="'JOINT', 'End Site', or '}'")
         if token == "JOINT":
-            labels.extend(_parse_joint(tokens, names_seen))
+            labels.extend(_parse_joint(tokens, taken))
         elif token == "End":
             tokens.expect("Site")
             tokens.expect("{")

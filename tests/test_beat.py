@@ -20,6 +20,78 @@ from hhtmotion.mocap_io import parse_bvh
 from hhtmotion.signal_core import TimeSeries
 
 
+# ---------------------------------------------------------------------------
+# references: the beat layer written plainly, one step per sample, frame or
+# group; beat.py must give exactly what these give
+
+
+def reference_envelope(audio):
+    """onset_envelope from one rfft over every frame at once."""
+    win = int(round(0.064 * audio.rate))
+    padded = np.concatenate([np.zeros(win), audio.samples])
+    n_frames = int(audio.samples.size / (audio.rate * 0.01)) + 1
+    ends = np.round(np.arange(n_frames) * 0.01 * audio.rate).astype(int) + win
+    segs = padded[ends[:, None] - np.arange(win, 0, -1)] * np.hanning(win)
+    mags = np.log1p(1000.0 * np.abs(np.fft.rfft(segs, axis=1)))
+    d = np.diff(mags, axis=0)
+    d[d < 0] = 0.0
+    flux = np.concatenate([[0.0], d.sum(axis=1)])
+    return flux / flux.max()
+
+
+def reference_track_beats(onset, bpm, tightness):
+    """track_beats's dynamic program as a masked step per sample, with a flag
+    that holds back links until the first onset of 1% of the maximum."""
+    o = onset.samples
+    if o.max() <= 0:
+        raise NoBeats("onset envelope is all zero")
+    period = onset.rate * 60.0 / bpm
+    n = o.size
+    backlink = np.full(n, -1, dtype=int)
+    cumscore = o.copy()
+    first_beat = True
+    window = np.arange(-int(round(2 * period)), -int(round(period / 2)) + 1)
+    penalty = tightness * np.square(np.log(-window / period))
+    for i in range(n):
+        locs = i + window
+        valid = locs >= 0
+        best_loc = -1
+        if np.any(valid):
+            scores = cumscore[locs[valid]] - penalty[valid]
+            k = int(np.argmax(scores))
+            cumscore[i] = o[i] + scores[k]
+            best_loc = int(locs[valid][k])
+        if first_beat and o[i] < 0.01 * o.max():
+            continue
+        backlink[i] = best_loc
+        first_beat = False
+    local_max = [i for i in range(1, n - 1)
+                 if cumscore[i - 1] < cumscore[i] >= cumscore[i + 1]]
+    if not local_max:
+        raise NoBeats("cumulative score has no peaks")
+    median = np.median(cumscore[local_max])
+    if not median > 0:
+        raise InvalidValue(f"tightness {tightness:g} outweighs the onsets")
+    qualifying = [i for i in local_max if cumscore[i] >= 0.5 * median]
+    frames = [qualifying[-1] if qualifying else local_max[-1]]
+    while backlink[frames[-1]] >= 0:
+        frames.append(int(backlink[frames[-1]]))
+    if len(frames) < 2:
+        raise NoBeats("fewer than 2 beats tracked")
+    return onset.start_time + np.asarray(frames[::-1]) / onset.rate
+
+
+def reference_segments(frame_count, rate, grid, beats_per_segment):
+    """segment_by_beats as a loop over groups; [] where it raises."""
+    frames = np.round(grid.beats * rate).astype(int)
+    segments = []
+    for start in range(0, len(frames) - beats_per_segment, beats_per_segment):
+        lo, hi = frames[start], frames[start + beats_per_segment]
+        if 0 <= lo < hi <= frame_count:
+            segments.append((int(lo), int(hi)))
+    return segments
+
+
 class TestFixedGrid:
     def test_uptempo_count(self):
         grid = fixed_grid(130.0, 60.5)
@@ -85,6 +157,16 @@ class TestOnsetEnvelope:
         monkeypatch.setattr(beat, "_BLOCK_BYTES", block_bytes)
         assert onset_envelope(audio).samples.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("rate", [8000, 22050, 44100])
+    def test_blocks_match_one_unblocked_rfft(self, rate):
+        rng = np.random.default_rng(rate)
+        audio = click_signal(130.0, 6.0, rate)
+        audio = TimeSeries(audio.samples + 0.01 * rng.standard_normal(len(audio)), audio.rate)
+        env = onset_envelope(audio)
+        # three blocks at least, of under 1 MiB of rfft rows each
+        assert len(env) > 2 * beat._BLOCK_BYTES // (8 * (round(0.064 * rate) + 2))
+        assert env.samples.tobytes() == reference_envelope(audio).tobytes()
+
 
 class TestEstimateTempo:
     @pytest.mark.parametrize("bpm", [90.0, 130.0, 150.0])
@@ -149,6 +231,49 @@ class TestTrackBeats:
         np.testing.assert_allclose(track_beats(later, 120.0).beats, grid.beats + 5.0)
 
 
+    @pytest.mark.parametrize("kind", ["dense", "zero-prefix", "sparse", "short", "clicks"])
+    def test_matches_the_per_sample_reference(self, kind):
+        rng = np.random.default_rng(["dense", "zero-prefix", "sparse", "short", "clicks"]
+                                    .index(kind))
+        outcomes = set()
+        for _ in range(12):
+            bpm = float(rng.uniform(20.0, 400.0))
+            tightness = float(rng.choice([0.0, 400.0, 2000.0, rng.uniform(0.0, 5000.0)]))
+            period = 6000.0 / bpm
+            n = int(rng.integers(2, int(2 * period))) if kind == "short" else int(
+                rng.integers(300, 700))
+            o = rng.random(n) ** rng.uniform(1.0, 8.0)
+            if kind == "zero-prefix":
+                o[: rng.integers(1, n // 2)] = 0.0
+            elif kind == "sparse":
+                o *= rng.random(n) < rng.uniform(0.005, 0.1)
+                o[rng.integers(n)] = 1.0
+            elif kind == "clicks":
+                o = 0.02 * o
+                o[np.arange(rng.integers(int(period)), n, period).astype(int)] = 1.0
+            onset = TimeSeries(o, 100.0, start_time=float(rng.uniform(-1.0, 1.0)))
+            try:
+                want = reference_track_beats(onset, bpm, tightness)
+            except (NoBeats, InvalidValue) as exc:
+                with pytest.raises(type(exc), match="^" + str(exc)):
+                    track_beats(onset, bpm, tightness)
+                outcomes.add(type(exc))
+                continue
+            want_bpm = 60.0 / float(np.median(np.diff(want)))
+            try:
+                BeatGrid(want, want_bpm, np.arange(want.size) % 4 == 0)
+            except ValueError as exc:
+                with pytest.raises(NoBeats, match="keep no steady tempo.*: " + str(exc)):
+                    track_beats(onset, bpm, tightness)
+                outcomes.add("unsteady")
+                continue
+            grid = track_beats(onset, bpm, tightness)
+            assert grid.beats.tobytes() == want.tobytes()
+            assert grid.bpm == want_bpm
+            outcomes.add("grid")
+        assert "grid" in outcomes or kind == "short"
+
+
 class TestSegmentByBeats:
     def make_clip(self, duration=10.0, fps=40.0):
         n = int(duration * fps)
@@ -186,6 +311,26 @@ class TestSegmentByBeats:
         assert segment_by_beats(clip.frame_count, clip.rate, grid, beats_per_segment=9)
         with pytest.raises(ChannelError, match=r"^no segment of 10 beats fits inside the clip$"):
             segment_by_beats(clip.frame_count, clip.rate, grid, beats_per_segment=10)
+
+    def test_matches_the_group_loop(self):
+        rng = np.random.default_rng(7)
+        found = 0
+        for _ in range(300):
+            bpm = float(rng.uniform(20.0, 400.0))
+            count = int(rng.integers(1, 30))
+            beats = rng.uniform(-10.0, 10.0) + 60.0 / bpm * np.arange(count)
+            grid = BeatGrid(beats, bpm, np.arange(count) % 4 == 0)
+            frame_count, rate = int(rng.integers(2, 2000)), float(rng.uniform(1.0, 120.0))
+            per = int(rng.integers(1, 6))
+            want = reference_segments(frame_count, rate, grid, per)
+            try:
+                got = segment_by_beats(frame_count, rate, grid, per)
+            except ChannelError:
+                got = []
+            assert got == want
+            assert all(type(frame) is int for span in got for frame in span)
+            found += bool(want)
+        assert 50 < found < 250
 
     def test_segments_tile_contiguously(self):
         clip = self.make_clip(duration=8.3)

@@ -677,6 +677,7 @@ def failure_inputs(tmp_path_factory):
         "wav_100_samples": root / "short.wav",
         "clicks_wav": root / "clicks.wav",
         "wav_1_hz": root / "one_hertz.wav",
+        "wav_0_channels": root / "zero_channels.wav",
         "deep": root / "deep.json",
         "deep_bvh": root / "deep.bvh",
         "out": root / "out.json",
@@ -725,6 +726,9 @@ def failure_inputs(tmp_path_factory):
     write_wav_pcm16(files["wav_100_samples"], TimeSeries(np.zeros(100), 22050.0))
     write_wav_pcm16(files["clicks_wav"], click_signal(120.0, 8.0, 22050))
     write_wav_pcm16(files["wav_1_hz"], TimeSeries(np.zeros(100), 1.0))
+    # the clicks with the fmt chunk's channel count, bytes 22-23, set to 0
+    clicks = files["clicks_wav"].read_bytes()
+    files["wav_0_channels"].write_bytes(clicks[:22] + b"\0\0" + clicks[24:])
     return {name: str(path) for name, path in files.items()}
 
 
@@ -849,6 +853,8 @@ FAILURES = {
                        "beat gaps deviate more than 25% from 60/bpm"),
     "wav-1-hz": (2, lambda f: ["beats", f["wav_1_hz"], "--out", f["out"]],
                  "error: {wav_1_hz}: audio rate must be at least 8000 Hz, got 1"),
+    "wav-0-channels": (2, lambda f: ["beats", f["wav_0_channels"], "--out", f["out"]],
+                       "error: {wav_0_channels}: fmt chunk declares 0 channels"),
     "decompose-out-missing-dir": (64, lambda f: _decompose(f, out="missing_dir"), _NO_DIR),
     "beats-out-missing-dir": (64, lambda f: ["beats", "--bpm", "120", "--duration", "5",
                                              "--out", f["missing_dir"]], _NO_DIR),

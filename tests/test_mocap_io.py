@@ -20,12 +20,15 @@ from hhtmotion.signal_core import TimeSeries
 
 def header_labels(text):
     """'<joint>.<Channel>' for every CHANNELS line of BVH ``text``, in order;
-    the n-th joint of a name, from the second on, is called '<name>_<n>'."""
-    labels, joint, seen = [], None, {}
+    a joint whose name an earlier joint took is called '<name>_<k>', with the
+    least k >= 2 that no earlier joint took."""
+    labels, joint, taken = [], None, set()
     for words in (line.split() for line in text.splitlines()):
         if words[:1] in (["ROOT"], ["JOINT"]):
-            seen[words[1]] = seen.get(words[1], 0) + 1
-            joint = words[1] if seen[words[1]] == 1 else f"{words[1]}_{seen[words[1]]}"
+            joint, k = words[1], 2
+            while joint in taken:
+                joint, k = f"{words[1]}_{k}", k + 1
+            taken.add(joint)
         elif words[:1] == ["CHANNELS"]:
             labels += [f"{joint}.{channel}" for channel in words[2:]]
     return labels
@@ -62,6 +65,25 @@ class TestParse:
         assert clip.labels[6:] == ["hips_2.Zrotation", "hips_2.Xrotation", "hips_2.Yrotation"]
         assert clip.labels == header_labels(text)
         assert "JOINT hips\n" in clip.hierarchy and "hips_2" not in clip.hierarchy
+
+    @pytest.mark.parametrize("names, joints", [
+        (["arm", "arm", "arm_2"], ["arm", "arm_2", "arm_2_2"]),
+        (["arm", "arm_2", "arm"], ["arm", "arm_2", "arm_3"]),
+        (["arm", "arm_3", "arm", "arm"], ["arm", "arm_3", "arm_2", "arm_4"]),
+    ])
+    def test_suffix_skips_a_taken_name(self, names, joints):
+        # a chain of joints, each with one channel column
+        text = "HIERARCHY\n" + "".join(
+            f"{'ROOT' if i == 0 else 'JOINT'} {name}\n{{\nOFFSET 0 0 0\nCHANNELS 3 "
+            "Zrotation Xrotation Yrotation\n" for i, name in enumerate(names))
+        text += "End Site\n{\nOFFSET 0 0 0\n}\n" + "}\n" * len(names)
+        text += "MOTION\nFrames: 2\nFrame Time: 0.025\n" + " 0" * 3 * len(names) * 2
+        clip = parse_bvh(text)
+        assert clip.labels == [f"{joint}.{channel}" for joint in joints
+                               for channel in ("Zrotation", "Xrotation", "Yrotation")]
+        assert clip.labels == header_labels(text)
+        assert [clip.column(f"{joint}.Zrotation") for joint in joints] == list(
+            range(0, 3 * len(names), 3))
 
     def test_long_clip_metadata(self):
         # 60.5 s at 40 fps comes out to 2420 frames
@@ -183,6 +205,12 @@ class TestClip:
         with pytest.raises(InputError, match=r"^line 6: expected a joint that declares "
                                              r"channels$"):
             MotionClip(hierarchy, np.zeros((2, 6)), 0.025)
+
+    @pytest.mark.parametrize("frame_time", [0.0, -0.025, float("nan"), float("inf")])
+    def test_frame_time_positive_and_finite(self, frame_time):
+        # write_bvh would write it, and parse_bvh refuse what it wrote
+        with pytest.raises(ValueError, match=r"^frame_time must be positive and finite$"):
+            MotionClip(parse_bvh(MINI_BVH).hierarchy, np.zeros((2, 6)), frame_time)
 
     def test_labels_come_from_the_hierarchy(self):
         clip = parse_bvh(bvh_text({"hips.Xrotation": np.zeros(3)}))
