@@ -190,17 +190,22 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0) -> Beat
     ``rate`` and ``start_time``.  The grid's bpm field reports the median
     inter-beat interval.  A ``tightness`` whose penalty outweighs the onsets
     (the median cumulative score at its peaks is not above 0) raises
-    :class:`InvalidValue`: the beats would stop short of the clip's end.
+    :class:`InvalidValue`: the beats would stop short of the clip's end.  So
+    does an envelope with under 2 samples per beat, too coarse to place them.
     """
     require_form(onset, False, "track_beats")
     if not 20.0 <= bpm <= 400.0:
         raise InvalidValue(f"bpm {bpm} outside [20, 400]")
     if not 0.0 <= tightness < np.inf:
         raise InvalidValue(f"tightness must be a non-negative number, got {tightness}")
+    period = onset.rate * 60.0 / bpm
+    if period < 2:
+        # the caller's rate and bpm are at fault, not the audio: not NoBeats
+        raise InvalidValue(f"an envelope at {onset.rate:g} Hz holds under 2 samples per "
+                           f"beat at bpm {bpm:g}")
     o = onset.samples
     if o.max() <= 0:
         raise NoBeats("onset envelope is all zero")
-    period = onset.rate * 60.0 / bpm
     n = o.size
 
     # a beat links back to the best-scoring sample 2 to 1/2 periods before it

@@ -9,6 +9,7 @@ smooth series, and wrapped back to (-180, 180] when written into a clip.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,8 @@ class MotionClip:
             raise ValueError("frames must be a matrix with at least 2 rows")
         if not 0.0 < self.frame_time < float("inf"):
             raise ValueError("frame_time must be positive and finite")
+        if self.rate == float("inf"):
+            raise ValueError("frame_time must give a finite rate")
         tokens = _Tokens(self.hierarchy)
         self.labels = _parse_hierarchy(tokens)
         if tokens.peek() is not None:
@@ -105,55 +108,44 @@ def wrap_degrees(values: np.ndarray) -> np.ndarray:
 # parsing
 
 
-def _line_of(text, index):
-    """Line of token ``index`` of ``text.split()`` as :meth:`str.splitlines`
-    counts lines (each of its breaks is whitespace to ``split``); past the
-    last token, the last token's line; 0 when there are no tokens."""
-    line = 0
-    for number, words in enumerate(text.splitlines(), 1):
-        count = len(words.split())
-        if count:
-            index -= count
-            line = number
-            if index < 0:
-                break
-    return line
+_WORD = re.compile(r"\S+")  # \S is the exact complement of what str.split() splits on
 
 
 class _Tokens:
-    """BVH text split once into tokens, and the position of the next one;
-    a line is counted only for an error message."""
+    """BVH text read one token at a time from the start; ``end`` is the
+    offset where the last token read ends.  A line is counted from an
+    offset, and only for an error message."""
 
     def __init__(self, text):
         self.text = text
-        self.words = text.split()
-        self.pos = 0
+        self.end = 0
+        self.match = _WORD.search(text)  # the next token's, or None past the last
 
-    def line(self, offset=0):
-        """Line of token ``pos + offset``: by default the next token's."""
-        return _line_of(self.text, self.pos + offset)
+    def line(self):
+        """Line of the next token; past the last token, the last token's."""
+        return len(self.text[:self.match.start() + 1 if self.match else self.end].splitlines())
+
+    def last_line(self):
+        """Line of the token just read."""
+        return len(self.text[:self.end].splitlines())
 
     def peek(self):
-        return self.words[self.pos] if self.pos < len(self.words) else None
+        return self.match and self.match[0]
 
     def next(self, expected=None):
+        # peek first: nesting too deep then trips the recursion limit in this
+        # Python call, not in the C search below, whose message would differ
         token = self.peek()
         if token is None:
             raise InputError(f"line {self.line()}: expected {expected or 'more input'}")
-        self.pos += 1
+        self.end = self.match.end()
+        self.match = _WORD.search(self.text, self.end)
         return token
 
     def expect(self, literal):
         if self.peek() != literal:
             raise InputError(f"line {self.line()}: expected {literal!r}")
-        self.pos += 1
-
-    def consumed(self):
-        """The text of the tokens read so far, from the first one's start."""
-        end = 0
-        for word in self.words[:self.pos]:
-            end = self.text.find(word, end) + len(word)
-        return self.text[:end].lstrip()
+        self.next()
 
     def parse(self, kind, what):
         """The next token read by ``kind`` (``int`` or ``float``)."""
@@ -161,7 +153,7 @@ class _Tokens:
         try:
             return kind(token)
         except ValueError:
-            raise InputError(f"line {self.line(-1)}: expected {what}") from None
+            raise InputError(f"line {self.last_line()}: expected {what}") from None
 
 
 def _parse_offset(tokens):
@@ -188,11 +180,11 @@ def _parse_joint(tokens, taken):
         tokens.next()
         count = tokens.parse(int, "channel count")
         if count not in (0, 3, 6):
-            raise InputError(f"line {tokens.line(-1)}: expected channel count 0, 3, or 6")
+            raise InputError(f"line {tokens.last_line()}: expected channel count 0, 3, or 6")
         for _ in range(count):
             ch = tokens.next(expected="channel name")
             if ch not in CHANNEL_NAMES:
-                raise InputError(f"line {tokens.line(-1)}: {ch}")
+                raise InputError(f"line {tokens.last_line()}: {ch}")
             labels.append(f"{label}.{ch}")
     while True:
         token = tokens.next(expected="'JOINT', 'End Site', or '}'")
@@ -206,7 +198,7 @@ def _parse_joint(tokens, taken):
         elif token == "}":
             return labels
         else:
-            raise InputError(f"line {tokens.line(-1)}: expected 'JOINT', 'End Site', or '}}'")
+            raise InputError(f"line {tokens.last_line()}: expected 'JOINT', 'End Site', or '}}'")
 
 
 def _parse_hierarchy(tokens):
@@ -229,32 +221,35 @@ def parse_bvh(text: str) -> MotionClip:
     order follows the declaration order exactly.  The declared frame count
     must match the number of data rows.  Duplicate joint names get numeric
     suffixes in the column labels.  A skeleton without channels, fewer than
-    two frames and a frame time that is not positive raise
-    :class:`InputError`.  The motion block is read in one pass; a value
-    that ``float`` rejects and a short last row raise it with their line.
+    two frames and a frame time that is not positive or whose rate overflows
+    raise :class:`InputError`.  Tokens are read one at a time up to the frame
+    time, and the motion block after it is split in one pass; a value that
+    ``float`` rejects and a short last row raise it with their line.
     """
     tokens = _Tokens(text)
     width = len(_parse_hierarchy(tokens))
-    hierarchy = tokens.consumed()
+    hierarchy = text[:tokens.end].lstrip()
     tokens.expect("MOTION")
     tokens.expect("Frames:")
     frame_count = tokens.parse(int, "frame count")
     if frame_count < 2:
-        raise InputError(f"line {tokens.line(-1)}: expected a frame count of at least 2")
+        raise InputError(f"line {tokens.last_line()}: expected a frame count of at least 2")
     tokens.expect("Frame")
     tokens.expect("Time:")
     frame_time = tokens.parse(float, "frame time")
     if not 0.0 < frame_time < float("inf"):
-        raise InputError(f"line {tokens.line(-1)}: expected a positive frame time")
+        raise InputError(f"line {tokens.last_line()}: expected a positive frame time")
+    if 1.0 / frame_time == float("inf"):
+        raise InputError(f"line {tokens.last_line()}: expected a frame time with a finite rate")
 
-    words = tokens.words[tokens.pos:]
+    words = text[tokens.end:].split()
     try:
         values = np.array(list(map(float, words)))
     except ValueError:
-        for _ in words:  # read again one at a time: the first value float rejects raises
+        for _ in words:  # read on one token at a time: the first value float rejects raises
             tokens.parse(float, "a channel value")
     if len(values) % width != 0:
-        last = tokens.line(len(words) - 1)
+        last = len(text.rstrip().splitlines())  # the last token's line
         raise InputError(f"line {last}: expected rows of {width} channel values")
     frames = values.reshape(-1, width)
     if frames.shape[0] != frame_count:

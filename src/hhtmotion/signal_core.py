@@ -63,8 +63,8 @@ class TimeSeries:
             raise InputError("a time series needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):
             raise InputError("samples contain NaN or Inf")
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < np.inf:
+            raise ValueError("rate must be positive and finite")
 
     @property
     def n_channels(self) -> int:

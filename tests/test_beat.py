@@ -216,6 +216,18 @@ class TestTrackBeats:
         with pytest.raises(NoBeats, match=r"^onset envelope is all zero$"):
             track_beats(TimeSeries(np.zeros(2000), 100.0), 120.0)
 
+    @pytest.mark.parametrize("rate, bpm", [(2.0, 120.0), (3.9, 120.0), (0.5, 20.0)])
+    def test_under_two_samples_per_beat_refused(self, rate, bpm):
+        # the rate and bpm are the caller's values, not audio without periodicity
+        onset = TimeSeries(np.tile([1.0, 0, 0.2, 0], 25), rate)
+        with pytest.raises(InvalidValue, match=rf"^an envelope at {rate:g} Hz holds under 2 "
+                                               rf"samples per beat at bpm {bpm:g}$"):
+            track_beats(onset, bpm)
+
+    def test_two_samples_per_beat_tracked(self):
+        grid = track_beats(TimeSeries(np.tile([1.0, 0, 0.2, 0], 25), 4.0), 120.0)
+        np.testing.assert_array_equal(grid.beats, np.arange(50) / 2)
+
     def test_envelope_rate_and_start_time_are_read(self):
         """A 200 Hz envelope (the 100 Hz one, each sample twice) gives the same
         tempo and beats; shifting its start time shifts the beats."""

@@ -674,6 +674,7 @@ def failure_inputs(tmp_path_factory):
         "imfs_on_trend_exchange": root / "imfs_on_trend_exchange.json",
         "source_on_zero": root / "source_on_zero.json",
         "bad_value_bvh": root / "bad_value.bvh",
+        "overflow_frame_time_bvh": root / "overflow_frame_time.bvh",
         "wav_100_samples": root / "short.wav",
         "clicks_wav": root / "clicks.wav",
         "wav_1_hz": root / "one_hertz.wav",
@@ -723,6 +724,8 @@ def failure_inputs(tmp_path_factory):
         json.dumps({"operations": [{"kind": "zero", "source": "a"}]}))
     # "oops" for a channel value on the second motion line, line 15
     files["bad_value_bvh"].write_text(MINI_BVH.replace("21.000000", "oops"))
+    # a frame time of 1e-310 s on line 13: positive, but its rate overflows to inf
+    files["overflow_frame_time_bvh"].write_text(MINI_BVH.replace("0.025000", "1e-310"))
     write_wav_pcm16(files["wav_100_samples"], TimeSeries(np.zeros(100), 22050.0))
     write_wav_pcm16(files["clicks_wav"], click_signal(120.0, 8.0, 22050))
     write_wav_pcm16(files["wav_1_hz"], TimeSeries(np.zeros(100), 1.0))
@@ -803,6 +806,11 @@ FAILURES = {
     "blend-flat-archive": (2, lambda f: _blend(f, archive="flat"), _FLAT),
     "blend-template-missing-channel": (3, lambda f: _blend(f, template="pelvis_bvh"),
                                        "error: unknown channel: hips.Xrotation"),
+    "bvh-frame-time-rate-overflows": (2, lambda f: ["decompose", f["overflow_frame_time_bvh"],
+                                                    "--channels", "hips.Xrotation",
+                                                    "--out", f["out"]],
+                                      "error: {overflow_frame_time_bvh}: line 13: expected a "
+                                      "frame time with a finite rate"),
     "decompose-bad-value": (2, lambda f: ["decompose", f["bad_value_bvh"], "--channels",
                                           "hips.Xrotation", "--out", f["out"]],
                             "error: {bad_value_bvh}: line 15: expected a channel value"),

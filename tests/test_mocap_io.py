@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from helpers import MINI_BVH, bvh_text, random_skeleton_bvh
 from hhtmotion.errors import ChannelError, InputError
 from hhtmotion.mocap_io import (
     MotionClip,
+    _Tokens,
     apply_channels,
     extract_channels,
     parse_bvh,
@@ -84,6 +87,17 @@ class TestParse:
         assert clip.labels == header_labels(text)
         assert [clip.column(f"{joint}.Zrotation") for joint in joints] == list(
             range(0, 3 * len(names), 3))
+
+    @pytest.mark.parametrize("frame_time", ["1e-310", "5e-324", "5.5e-309"])
+    def test_frame_time_whose_rate_overflows(self, frame_time):
+        # positive, but 1 / frame_time is inf: the clip's rate would not be a number
+        with pytest.raises(InputError, match=r"^line 13: expected a frame time with a "
+                                             r"finite rate$"):
+            parse_bvh(MINI_BVH.replace("0.025000", frame_time))
+
+    def test_least_frame_time_with_a_finite_rate(self):
+        clip = parse_bvh(MINI_BVH.replace("0.025000", "5.6e-309"))
+        assert clip.rate == 1 / 5.6e-309 < float("inf")
 
     def test_long_clip_metadata(self):
         # 60.5 s at 40 fps comes out to 2420 frames
@@ -210,6 +224,11 @@ class TestClip:
     def test_frame_time_positive_and_finite(self, frame_time):
         # write_bvh would write it, and parse_bvh refuse what it wrote
         with pytest.raises(ValueError, match=r"^frame_time must be positive and finite$"):
+            MotionClip(parse_bvh(MINI_BVH).hierarchy, np.zeros((2, 6)), frame_time)
+
+    @pytest.mark.parametrize("frame_time", [1e-310, 5e-324])
+    def test_frame_time_gives_a_finite_rate(self, frame_time):
+        with pytest.raises(ValueError, match=r"^frame_time must give a finite rate$"):
             MotionClip(parse_bvh(MINI_BVH).hierarchy, np.zeros((2, 6)), frame_time)
 
     def test_labels_come_from_the_hierarchy(self):
@@ -341,6 +360,81 @@ def test_malformed_header_names_its_line(lines, line, message, brk):
         parse_bvh(text)
     assert type(exc.value) is InputError
     assert str(exc.value) == f"line {line}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# references: the reader before it read by position, from one token list of
+# the whole text; _Tokens must name the same lines and cut the same hierarchy
+
+
+def reference_line_of(text, index):
+    """Line of token ``index`` of ``text.split()`` as :meth:`str.splitlines`
+    counts lines; past the last token, the last token's line; 0 when there
+    are no tokens."""
+    line = 0
+    for number, words in enumerate(text.splitlines(), 1):
+        count = len(words.split())
+        if count:
+            index -= count
+            line = number
+            if index < 0:
+                break
+    return line
+
+
+def reference_consumed(text, count):
+    """The text of the first ``count`` tokens, from the first one's start."""
+    end = 0
+    for word in text.split()[:count]:
+        end = text.find(word, end) + len(word)
+    return text[:end].lstrip()
+
+
+# every character str.splitlines breaks a line at, and spaces that break none
+WIDE_GAPS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+             "\u2028", "\u2029", " ", "\t", "\xa0", "\u2003", "\u3000"]
+
+
+@st.composite
+def relaid_texts(draw):
+    """A text of motion_texts() with each gap, and a leading one, redrawn
+    as 1-3 characters of WIDE_GAPS."""
+    words = draw(motion_texts()).split()
+    gaps = draw(st.lists(st.lists(st.sampled_from(WIDE_GAPS), min_size=1, max_size=3),
+                         min_size=len(words) + 1, max_size=len(words) + 1))
+    lead = "".join(gaps[0]) if draw(st.booleans()) else ""
+    return lead + "".join(word + "".join(gap) for word, gap in zip(words, gaps[1:]))
+
+
+class TestTokenPositions:
+    @EXAMPLES
+    @given(motion_texts() | relaid_texts())
+    def test_lines_and_hierarchy_match_the_token_list(self, text):
+        words = text.split()
+        tokens = _Tokens(text)
+        for index, word in enumerate(words):
+            assert tokens.line() == reference_line_of(text, index)
+            assert tokens.next() == word
+            assert tokens.last_line() == reference_line_of(text, index)
+        assert tokens.peek() is None
+        assert tokens.line() == reference_line_of(text, len(words))
+        assert parse_bvh(text).hierarchy == reference_consumed(text, len(MINI_HIERARCHY))
+
+    @EXAMPLES
+    @given(motion_texts() | relaid_texts(), st.data())
+    def test_motion_block_errors_match_the_token_list(self, text, data):
+        words = text.split()
+        first = len(MINI_HIERARCHY) + 6  # the first channel value's index
+        index = data.draw(st.integers(first, len(words) - 1))
+        starts = [match.start() for match in re.finditer(r"\S+", text)]
+        bad = text[:starts[index]] + "x" + text[starts[index] + len(words[index]):]
+        with pytest.raises(InputError, match=rf"^line {reference_line_of(text, index)}: "
+                                             r"expected a channel value$"):
+            parse_bvh(bad)
+        short = text[:starts[-1]] + text[starts[-1] + len(words[-1]):]
+        with pytest.raises(InputError, match=rf"^line {reference_line_of(short, len(words) - 2)}"
+                                             r": expected rows of 6 channel values$"):
+            parse_bvh(short)
 
 
 class TestWrapping:

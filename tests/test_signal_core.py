@@ -139,6 +139,7 @@ class TestTimeSeries:
             ([0.0, np.inf], 10.0, None, "samples contain NaN or Inf"),
             ([0.0, 1.0], -1.0, None, ValueError),
             ([[0.0, 1.0], [2.0, 3.0]], 10.0, ["a", "a"], InvalidValue),
+            ([0.0, 1.0], np.inf, None, ValueError),
         ],
     )
     def test_rejects(self, samples, rate, labels, error):
