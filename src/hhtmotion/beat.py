@@ -43,17 +43,13 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass
 class BeatGrid:
-    """Finite, ascending beat timestamps with a strong-beat flag per beat."""
+    """Finite, ascending beat timestamps, spaced within 25% of 60/bpm."""
 
     beats: np.ndarray
     bpm: float
-    strong: np.ndarray
 
     def __post_init__(self):
         self.beats = np.asarray(self.beats, dtype=np.float64)
-        self.strong = np.asarray(self.strong, dtype=bool)
-        if self.beats.size != self.strong.size:
-            raise ValueError("one strong flag per beat required")
         if not np.all(np.isfinite(self.beats)):
             raise ValueError("beats must be finite")
         if self.beats.size >= 2:
@@ -68,16 +64,10 @@ class BeatGrid:
         return self.beats.size
 
 
-def _strong_flags(count):
-    """Every fourth beat flagged strong, from the first."""
-    return np.arange(count) % 4 == 0
-
-
 def fixed_grid(bpm: float, duration: float) -> BeatGrid:
     """Evenly spaced beats for a known tempo.
 
-    Produces floor(duration * bpm / 60) beats starting at 0; every fourth
-    beat is flagged strong.
+    Produces floor(duration * bpm / 60) beats starting at 0.
     """
     if not 20.0 <= bpm <= 400.0:
         raise InvalidValue(f"bpm {bpm} outside [20, 400]")
@@ -86,7 +76,7 @@ def fixed_grid(bpm: float, duration: float) -> BeatGrid:
         raise InvalidValue("duration must be finite and exceed one beat period")
     count = int(np.floor(duration * bpm / 60.0))
     beats = period * np.arange(count)
-    return BeatGrid(beats=beats, bpm=bpm, strong=_strong_flags(count))
+    return BeatGrid(beats=beats, bpm=bpm)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +238,7 @@ def track_beats(onset: TimeSeries, bpm: float, tightness: float = 400.0) -> Beat
     beats = onset.start_time + np.asarray(frames) / onset.rate
     grid_bpm = 60.0 / float(np.median(np.diff(beats)))
     try:
-        return BeatGrid(beats=beats, bpm=grid_bpm, strong=_strong_flags(len(beats)))
+        return BeatGrid(beats=beats, bpm=grid_bpm)
     except ValueError as exc:
         raise NoBeats(f"tracked beats keep no steady tempo at tightness {tightness:g}: "
                       f"{exc}") from None
@@ -331,31 +321,29 @@ def read_wav(path) -> TimeSeries:
 
 
 def grid_to_dict(grid: BeatGrid) -> dict:
+    """The grid as JSON, with every fourth beat, from the first, flagged strong."""
     return {
         "bpm": float(grid.bpm),
         "beats": grid.beats.tolist(),
-        "strong": [bool(v) for v in grid.strong],
+        "strong": [k % 4 == 0 for k in range(len(grid))],
     }
 
 
 def grid_from_dict(obj: dict) -> BeatGrid:
-    """Read a beat grid.
+    """Read a beat grid from its ``bpm`` and ``beats``; other keys are ignored.
 
     A missing or malformed field, and beats the grid refuses (empty, not
     ascending, or gaps off the tempo), raise :class:`InputError`.
     """
-    if not isinstance(obj, dict) or not {"bpm", "beats", "strong"} <= set(obj):
-        raise InputError("a beat grid is an object with bpm, beats and strong")
+    if not isinstance(obj, dict) or not {"bpm", "beats"} <= set(obj):
+        raise InputError("a beat grid is an object with bpm and beats")
     bpm = obj["bpm"]
     if not (is_number(bpm) and bpm > 0):
         raise InputError(f"bpm must be a positive number, got {bpm!r:.40}")
     beats = finite_array(obj["beats"], "beats")
     if beats.ndim != 1 or beats.size == 0:
         raise InputError("beats must be a non-empty list of times")
-    strong = obj["strong"]
-    if not (isinstance(strong, list) and all(isinstance(flag, bool) for flag in strong)):
-        raise InputError("strong must be a list of true/false")
     try:
-        return BeatGrid(beats=beats, bpm=float(bpm), strong=strong)
+        return BeatGrid(beats=beats, bpm=float(bpm))
     except ValueError as exc:
         raise InputError(str(exc)) from None

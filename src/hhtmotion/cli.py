@@ -10,8 +10,9 @@ A failure prints one ``error:`` line and exits with the code that
 ``EXIT_CODES`` gives the error's type: 2 unreadable or malformed input
 (BVH, WAV, archive, beat grid), 3 unknown channels or shape mismatch,
 4 decomposition did not converge, 5 no periodicity in audio, 6 blend-spec
-schema error, 64 invalid option value or unwritable ``--out``.  click's own
-usage errors (an unknown option, a missing or mistyped value) exit 2.
+schema error, 64 invalid option value, unwritable ``--out``, or an output
+path that names an input or another output.  click's own usage errors (an
+unknown option, a missing or mistyped value) exit 2.
 An option value, or a blend template's frame rate, that would size an array
 beyond ``MAX_ELEMENTS`` counts as invalid and is refused before anything is
 allocated.
@@ -138,6 +139,10 @@ def _atomic_write(path, text):
     except OSError as exc:
         raise errors.InvalidValue(f"cannot write {path}: {exc.strerror}") from None
     try:
+        # mkstemp makes the file 0600: give it the mode open() would, 0666 less the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -151,33 +156,49 @@ def _dump_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _write_manifest(outputs, ignored=(), **recorded):
-    """Write ``<outputs[0]>.manifest.json`` for the running command.
+def _write_outputs(outputs, ignored=(), **recorded):
+    """Write the running command's ``outputs``, ``(path, text)`` pairs with
+    ``--out`` first and then any sidecar, and ``<--out>.manifest.json``.
 
-    The command's existing-path arguments that were given are its inputs,
-    hashed, and its other options but paths and ``--seed`` its parameters,
-    as given, but for the ``ignored`` ones the run did not use (a null
+    If two of these files, or one of them and an input, are the same file,
+    nothing is written and the command exits 64.  The manifest records the
+    command's existing-path arguments that were given as its inputs, hashed,
+    and its other options but paths and ``--seed`` as its parameters, as
+    given, but for the ``ignored`` ones the run did not use (a null
     ``seed``); ``recorded`` replaces a value the command normalised.
     """
     ctx = click.get_current_context()
-    inputs, parameters = {}, {}
+    inputs, parameters = [], {}
     for param in ctx.command.params:
         value = ctx.params[param.name]
         if isinstance(param.type, click.Path):
             if param.type.exists and value is not None:
-                inputs[value] = _sha256(value)
+                inputs.append(value)
         elif param.name not in ("seed", *ignored):
             parameters[param.name] = value
     parameters.update(recorded)
+    paths = [str(path) for path, _ in outputs]
+    manifest_path = paths[0] + ".manifest.json"
+
+    taken = {os.path.realpath(path): f"the input {path}" for path in inputs}
+    roles = ["--out"] + ["the sidecar"] * (len(paths) - 1) + ["the manifest"]
+    for role, path in zip(roles, paths + [manifest_path]):
+        key = os.path.realpath(path)
+        if key in taken:
+            raise errors.InvalidValue(f"{role} {path} would overwrite {taken[key]}")
+        taken[key] = f"{role} {path}"
+
+    for path, text in outputs:
+        _atomic_write(path, text)
     manifest = {
         "command": ctx.info_name,
-        "inputs": inputs,
+        "inputs": {path: _sha256(path) for path in inputs},
         "parameters": parameters,
         "seed": None if "seed" in ignored else ctx.params.get("seed"),
         "tool_version": __version__,
-        "outputs": [str(p) for p in outputs],
+        "outputs": paths,
     }
-    _atomic_write(str(outputs[0]) + ".manifest.json", _dump_json(manifest))
+    _atomic_write(manifest_path, _dump_json(manifest))
 
 
 @contextlib.contextmanager
@@ -268,8 +289,8 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
                 sd_threshold=sd_threshold,
             )
 
-    _atomic_write(out, _dump_json(multivariate_to_dict(decomp)))
-    _write_manifest([out], ignored, channels=selection)
+    _write_outputs([(out, _dump_json(multivariate_to_dict(decomp)))], ignored,
+                   channels=selection)
     click.echo(
         f"{decomp.imf_count} IMFs; trend RMS fraction "
         f"{trend_rms_fraction(decomp):.4f}"
@@ -304,12 +325,11 @@ def cmd_beats(wav_path, bpm, duration, offset, tightness, out):
         tempo = estimate_tempo(envelope)
         grid = track_beats(envelope, tempo, tightness=tightness)
     try:
-        grid = BeatGrid(beats=grid.beats + offset, bpm=grid.bpm, strong=grid.strong)
+        grid = BeatGrid(beats=grid.beats + offset, bpm=grid.bpm)
     except ValueError as exc:
         raise errors.InvalidValue(f"--offset {offset:g}: {exc}") from None
 
-    _atomic_write(out, _dump_json(grid_to_dict(grid)))
-    _write_manifest([out], ignored)
+    _write_outputs([(out, _dump_json(grid_to_dict(grid)))], ignored)
     click.echo(f"{len(grid)} beats at {grid.bpm:.2f} BPM")
 
 
@@ -373,8 +393,7 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
         "channels": channels_report,
         "warnings": warnings,
     }
-    _atomic_write(out, _dump_json(payload))
-    _write_manifest([out])
+    _write_outputs([(out, _dump_json(payload))])
     for message in warnings:
         click.echo(f"warning: {message}", err=True)
     click.echo(f"{decomp.imf_count} IMFs, frequency range [{low:.2f}, {high:.2f}] Hz")
@@ -404,10 +423,9 @@ def cmd_spectrum(archive_path, channel, time_bin, freq_bins, freq_max, out):
                     f"--time-bin {time_bin:g} with --freq-bins {freq_bins}")
     energy, time_edges, freq_edges, overflow = hilbert_spectrum(
         d, time_bin=time_bin, freq_max=freq_max, freq_bins=freq_bins)
-    sidecar_path = os.path.splitext(out)[0] + ".json"
-    _atomic_write(out, spectrum_to_csv(energy))
-    _atomic_write(sidecar_path, _dump_json(spectrum_sidecar(time_edges, freq_edges, overflow)))
-    _write_manifest([out, sidecar_path])
+    sidecar = _dump_json(spectrum_sidecar(time_edges, freq_edges, overflow))
+    _write_outputs([(out, spectrum_to_csv(energy)),
+                    (os.path.splitext(out)[0] + ".json", sidecar)])
     click.echo(f"grid {energy.shape[0]} x {energy.shape[1]}, overflow {overflow:.4g}")
 
 
@@ -436,8 +454,7 @@ def cmd_blend(archive_a, archive_b, spec_path, template_path, out):
     a, b = align(a, b, template.rate)
     clip = synthesize_clip(template, apply_blend(a, b, operations))
 
-    _atomic_write(out, write_bvh(clip))
-    _write_manifest([out])
+    _write_outputs([(out, write_bvh(clip))])
     click.echo(f"wrote {clip.frame_count} frames to {out}")
 
 

@@ -101,23 +101,17 @@ class TestFixedGrid:
     def test_offset(self):
         # the CLI's --offset shifts a grid through BeatGrid, which checks the shifted beats
         grid = fixed_grid(60.0, 10.0)
-        shifted = BeatGrid(beats=grid.beats + 0.5, bpm=grid.bpm, strong=grid.strong)
+        shifted = BeatGrid(beats=grid.beats + 0.5, bpm=grid.bpm)
         assert np.allclose(shifted.beats, 0.5 + np.arange(10))
-        assert np.array_equal(shifted.strong, grid.strong)
         for offset in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=r"^beats must be finite$"):
-                BeatGrid(beats=grid.beats + offset, bpm=grid.bpm, strong=grid.strong)
+                BeatGrid(beats=grid.beats + offset, bpm=grid.bpm)
         with pytest.raises(ValueError, match=r"^beats must be strictly ascending$"):
-            BeatGrid(beats=grid.beats + 1e308, bpm=grid.bpm, strong=grid.strong)
+            BeatGrid(beats=grid.beats + 1e308, bpm=grid.bpm)
 
     def test_bad_tempo(self):
         with pytest.raises(InvalidValue, match=r"^bpm 10.0 outside \[20, 400\]$"):
             fixed_grid(10.0, 60.0)
-
-    def test_strong_flags(self):
-        grid = fixed_grid(120.0, 10.0)
-        # every fourth beat, from the first, of 20
-        assert np.array_equal(np.flatnonzero(grid.strong), np.arange(0, 20, 4))
 
 
 class TestOnsetEnvelope:
@@ -273,7 +267,7 @@ class TestTrackBeats:
                 continue
             want_bpm = 60.0 / float(np.median(np.diff(want)))
             try:
-                BeatGrid(want, want_bpm, np.arange(want.size) % 4 == 0)
+                BeatGrid(want, want_bpm)
             except ValueError as exc:
                 with pytest.raises(NoBeats, match="keep no steady tempo.*: " + str(exc)):
                     track_beats(onset, bpm, tightness)
@@ -311,7 +305,7 @@ class TestSegmentByBeats:
     def test_grid_outside_clip(self):
         clip = self.make_clip()
         grid = fixed_grid(60.0, 5.0)
-        grid = BeatGrid(beats=grid.beats + 50.0, bpm=grid.bpm, strong=grid.strong)
+        grid = BeatGrid(beats=grid.beats + 50.0, bpm=grid.bpm)
         with pytest.raises(ChannelError, match=r"^beat grid does not overlap the clip$"):
             segment_by_beats(clip.frame_count, clip.rate, grid)
 
@@ -331,7 +325,7 @@ class TestSegmentByBeats:
             bpm = float(rng.uniform(20.0, 400.0))
             count = int(rng.integers(1, 30))
             beats = rng.uniform(-10.0, 10.0) + 60.0 / bpm * np.arange(count)
-            grid = BeatGrid(beats, bpm, np.arange(count) % 4 == 0)
+            grid = BeatGrid(beats, bpm)
             frame_count, rate = int(rng.integers(2, 2000)), float(rng.uniform(1.0, 120.0))
             per = int(rng.integers(1, 6))
             want = reference_segments(frame_count, rate, grid, per)
@@ -386,4 +380,25 @@ class TestGridJson:
         back = grid_from_dict(obj)
         assert np.allclose(back.beats, grid.beats)
         assert back.bpm == grid.bpm
-        assert np.array_equal(back.strong, grid.strong)
+
+    def test_strong_written_every_fourth_beat(self):
+        obj = grid_to_dict(fixed_grid(120.0, 10.0))
+        # every fourth beat, from the first, of 20
+        assert obj["strong"] == [k % 4 == 0 for k in range(20)]
+        assert all(type(flag) is bool for flag in obj["strong"])
+
+    @pytest.mark.parametrize("strong", ["missing", None, [1, 0], [True], "yes", {"a": 1}])
+    def test_strong_ignored_on_read(self, strong):
+        obj = {"bpm": 60.0, "beats": [0.0, 1.0, 2.0]}
+        if strong != "missing":
+            obj["strong"] = strong
+        grid = grid_from_dict(obj)
+        assert grid.beats.tolist() == [0.0, 1.0, 2.0]
+        assert grid.bpm == 60.0
+        assert grid_to_dict(grid)["strong"] == [True, False, False]
+
+    def test_grid_needs_bpm_and_beats(self):
+        for obj in ({"bpm": 60.0}, {"beats": [0.0, 1.0]}, {"bpm": 60.0, "strong": [True]}):
+            with pytest.raises(InputError,
+                               match=r"^a beat grid is an object with bpm and beats$"):
+                grid_from_dict(obj)

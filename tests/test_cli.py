@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -683,6 +684,8 @@ def failure_inputs(tmp_path_factory):
         "deep_bvh": root / "deep.bvh",
         "out": root / "out.json",
         "missing_dir": root / "missing" / "out.json",
+        # spectrum's CSV: its sidecar is the .json beside it
+        "missing_dir_csv": root / "missing" / "out.csv",
     }
     files["negative_rate"].write_text(json.dumps(negative_rate))
     files["duplicate_label"].write_text(json.dumps(duplicate_label))
@@ -755,8 +758,8 @@ _FLAT = "error: {flat}: an archive needs channels with label, imfs and trend"
 FAILURES = {
     "grid-without-beats": (2, lambda f: ["analyze", f["archive"], "--beats",
                                          f["grid_without_beats"], "--out", f["out"]],
-                           "error: {grid_without_beats}: a beat grid is an object with bpm, "
-                           "beats and strong"),
+                           "error: {grid_without_beats}: a beat grid is an object with bpm "
+                           "and beats"),
     "beats-per-segment-0": (64, lambda f: ["analyze", f["archive"], "--beats", f["grid"],
                                            "--beats-per-segment", "0", "--out", f["out"]],
                             "error: beats_per_segment must be >= 1, got 0"),
@@ -869,7 +872,9 @@ FAILURES = {
     "analyze-out-missing-dir": (64, lambda f: ["analyze", f["archive"],
                                                "--out", f["missing_dir"]], _NO_DIR),
     "spectrum-out-missing-dir": (64, lambda f: ["spectrum", f["archive"],
-                                                "--out", f["missing_dir"]], _NO_DIR),
+                                                "--out", f["missing_dir_csv"]],
+                                 "error: cannot write {missing_dir_csv}: "
+                                 "No such file or directory"),
     "blend-out-missing-dir": (64, lambda f: _blend(f, out="missing_dir"), _NO_DIR),
     # option values whose arrays would exceed cli.MAX_ELEMENTS; refused before allocating
     "directions-too-many": (64, lambda f: _decompose(f, "--directions", "100000000000"),
@@ -941,6 +946,13 @@ FAILURES = {
                                                "--fibonacci-tolerance", "nan",
                                                "--out", f["out"]],
                                 "error: tolerance must be a finite number >= 0, got nan"),
+    # an output path that names an input, or another output of the same command
+    "spectrum-sidecar-is-out": (64, lambda f: ["spectrum", f["archive"], "--out", f["out"]],
+                                "error: the sidecar {out} would overwrite --out {out}"),
+    "analyze-out-is-archive": (64, lambda f: ["analyze", f["archive"], "--out", f["archive"]],
+                               "error: --out {archive} would overwrite the input {archive}"),
+    "blend-out-is-template": (64, lambda f: _blend(f, out="bvh"),
+                              "error: --out {bvh} would overwrite the input {bvh}"),
 }
 
 
@@ -967,6 +979,36 @@ def test_flat_archive_error_names_the_file(runner, failure_inputs, name):
     result = runner.invoke(main, FAILURES[name][1](failure_inputs))
     assert result.output == (f"error: {failure_inputs['flat']}: "
                              "an archive needs channels with label, imfs and trend\n")
+
+
+def _snapshot(root):
+    return {path: path.read_bytes() for path in sorted(root.iterdir()) if path.is_file()}
+
+
+@pytest.mark.parametrize("name", [name for name in FAILURES if "-is-" in name])
+def test_clashing_output_writes_nothing(runner, failure_inputs, name):
+    root = Path(failure_inputs["archive"]).parent
+    before = _snapshot(root)
+    assert runner.invoke(main, FAILURES[name][1](failure_inputs)).exit_code == 64
+    # no output, sidecar, manifest or temporary file appeared, and every input,
+    # the archive included, keeps its bytes
+    assert _snapshot(root) == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_outputs_follow_the_umask(runner, failure_inputs, tmp_path, umask):
+    out = tmp_path / "grid.csv"
+    old = os.umask(umask)
+    try:
+        result = runner.invoke(main, ["spectrum", str(failure_inputs["archive"]),
+                                      "--out", str(out)])
+    finally:
+        os.umask(old)
+    assert result.exit_code == 0, result.output
+    written = [out, tmp_path / "grid.json", tmp_path / "grid.csv.manifest.json"]
+    assert sorted(tmp_path.iterdir()) == sorted(written)
+    for path in written:
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask, path
 
 
 # Each command with some options given and the rest at their defaults:
