@@ -54,6 +54,7 @@ from .beat import (
 )
 from .edit import align, apply_blend, blend_spec_from_dict, synthesize_clip
 from .memd import (
+    check_noise_channels,
     direction_set,
     memd,
     multivariate_from_dict,
@@ -213,7 +214,9 @@ def _reading(path, error=errors.InputError):
     except errors.HhtMotionError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except RecursionError:  # its wording depends on where the limit trips
+        raise error(f"cannot read {path}: nested too deep") from None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from None
 
 
@@ -272,7 +275,11 @@ def cmd_decompose(bvh_path, channels, method, sd_threshold, directions,
         # direction_set raises the count to 2 per dimension
         noise = noise_channels if method == "na-memd" else 0
         dims = series.n_channels + noise
-        if noise:
+        if method == "na-memd":
+            try:
+                check_noise_channels(noise)
+            except errors.InvalidValue as exc:
+                raise errors.InvalidValue(f"--noise-channels: {exc}") from None
             _check_size(2 * dims * max(len(series), dims), f"--noise-channels {noise}")
         _check_size(max(directions, 2 * dims) * max(len(series), dims),
                     f"--directions {directions}")

@@ -10,8 +10,7 @@ written back into a motion clip.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 
 import numpy as np
@@ -50,7 +49,8 @@ class BlendOp:
     the multiplier for ``scale``; the other kinds take None.  ``source``
     picks the donor side for swap, blend, and trend_exchange: "b" (None, the
     default, means "b") or "a" for the unedited original; the other kinds
-    take None.
+    take None.  An entry listed twice is refused, but in ``merge``'s
+    ``imfs``, which reads only their smallest and largest.
     """
 
     kind: str
@@ -86,6 +86,12 @@ class BlendOp:
         if self.source is not None and self.kind in ("scale", "zero", "merge"):
             raise BlendSpecError(
                 f"{self.kind} takes no source; only swap, blend and trend_exchange do")
+        if self.kind != "merge":
+            for name in ("imfs", "channels"):
+                listed = getattr(self, name) or []
+                repeated = [v for i, v in enumerate(listed) if v in listed[:i]]
+                if repeated:
+                    raise BlendSpecError(f"{name} lists {repeated[0]} twice")
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +165,19 @@ def _merge_rows(imfs, i, j):
 def _channel_indices(labels, selection):
     if selection is None:
         return list(range(len(labels)))
-    indices = []
     for name in selection:
         if name not in labels:
             raise ChannelError(f"unknown channel: {name}")
-        indices.append(labels.index(name))
-    return indices
+    return [labels.index(name) for name in selection]
 
 
 def _imf_rows(op_imfs, count):
     if op_imfs is None:
         return list(range(count))
-    rows = []
     for n in op_imfs:
         if not 1 <= n <= count:
             raise BlendSpecError(f"IMF index {n} outside 1..{count}")
-        rows.append(n - 1)
-    return rows
+    return [n - 1 for n in op_imfs]
 
 
 def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decomposition:
@@ -206,18 +208,16 @@ def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decompo
         if op.kind == "trend_exchange":
             trend[channels] = (a if side == "a" else b).trend[channels]
             continue
-        rows = _imf_rows(op.imfs, imfs.shape[-2])
+        cells = np.ix_(channels, _imf_rows(op.imfs, imfs.shape[-2]))
         donor = donors[side]
-        for cell in itertools.product(channels, rows):
-            if op.kind == "scale":
-                imfs[cell] = imfs[cell] * op.alpha
-            elif op.kind == "zero":
-                imfs[cell] = 0.0
-            elif op.kind == "swap":
-                imfs[cell] = donor[cell]
-            else:
-                donated = (1.0 - op.alpha) * donor[cell]
-                imfs[cell] = op.alpha * imfs[cell] + donated
+        if op.kind == "scale":
+            imfs[cells] *= op.alpha
+        elif op.kind == "zero":
+            imfs[cells] = 0.0
+        elif op.kind == "swap":
+            imfs[cells] = donor[cells]
+        else:
+            imfs[cells] = op.alpha * imfs[cells] + (1.0 - op.alpha) * donor[cells]
     return Decomposition(imfs=imfs, trend=trend, rate=a.rate, meta=dict(a.meta),
                          labels=a.labels)
 
@@ -249,16 +249,8 @@ def blend_spec_from_dict(obj: dict) -> list:
     for entry in obj["operations"]:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise BlendSpecError(f"bad operation entry: {entry!r}")
-        unknown = set(entry) - {"kind", "imfs", "channels", "alpha", "source"}
+        unknown = set(entry) - {field.name for field in fields(BlendOp)}
         if unknown:
             raise BlendSpecError(f"unknown operation fields: {sorted(unknown)}")
-        operations.append(
-            BlendOp(
-                kind=entry["kind"],
-                imfs=entry.get("imfs"),
-                channels=entry.get("channels"),
-                alpha=entry.get("alpha"),
-                source=entry.get("source"),
-            )
-        )
+        operations.append(BlendOp(**entry))
     return operations

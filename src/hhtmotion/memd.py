@@ -37,6 +37,7 @@ __all__ = [
     "multivariate_mean_envelope",
     "memd",
     "na_memd",
+    "check_noise_channels",
     "multivariate_to_dict",
     "multivariate_from_dict",
 ]
@@ -185,6 +186,11 @@ def memd(
     )
 
 
+def check_noise_channels(noise_channels: int):
+    if noise_channels < 1:
+        raise InvalidValue(f"need at least one noise channel, got {noise_channels}")
+
+
 def na_memd(
     x: TimeSeries,
     noise_channels: int = 1,
@@ -205,8 +211,7 @@ def na_memd(
     require_form(x, True, "na_memd")
     if not 0.0 < noise_pct < 1.0:
         raise InvalidValue(f"noise_pct must lie in (0, 1), got {noise_pct}")
-    if noise_channels < 1:
-        raise InvalidValue(f"need at least one noise channel, got {noise_channels}")
+    check_noise_channels(noise_channels)
 
     # mean squares summed sample by sample: the order fixes the noise level's
     # last bits, so a seed gives the same noise samples in every version

@@ -133,8 +133,6 @@ class _Tokens:
         return self.match and self.match[0]
 
     def next(self, expected=None):
-        # peek first: nesting too deep then trips the recursion limit in this
-        # Python call, not in the C search below, whose message would differ
         token = self.peek()
         if token is None:
             raise InputError(f"line {self.line()}: expected {expected or 'more input'}")

@@ -19,18 +19,22 @@ def cosine(freq, duration, rate, amp=1.0, phase=0.0):
 
 
 def pv_hilbert_oracle(s):
-    """Direct O(N^2) principal-value circular convolution (even length only).
+    """Direct O(N^2) principal-value circular convolution.
 
-    Closed-form discrete kernel: k[d] = (2/N) cot(pi d / N) for odd d,
-    0 for even d.
+    Closed-form discrete kernel: for even N, k[d] = (2/N) cot(pi d / N) for
+    odd d and 0 for even d; for odd N, k[d] = (cot(pi d / N) - (-1)^d /
+    sin(pi d / N)) / N for d != 0, and k[0] = 0.
     """
     s = np.asarray(s, dtype=np.float64)
     n = s.size
-    assert n % 2 == 0, "oracle kernel is for even lengths"
     d = np.arange(n)
     kern = np.zeros(n)
-    odd = d % 2 == 1
-    kern[odd] = 2.0 / n / np.tan(np.pi * d[odd] / n)
+    if n % 2 == 0:
+        odd = d % 2 == 1
+        kern[odd] = 2.0 / n / np.tan(np.pi * d[odd] / n)
+    else:
+        angle = np.pi * d[1:] / n
+        kern[1:] = (1.0 / np.tan(angle) - (-1.0) ** d[1:] / np.sin(angle)) / n
     out = np.empty(n)
     for i in range(n):
         out[i] = np.sum(s * kern[(i - d) % n])

@@ -179,6 +179,12 @@ class TestEstimateTempo:
         with pytest.raises(NoBeats, match=r"^onset envelope carries no energy$"):
             estimate_tempo(env)
 
+    def test_one_spike(self):
+        samples = np.zeros(1000)
+        samples[300] = 1.0
+        with pytest.raises(NoBeats, match=r"^no periodic structure in the onset envelope$"):
+            estimate_tempo(TimeSeries(samples, 100.0))
+
 
 class TestTrackBeats:
     def test_exact_clicks_recovered(self):

@@ -565,6 +565,39 @@ class TestBlend:
         assert len(manifest["inputs"]) == 4
 
 
+def test_zero_imf_archive_through_analyze_spectrum_and_blend(runner, tmp_path):
+    # a ramp has no extrema, so emd finds no IMF and the archive holds "imfs": []
+    bvh = tmp_path / "ramp.bvh"
+    bvh.write_text(bvh_text({"hips.Xrotation": np.linspace(-30.0, 30.0, 400)}))
+    archive = tmp_path / "ramp.json"
+    result = runner.invoke(main, ["decompose", str(bvh), "--channels", "hips.Xrotation",
+                                  "--method", "emd", "--out", str(archive)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(archive.read_text())["channels"][0]["imfs"] == []
+
+    report = tmp_path / "analysis.json"
+    result = runner.invoke(main, ["analyze", str(archive), "--out", str(report)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(report.read_text())
+    assert payload["summary"]["imf_count"] == 0
+    assert payload["warnings"] == ["hips.Xrotation: need at least 3 frequencies",
+                                   "hips.Xrotation: outlier detection needs at least 4 IMFs"]
+
+    grid = tmp_path / "grid.csv"
+    result = runner.invoke(main, ["spectrum", str(archive), "--out", str(grid)])
+    assert result.exit_code == 0, result.output
+    rows = grid.read_text().splitlines()
+    assert rows[0] == "time_bin,freq_bin,energy" and len(rows) > 1
+    assert {row.split(",")[2] for row in rows[1:]} == {"0.0"}
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"operations": [{"kind": "swap", "imfs": [1]}]}))
+    result = runner.invoke(main, ["blend", str(archive), str(archive), "--spec", str(spec),
+                                  "--template", str(bvh), "--out", str(tmp_path / "b.bvh")])
+    assert result.exit_code == 6
+    assert result.output == "error: IMF index 1 outside 1..0\n"
+
+
 def _run_probe(probe, **env_overrides):
     src = os.path.dirname(os.path.dirname(os.path.abspath(hhtmotion.__file__)))
     env = dict(os.environ)
@@ -651,6 +684,16 @@ def failure_inputs(tmp_path_factory):
     duplicate_label["channels"][1]["label"] = duplicate_label["channels"][0]["label"]
     reordered = json.loads(archive.read_text())
     reordered["channels"].reverse()
+    nan_trend = json.loads(archive.read_text())
+    nan_trend["channels"][0]["trend"][5] = float("nan")
+    string_trend = json.loads(archive.read_text())
+    string_trend["channels"][0]["trend"][5] = "x"
+    meta_list = json.loads(archive.read_text())
+    meta_list["meta"] = ["memd"]
+    # each channel's IMFs given as one series, a flat list of numbers
+    flat_imfs = json.loads(archive.read_text())
+    for channel in flat_imfs["channels"]:
+        channel["imfs"] = channel["trend"]
     files = {
         "bvh": bvh,
         "pelvis_bvh": root / "pelvis.bvh",
@@ -658,12 +701,18 @@ def failure_inputs(tmp_path_factory):
         "negative_rate": root / "negative_rate.json",
         "duplicate_label": root / "duplicate_label.json",
         "reordered": root / "reordered.json",
+        "nan_trend": root / "nan_trend.json",
+        "string_trend": root / "string_trend.json",
+        "meta_list": root / "meta_list.json",
+        "flat_imfs": root / "flat_imfs.json",
         "archive_b": root / "archive_b.json",
         "noise_bvh": root / "noise.bvh",
         "tiny_frame_time_bvh": root / "tiny_frame_time.bvh",
         "flat": root / "flat.json",
         "grid": root / "grid.json",
         "grid_without_beats": root / "grid_without_beats.json",
+        "grid_no_beats": root / "grid_no_beats.json",
+        "grid_descending": root / "grid_descending.json",
         "spec": root / "spec.json",
         "spec_at_40": root / "spec_at_40.json",
         "alpha_x": root / "alpha_x.json",
@@ -674,12 +723,18 @@ def failure_inputs(tmp_path_factory):
         "alpha_on_swap": root / "alpha_on_swap.json",
         "imfs_on_trend_exchange": root / "imfs_on_trend_exchange.json",
         "source_on_zero": root / "source_on_zero.json",
+        "operations_object": root / "operations_object.json",
+        "operation_3": root / "operation_3.json",
+        "merge_one": root / "merge_one.json",
+        "imf_twice": root / "imf_twice.json",
+        "channel_twice": root / "channel_twice.json",
         "bad_value_bvh": root / "bad_value.bvh",
         "overflow_frame_time_bvh": root / "overflow_frame_time.bvh",
         "wav_100_samples": root / "short.wav",
         "clicks_wav": root / "clicks.wav",
         "wav_1_hz": root / "one_hertz.wav",
         "wav_0_channels": root / "zero_channels.wav",
+        "wav_no_chunks": root / "no_chunks.wav",
         "deep": root / "deep.json",
         "deep_bvh": root / "deep.bvh",
         "out": root / "out.json",
@@ -690,6 +745,9 @@ def failure_inputs(tmp_path_factory):
     files["negative_rate"].write_text(json.dumps(negative_rate))
     files["duplicate_label"].write_text(json.dumps(duplicate_label))
     files["reordered"].write_text(json.dumps(reordered))
+    for name, obj in [("nan_trend", nan_trend), ("string_trend", string_trend),
+                      ("meta_list", meta_list), ("flat_imfs", flat_imfs)]:
+        files[name].write_text(json.dumps(obj))
     files["archive_b"].write_text(json.dumps(json.loads(archive.read_text()), indent=1))
     files["noise_bvh"].write_text(
         bvh_text({"hips.Xrotation": np.random.default_rng(0).standard_normal(400)}))
@@ -708,6 +766,8 @@ def failure_inputs(tmp_path_factory):
     files["grid"].write_text(json.dumps({"bpm": 60.0, "beats": [0.0, 1.0, 2.0],
                                          "strong": [True, False, False]}))
     files["grid_without_beats"].write_text(json.dumps({"bpm": 60.0, "strong": [True]}))
+    files["grid_no_beats"].write_text(json.dumps({"bpm": 60.0, "beats": []}))
+    files["grid_descending"].write_text(json.dumps({"bpm": 60.0, "beats": [1.0, 0.0]}))
     files["spec"].write_text(json.dumps({"operations": []}))
     files["spec_at_40"].write_text(json.dumps({"target_rate": 40, "operations": []}))
     files["alpha_x"].write_text(
@@ -725,6 +785,13 @@ def failure_inputs(tmp_path_factory):
         json.dumps({"operations": [{"kind": "trend_exchange", "imfs": [1]}]}))
     files["source_on_zero"].write_text(
         json.dumps({"operations": [{"kind": "zero", "source": "a"}]}))
+    files["operations_object"].write_text(json.dumps({"operations": {}}))
+    files["operation_3"].write_text(json.dumps({"operations": [3]}))
+    files["merge_one"].write_text(json.dumps({"operations": [{"kind": "merge", "imfs": [1]}]}))
+    files["imf_twice"].write_text(
+        json.dumps({"operations": [{"kind": "scale", "imfs": [1, 1], "alpha": 2.0}]}))
+    files["channel_twice"].write_text(json.dumps(
+        {"operations": [{"kind": "swap", "channels": ["hips.Xrotation", "hips.Xrotation"]}]}))
     # "oops" for a channel value on the second motion line, line 15
     files["bad_value_bvh"].write_text(MINI_BVH.replace("21.000000", "oops"))
     # a frame time of 1e-310 s on line 13: positive, but its rate overflows to inf
@@ -735,6 +802,8 @@ def failure_inputs(tmp_path_factory):
     # the clicks with the fmt chunk's channel count, bytes 22-23, set to 0
     clicks = files["clicks_wav"].read_bytes()
     files["wav_0_channels"].write_bytes(clicks[:22] + b"\0\0" + clicks[24:])
+    # a RIFF/WAVE header and nothing after it
+    files["wav_no_chunks"].write_bytes(b"RIFF\x04\0\0\0WAVE")
     return {name: str(path) for name, path in files.items()}
 
 
@@ -760,6 +829,12 @@ FAILURES = {
                                          f["grid_without_beats"], "--out", f["out"]],
                            "error: {grid_without_beats}: a beat grid is an object with bpm "
                            "and beats"),
+    "grid-beats-empty": (2, lambda f: ["analyze", f["archive"], "--beats", f["grid_no_beats"],
+                                       "--out", f["out"]],
+                         "error: {grid_no_beats}: beats must be a non-empty list of times"),
+    "grid-beats-descending": (2, lambda f: ["analyze", f["archive"], "--beats",
+                                            f["grid_descending"], "--out", f["out"]],
+                              "error: {grid_descending}: beats must be strictly ascending"),
     "beats-per-segment-0": (64, lambda f: ["analyze", f["archive"], "--beats", f["grid"],
                                            "--beats-per-segment", "0", "--out", f["out"]],
                             "error: beats_per_segment must be >= 1, got 0"),
@@ -783,6 +858,18 @@ FAILURES = {
     "spec-merge-imf-not-a-number": (6, lambda f: _blend(f, spec="merge_a"),
                                     "error: {merge_a}: imfs must list IMF numbers, "
                                     "got [1, 'a']"),
+    "spec-merge-one-imf": (6, lambda f: _blend(f, spec="merge_one"),
+                           "error: {merge_one}: merge needs at least two IMF indices"),
+    "spec-operations-not-a-list": (6, lambda f: _blend(f, spec="operations_object"),
+                                   "error: {operations_object}: 'operations' must be a list"),
+    "spec-operation-not-an-object": (6, lambda f: _blend(f, spec="operation_3"),
+                                     "error: {operation_3}: bad operation entry: 3"),
+    # a selection listed twice would get the operation twice
+    "spec-imf-listed-twice": (6, lambda f: _blend(f, spec="imf_twice"),
+                              "error: {imf_twice}: imfs lists 1 twice"),
+    "spec-channel-listed-twice": (6, lambda f: _blend(f, spec="channel_twice"),
+                                  "error: {channel_twice}: channels lists hips.Xrotation "
+                                  "twice"),
     "spec-merge-with-channels": (6, lambda f: _blend(f, spec="merge_channels"),
                                  "error: {merge_channels}: merge acts on every channel; "
                                  "it takes no channels"),
@@ -800,6 +887,17 @@ FAILURES = {
                                               "--out", f["out"]],
                                 "error: {duplicate_label}: channel hips.Xrotation is "
                                 "labelled twice"),
+    "archive-nan-trend": (2, lambda f: ["analyze", f["nan_trend"], "--out", f["out"]],
+                          "error: {nan_trend}: trends holds NaN or Inf"),
+    "archive-string-trend": (2, lambda f: ["analyze", f["string_trend"], "--out", f["out"]],
+                             "error: {string_trend}: trends holds something other than "
+                             "numbers"),
+    "archive-meta-list": (2, lambda f: ["analyze", f["meta_list"], "--out", f["out"]],
+                          "error: {meta_list}: meta must be an object and every label a "
+                          "string"),
+    "archive-imfs-flat": (2, lambda f: ["analyze", f["flat_imfs"], "--out", f["out"]],
+                          "error: {flat_imfs}: each trend needs 2 or more samples, each IMF "
+                          "as many"),
     "channels-listed-twice": (64, lambda f: ["decompose", f["bvh"], "--channels",
                                              "hips.Xrotation,hips.Xrotation",
                                              "--out", f["out"]],
@@ -807,6 +905,9 @@ FAILURES = {
     "analyze-flat-archive": (2, lambda f: ["analyze", f["flat"], "--out", f["out"]], _FLAT),
     "spectrum-flat-archive": (2, lambda f: ["spectrum", f["flat"], "--out", f["out"]], _FLAT),
     "blend-flat-archive": (2, lambda f: _blend(f, archive="flat"), _FLAT),
+    "spectrum-unknown-channel": (3, lambda f: ["spectrum", f["archive"], "--channel", "nope",
+                                               "--out", f["out"]],
+                                 "error: unknown channel: nope"),
     "blend-template-missing-channel": (3, lambda f: _blend(f, template="pelvis_bvh"),
                                        "error: unknown channel: hips.Xrotation"),
     "bvh-frame-time-rate-overflows": (2, lambda f: ["decompose", f["overflow_frame_time_bvh"],
@@ -820,7 +921,11 @@ FAILURES = {
     "noise-pct-2": (64, lambda f: _decompose(f, "--noise-pct", "2"),
                     "error: noise_pct must lie in (0, 1), got 2.0"),
     "noise-channels-0": (64, lambda f: _decompose(f, "--noise-channels", "0"),
-                         "error: need at least one noise channel, got 0"),
+                         "error: --noise-channels: need at least one noise channel, got 0"),
+    # with the 2 selected channels, fewer than 2 dimensions to sample directions in
+    "noise-channels-negative": (64, lambda f: _decompose(f, "--noise-channels", "-3"),
+                                "error: --noise-channels: need at least one noise channel, "
+                                "got -3"),
     "memd-one-channel": (64, lambda f: ["decompose", f["bvh"], "--channels", "hips.Xrotation",
                                         "--method", "memd", "--out", f["out"]],
                          "error: direction sampling needs at least 2 dimensions"),
@@ -866,6 +971,8 @@ FAILURES = {
                  "error: {wav_1_hz}: audio rate must be at least 8000 Hz, got 1"),
     "wav-0-channels": (2, lambda f: ["beats", f["wav_0_channels"], "--out", f["out"]],
                        "error: {wav_0_channels}: fmt chunk declares 0 channels"),
+    "wav-no-chunks": (2, lambda f: ["beats", f["wav_no_chunks"], "--out", f["out"]],
+                      "error: {wav_no_chunks}: missing fmt or data chunk"),
     "decompose-out-missing-dir": (64, lambda f: _decompose(f, out="missing_dir"), _NO_DIR),
     "beats-out-missing-dir": (64, lambda f: ["beats", "--bpm", "120", "--duration", "5",
                                              "--out", f["missing_dir"]], _NO_DIR),
@@ -904,11 +1011,10 @@ FAILURES = {
                                                   "--out", f["out"]],
                                     "error: no segment of 3 beats fits inside the clip"),
     "archive-nested-too-deep": (2, lambda f: ["analyze", f["deep"], "--out", f["out"]],
-                                "error: cannot read {deep}: maximum recursion depth exceeded "
-                                "while decoding a JSON array from a unicode string"),
+                                "error: cannot read {deep}: nested too deep"),
     "bvh-nested-too-deep": (2, lambda f: ["decompose", f["deep_bvh"], "--channels",
                                           "b.Xrotation", "--out", f["out"]],
-                            "error: cannot read {deep_bvh}: maximum recursion depth exceeded"),
+                            "error: cannot read {deep_bvh}: nested too deep"),
     "no-convergence": (4, lambda f: ["decompose", f["noise_bvh"], "--channels", "hips.Xrotation",
                                      "--method", "emd", "--sd-threshold", "1e-300",
                                      "--out", f["out"]],
@@ -979,6 +1085,33 @@ def test_flat_archive_error_names_the_file(runner, failure_inputs, name):
     result = runner.invoke(main, FAILURES[name][1](failure_inputs))
     assert result.output == (f"error: {failure_inputs['flat']}: "
                              "an archive needs channels with label, imfs and trend\n")
+
+
+class _LineRecorder:
+    def __init__(self):
+        self.lines = set()
+
+    def trace(self, frame, event, arg):
+        if event == "line":
+            self.lines.add(frame.f_lineno)
+        return self.trace
+
+
+@pytest.mark.parametrize("name", [name for name in FAILURES if name.endswith("nested-too-deep")])
+def test_nesting_error_keeps_its_line_under_a_line_tracer(runner, failure_inputs, name):
+    # a bound method that records each traced line, as coverage.py's Python
+    # tracer is, moves where the recursion limit trips and so its wording
+    code, argv, line = FAILURES[name]
+    traced = _LineRecorder()
+    previous = sys.gettrace()
+    sys.settrace(traced.trace)
+    try:
+        result = runner.invoke(main, argv(failure_inputs))
+    finally:
+        sys.settrace(previous)
+    assert traced.lines
+    assert result.exit_code == code, result.output
+    assert result.output == line.format(**failure_inputs) + "\n"
 
 
 def _snapshot(root):

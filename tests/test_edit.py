@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hhtmotion.edit import (
     BlendOp,
+    _merge_rows,
     align,
     apply_blend,
     blend_spec_from_dict,
@@ -105,6 +108,55 @@ class TestMergeImfs:
             merge(d, [2, 2])
         with pytest.raises(BlendSpecError, match=r"^merge range \[0, 2\] invalid for 3 IMFs$"):
             merge(d, [0, 2])
+
+
+def per_cell_blend(a, b, operations):
+    """``apply_blend`` as a loop over each (channel, IMF) cell of an operation."""
+    imfs, trend = a.imfs.copy(), a.trend.copy()
+    donors = {"a": a.imfs, "b": b.imfs}
+    for op in operations:
+        if op.kind == "merge":
+            span = min(op.imfs), max(op.imfs)
+            imfs = _merge_rows(imfs, *span)
+            donors = {side: _merge_rows(d, *span) for side, d in donors.items()}
+            continue
+        names = a.labels if op.channels is None else op.channels
+        channels = [a.labels.index(name) for name in names]
+        side = op.source or "b"
+        if op.kind == "trend_exchange":
+            trend[channels] = (a if side == "a" else b).trend[channels]
+            continue
+        rows = range(imfs.shape[-2]) if op.imfs is None else [n - 1 for n in op.imfs]
+        donor = donors[side]
+        for cell in itertools.product(channels, rows):
+            if op.kind == "scale":
+                imfs[cell] = imfs[cell] * op.alpha
+            elif op.kind == "zero":
+                imfs[cell] = 0.0
+            elif op.kind == "swap":
+                imfs[cell] = donor[cell]
+            else:
+                donated = (1.0 - op.alpha) * donor[cell]
+                imfs[cell] = op.alpha * imfs[cell] + donated
+    return Decomposition(imfs=imfs, trend=trend, rate=a.rate, labels=a.labels)
+
+
+def random_op(rng, count):
+    """A random operation, but merge, on channels ch0-ch2 and ``count`` IMFs,
+    listing no channel or IMF twice."""
+    def selection(items):  # None (all) or some of them in a random order
+        return None if rng.random() < 0.3 else rng.permutation(items)[
+            : rng.integers(0, len(items) + 1)].tolist()
+
+    kind = ["scale", "zero", "swap", "blend", "trend_exchange"][rng.integers(5)]
+    return BlendOp(
+        kind=kind,
+        channels=selection(["ch0", "ch1", "ch2"]),
+        imfs=None if kind == "trend_exchange" else selection(np.arange(1, count + 1)),
+        alpha={"scale": rng.uniform(-2, 2), "blend": rng.random()}.get(kind),
+        source=[None, "a", "b"][rng.integers(3)] if kind in ("swap", "blend",
+                                                             "trend_exchange") else None,
+    )
 
 
 class TestApplyBlend:
@@ -259,27 +311,42 @@ class TestApplyBlend:
         with pytest.raises(BlendSpecError, match=r"^trend_exchange moves trends; it takes no "):
             blend_spec_from_dict(spec)
 
-    def test_repeated_selection_applies_twice(self):
-        # an IMF or a channel listed twice gets the operation twice, as in a loop
-        (a, b), _, _ = self.make_pair()
-        out = apply_blend(
-            a,
-            b,
-            [
-                BlendOp(kind="scale", imfs=[1, 1], alpha=2.0),
-                BlendOp(kind="blend", imfs=[2], channels=["ch0", "ch0"], alpha=0.5),
-                BlendOp(kind="swap", imfs=[3, 3], channels=["ch1"]),
-                BlendOp(kind="zero", imfs=[3], channels=["ch0", "ch0"]),
-            ],
-        )
-        (a0, a1), (b0, b1) = a.per_channel, b.per_channel
-        once = 0.5 * a0.imfs[1] + (1.0 - 0.5) * b0.imfs[1]
-        assert np.array_equal(out.per_channel[0].imfs[0], a0.imfs[0] * 2.0 * 2.0)
-        assert np.array_equal(out.per_channel[1].imfs[0], a1.imfs[0] * 2.0 * 2.0)
-        assert np.array_equal(out.per_channel[0].imfs[1], 0.5 * once + 0.5 * b0.imfs[1])
-        assert np.array_equal(out.per_channel[1].imfs[1], a1.imfs[1])
-        assert np.array_equal(out.per_channel[1].imfs[2], b1.imfs[2])
-        assert np.array_equal(out.per_channel[0].imfs[2], np.zeros_like(a0.imfs[2]))
+    def test_repeated_selection_refused(self):
+        # an IMF or a channel listed twice would get the operation twice
+        alphas = {"scale": 2.0, "blend": 0.5}
+        for kind in ("scale", "zero", "swap", "blend", "trend_exchange"):
+            op = {"kind": kind, "alpha": alphas.get(kind), "channels": ["ch1", "ch0", "ch1"]}
+            with pytest.raises(BlendSpecError, match=r"^channels lists ch1 twice$"):
+                blend_spec_from_dict({"operations": [op]})
+            if kind != "trend_exchange":
+                op.update(imfs=[2, 1, 2], channels=None)
+                with pytest.raises(BlendSpecError, match=r"^imfs lists 2 twice$"):
+                    blend_spec_from_dict({"operations": [op]})
+        # checked after every other refusal, so each keeps its message
+        with pytest.raises(BlendSpecError, match=r"^trend_exchange moves trends; it takes "):
+            BlendOp(kind="trend_exchange", imfs=[1, 1])
+        with pytest.raises(BlendSpecError, match=r"^zero takes no alpha; only scale and "):
+            BlendOp(kind="zero", imfs=[1, 1], alpha=1.0)
+        # merge reads only its smallest and largest IMF number
+        assert BlendOp(kind="merge", imfs=[3, 1, 3]).imfs == [3, 1, 3]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_per_cell_loop(self, seed):
+        # bit for bit, on repeat-free specs with a merge somewhere among them
+        rng = np.random.default_rng(seed)
+        a, b = align(random_md(rng, n=60, n_channels=3, n_imfs=5),
+                     random_md(rng, n=60, n_channels=3, n_imfs=4), target_rate=40.0)
+        count, spec, merge_at = a.imf_count, [], rng.integers(0, 6)
+        for step in range(8):
+            if step == merge_at:
+                i, j = sorted(rng.choice(np.arange(1, count + 1), 2, replace=False).tolist())
+                spec.append(BlendOp(kind="merge", imfs=[j, i]))
+                count -= j - i
+            else:
+                spec.append(random_op(rng, count))
+        out, expected = apply_blend(a, b, spec), per_cell_blend(a, b, spec)
+        assert np.array_equal(out.imfs, expected.imfs)
+        assert np.array_equal(out.trend, expected.trend)
 
     def test_out_of_bounds(self):
         (a, b), _, _ = self.make_pair()

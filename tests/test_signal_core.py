@@ -224,6 +224,16 @@ class TestAnalyticSignal:
         diff = interior(z.imag_part - oracle)
         assert rms(diff) < 1e-6
 
+    def test_matches_pv_convolution_oracle_at_odd_length(self):
+        # an odd length has no Nyquist bin: every bin but DC is doubled or zeroed
+        rate = 200.0
+        t = np.arange(0, 2, 1 / rate)[:-1]
+        s = np.sin(2 * np.pi * 3 * t) + 0.5 * np.sin(2 * np.pi * 7 * t)
+        z = analytic_signal(TimeSeries(s, rate))
+        assert s.size % 2 == 1
+        diff = interior(z.imag_part - pv_hilbert_oracle(s))
+        assert rms(diff) < 1e-6
+
     def test_too_short(self):
         with pytest.raises(InputError, match=r"^analytic signal needs at least 4 samples$"):
             analytic_signal(TimeSeries([0.0, 1.0, 0.0], rate=10.0))
@@ -380,6 +390,11 @@ class TestImfCheck:
         report = imf_check(TimeSeries(x.samples + 10.0, x.rate))
         assert not report.mean_ok
 
+    def test_no_extrema_uses_the_signal_mean(self):
+        # a ramp has no extrema to fit envelopes to, so its mean stands in
+        assert not imf_check(TimeSeries(np.linspace(0.0, 1.0, 100), 10.0)).mean_ok
+        assert imf_check(TimeSeries(np.linspace(-1.0, 1.0, 100), 10.0)).mean_ok
+
     def test_counts_match_enumeration_oracle(self):
         rate = 100.0
         t = np.arange(0, 10, 1 / rate)
@@ -409,6 +424,10 @@ def _mixed_channels():
 
 
 class TestEmd:
+    def test_too_short(self):
+        with pytest.raises(InputError, match=r"^decomposition needs at least 4 samples$"):
+            emd(TimeSeries([0.0, 1.0, 0.0], rate=10.0))
+
     def test_channel_axis_pads_each_rows_decomposition(self):
         x = _mixed_channels()
         ramp = np.linspace(-3.0, 3.0, len(x))  # no extrema: no IMF at all
