@@ -40,7 +40,7 @@ _AMP_FLOOR = 1e-9
 
 def _imf_attributes(samples: np.ndarray, rate: float):
     """``(amplitude, frequency)`` of one IMF, or None when it carries no signal."""
-    if samples.size < 4 or not np.any(samples):
+    if samples.size < 4:
         return None
     try:
         return instantaneous_attributes(analytic_signal(TimeSeries(samples, rate)))
@@ -116,9 +116,8 @@ def wafa(d: Decomposition, segments=None) -> tuple:
     """
     require_form(d, False, "wafa")
     n = d.trend.size
-    spans = [(0, n)] if segments is None else segments
-    per_segment = np.zeros((d.imf_count, len(spans)))
-    overall = np.zeros(d.imf_count)
+    spans = [(0, n)] if segments is None else [*segments, (0, n)]
+    means = np.zeros((d.imf_count, len(spans)))
     excluded = 0
     for row, samples in enumerate(d.imfs):
         att = _imf_attributes(samples, d.rate)
@@ -131,10 +130,10 @@ def wafa(d: Decomposition, segments=None) -> tuple:
         excluded += int(np.count_nonzero(~valid))
         for col, (lo, hi) in enumerate(spans):
             cell = slice(max(lo, 0), max(hi, 0))
-            per_segment[row, col] = _weighted_mean(weights[cell], frequency[cell], valid[cell])
-        overall[row] = _weighted_mean(weights, frequency, valid)
+            means[row, col] = _weighted_mean(weights[cell], frequency[cell], valid[cell])
     total = n * d.imf_count
-    return per_segment, overall, excluded / total if total else 0.0
+    per_segment = means if segments is None else means[:, :-1]
+    return per_segment, means[:, -1], excluded / total if total else 0.0
 
 
 def trend_rms_fraction(d: Decomposition) -> float:

@@ -10,12 +10,12 @@ A failure prints one ``error:`` line and exits with the code that
 ``EXIT_CODES`` gives the error's type: 2 unreadable or malformed input
 (BVH, WAV, archive, beat grid), 3 unknown channels or shape mismatch,
 4 decomposition did not converge, 5 no periodicity in audio, 6 blend-spec
-schema error, 64 invalid option value, unwritable ``--out``, or an output
-path that names an input or another output.  click's own usage errors (an
-unknown option, a missing or mistyped value) exit 2.
-An option value, or a blend template's frame rate, that would size an array
-beyond ``MAX_ELEMENTS`` counts as invalid and is refused before anything is
-allocated.
+schema error, 64 invalid option value, an output that cannot be written, or
+an output path that is a directory or names an input or another output.
+click's own usage errors (an unknown option, a missing or mistyped value)
+exit 2.  An option value, or a blend template's frame rate, that would
+size an array beyond ``MAX_ELEMENTS`` counts as invalid and is refused
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -133,26 +133,6 @@ def _sha256(path):
     return "sha256:" + digest.hexdigest()
 
 
-def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    except OSError as exc:
-        raise errors.InvalidValue(f"cannot write {path}: {exc.strerror}") from None
-    try:
-        # mkstemp makes the file 0600: give it the mode open() would, 0666 less the umask
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _dump_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -162,11 +142,14 @@ def _write_outputs(outputs, ignored=(), **recorded):
     ``--out`` first and then any sidecar, and ``<--out>.manifest.json``.
 
     If two of these files, or one of them and an input, are the same file,
-    nothing is written and the command exits 64.  The manifest records the
-    command's existing-path arguments that were given as its inputs, hashed,
-    and its other options but paths and ``--seed`` as its parameters, as
-    given, but for the ``ignored`` ones the run did not use (a null
-    ``seed``); ``recorded`` replaces a value the command normalised.
+    or one of them is a directory, nothing is written and the command exits
+    64.  Every file is written to a temporary file beside it before any
+    replaces its path, so a failed write replaces none of them.  The
+    manifest records the command's existing-path arguments that were given
+    as its inputs, hashed, and its other options but paths and ``--seed`` as
+    its parameters, as given, but for the ``ignored`` ones the run did not
+    use (a null ``seed``); ``recorded`` replaces a value the command
+    normalised.
     """
     ctx = click.get_current_context()
     inputs, parameters = [], {}
@@ -179,18 +162,6 @@ def _write_outputs(outputs, ignored=(), **recorded):
             parameters[param.name] = value
     parameters.update(recorded)
     paths = [str(path) for path, _ in outputs]
-    manifest_path = paths[0] + ".manifest.json"
-
-    taken = {os.path.realpath(path): f"the input {path}" for path in inputs}
-    roles = ["--out"] + ["the sidecar"] * (len(paths) - 1) + ["the manifest"]
-    for role, path in zip(roles, paths + [manifest_path]):
-        key = os.path.realpath(path)
-        if key in taken:
-            raise errors.InvalidValue(f"{role} {path} would overwrite {taken[key]}")
-        taken[key] = f"{role} {path}"
-
-    for path, text in outputs:
-        _atomic_write(path, text)
     manifest = {
         "command": ctx.info_name,
         "inputs": {path: _sha256(path) for path in inputs},
@@ -199,7 +170,38 @@ def _write_outputs(outputs, ignored=(), **recorded):
         "tool_version": __version__,
         "outputs": paths,
     }
-    _atomic_write(manifest_path, _dump_json(manifest))
+    outputs = [*outputs, (paths[0] + ".manifest.json", _dump_json(manifest))]
+
+    taken = {os.path.realpath(path): f"the input {path}" for path in inputs}
+    roles = ["--out"] + ["the sidecar"] * (len(paths) - 1) + ["the manifest"]
+    for role, (path, _) in zip(roles, outputs):
+        key = os.path.realpath(path)
+        if key in taken:
+            raise errors.InvalidValue(f"{role} {path} would overwrite {taken[key]}")
+        if os.path.isdir(path):
+            raise errors.InvalidValue(f"{role} {path} is a directory")
+        taken[key] = f"{role} {path}"
+
+    # mkstemp makes its files 0600: give them the mode open() would, 0666 less the umask
+    umask = os.umask(0)
+    os.umask(umask)
+    staged = []
+    try:
+        for path, text in outputs:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".tmp-")
+            staged.append(tmp)
+            with os.fdopen(fd, "w") as handle:
+                os.chmod(tmp, 0o666 & ~umask)
+                handle.write(text)
+        for tmp, (path, _) in zip(staged, outputs):
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise errors.InvalidValue(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 @contextlib.contextmanager

@@ -98,8 +98,8 @@ class BlendOp:
 # alignment
 
 
-def _conform(d, times_out, imf_count):
-    """Resample ``d`` onto ``times_out`` in one spline call; pad to ``imf_count`` IMFs.
+def _conform(d, times_out, rate, imf_count):
+    """Resample ``d`` onto ``times_out`` at ``rate`` in one spline call; pad to ``imf_count`` IMFs.
 
     All channels of a decomposition share one rate and length, so their
     IMFs and trends are fitted as columns of a single not-a-knot spline.
@@ -115,7 +115,7 @@ def _conform(d, times_out, imf_count):
     return Decomposition(
         imfs=imfs,
         trend=resampled[..., k, :],
-        rate=1.0 / (times_out[1] - times_out[0]),
+        rate=rate,
         meta=dict(d.meta),
         labels=d.labels,
     )
@@ -141,7 +141,8 @@ def align(a: Decomposition, b: Decomposition, target_rate: float) -> tuple:
     n_out = max(2, int(round(duration * target_rate)))
     times_out = np.arange(n_out) / target_rate
     imf_count = max(a.imf_count, b.imf_count)
-    return _conform(a, times_out, imf_count), _conform(b, times_out, imf_count)
+    rate = float(target_rate)
+    return _conform(a, times_out, rate, imf_count), _conform(b, times_out, rate, imf_count)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .signal_core import (
     Decomposition,
     TimeSeries,
     _extrema,
+    _mean_envelope,
     _sift,
     _sift_meta,
     check_sd_threshold,
@@ -30,7 +31,6 @@ from .signal_core import (
     is_number,
     require_form,
 )
-from .spline import mirrored_envelopes
 
 __all__ = [
     "direction_set",
@@ -105,12 +105,6 @@ def direction_set(n_dims: int, count: int = 64, seed: int = 0) -> np.ndarray:
 # multivariate envelopes and sifting
 
 
-# Directions per block-diagonal spline system.  Blocks never couple, so the
-# envelopes are the same at any block size; 16 bounds the solver's arrays
-# (13 channels x 2400 samples: na_memd's peak allocation 46 MB at 64, 15 MB at 16).
-_DIRECTION_BLOCK = 16
-
-
 def _mean_envelope_matrix(samples: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     if dirs.ndim != 2 or len(dirs) == 0 or dirs.shape[1] != samples.shape[0]:
         raise InvalidValue(
@@ -125,11 +119,7 @@ def _mean_envelope_matrix(samples: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         if idx.size < 2:
             raise TooFewExtrema(f"projection {k} has {idx.size} maxima")
         maxima.append(idx)
-    total = np.zeros_like(samples)
-    for lo in range(0, len(dirs), _DIRECTION_BLOCK):
-        for envelope in mirrored_envelopes(maxima[lo : lo + _DIRECTION_BLOCK], samples):
-            total += envelope
-    return total / len(dirs)
+    return _mean_envelope(samples, maxima)
 
 
 def multivariate_mean_envelope(x: TimeSeries, dirs: np.ndarray) -> TimeSeries:

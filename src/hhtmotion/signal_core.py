@@ -299,17 +299,32 @@ def _extrema(s: np.ndarray):
     return maxima.astype(np.int64), minima.astype(np.int64)
 
 
-def _envelopes(s: np.ndarray, maxima: np.ndarray, minima: np.ndarray):
+def _pair_knots(maxima: np.ndarray, minima: np.ndarray) -> tuple:
     if maxima.size < 2 or minima.size < 2:
         raise TooFewExtrema(
             f"need >= 2 maxima and >= 2 minima, found {maxima.size}/{minima.size}"
         )
-    return tuple(mirrored_envelopes((maxima, minima), s))
+    return maxima, minima
 
 
-def _mean_envelope(s: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.ndarray:
-    upper, lower = _envelopes(s, maxima, minima)
-    return 0.5 * (upper + lower)
+def _envelopes(s: np.ndarray):
+    return tuple(mirrored_envelopes(_pair_knots(*_extrema(s)), s))
+
+
+# Envelopes per block-diagonal spline system.  Blocks never couple, so the
+# envelopes are the same at any block size; 16 bounds the solver's arrays
+# (13 channels x 2400 samples: na_memd's peak allocation 46 MB at 64, 15 MB at 16).
+_ENVELOPE_BLOCK = 16
+
+
+def _mean_envelope(samples: np.ndarray, knots) -> np.ndarray:
+    """Mean of the envelopes of ``samples`` through each index array in ``knots``:
+    EMD's maxima and minima, or each MEMD direction's projection maxima."""
+    total = np.zeros_like(samples)
+    for lo in range(0, len(knots), _ENVELOPE_BLOCK):
+        for envelope in mirrored_envelopes(knots[lo : lo + _ENVELOPE_BLOCK], samples):
+            total += envelope
+    return total / len(knots)
 
 
 def envelope_pair(x: TimeSeries) -> tuple:
@@ -322,8 +337,8 @@ def envelope_pair(x: TimeSeries) -> tuple:
     splines are evaluated only on the original domain.
     """
     if x.labels is None:
-        return _envelopes(x.samples, *_extrema(x.samples))
-    upper, lower = zip(*(_envelopes(row, *_extrema(row)) for row in x.samples))
+        return _envelopes(x.samples)
+    upper, lower = zip(*(_envelopes(row) for row in x.samples))
     return np.array(upper), np.array(lower)
 
 
@@ -378,7 +393,7 @@ def imf_check(c: TimeSeries) -> ImfReport:
     require_form(c, False, "imf_check")
     maxima, minima = _extrema(c.samples)
     try:
-        mean_env = _mean_envelope(c.samples, maxima, minima)
+        mean_env = _mean_envelope(c.samples, _pair_knots(maxima, minima))
     except TooFewExtrema:
         mean_env = None
     return _criteria(c.samples, maxima, minima, mean_env, MEAN_ENV_TOL)
@@ -425,7 +440,7 @@ def _emd_step(c: np.ndarray, settled: bool):
     :class:`TooFewExtrema` propagates."""
     maxima, minima = _extrema(c)
     try:
-        mean_env = _mean_envelope(c, maxima, minima)
+        mean_env = _mean_envelope(c, _pair_knots(maxima, minima))
     except TooFewExtrema:
         report = _criteria(c, maxima, minima, None, MEAN_ENV_TOL)
         if report.count_ok and report.mean_ok:

@@ -122,7 +122,8 @@ class TestWafa:
     def test_segment_columns(self):
         d = emd(tone(2.0, 10.0, 100.0))
         segments = [(0, 500), (500, 1000)]
-        per_segment, _, _ = wafa(d, segments)
+        per_segment, overall, _ = wafa(d, segments)
+        assert np.array_equal(overall, wafa(d)[1])
         assert per_segment.shape == (d.imf_count, 2)
         assert np.all(np.abs(per_segment[0] - 2.0) < 0.1)
 
@@ -144,6 +145,17 @@ class TestWafa:
         assert overall[0] == 0.0
         assert per_segment[0, 0] == 0.0
         assert excluded_fraction == 1.0
+
+    def test_imf_under_the_amplitude_floor_is_excluded(self):
+        # instantaneous_attributes refuses the second IMF, whose amplitude is
+        # under its 1e-12 floor everywhere: the IMF counts as no signal
+        t = np.arange(400) / 40.0
+        d = Decomposition(imfs=[np.sin(2 * np.pi * 2.0 * t), 1e-13 * np.sin(2 * np.pi * 0.5 * t)],
+                          trend=np.zeros(400), rate=40.0)
+        per_segment, overall, excluded_fraction = wafa(d)
+        assert overall == pytest.approx([2.0, 0.0])
+        assert overall[1] == 0.0 and np.array_equal(per_segment[:, 0], overall)
+        assert excluded_fraction == 0.5
 
     def test_zero_exactly_where_no_valid_sample(self):
         # two-frame segments of white noise, some holding only negative

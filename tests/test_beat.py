@@ -179,6 +179,10 @@ class TestEstimateTempo:
         with pytest.raises(NoBeats, match=r"^onset envelope carries no energy$"):
             estimate_tempo(env)
 
+    def test_envelope_too_short(self):
+        with pytest.raises(NoBeats, match=r"^onset envelope too short for the tempo range$"):
+            estimate_tempo(TimeSeries(np.r_[1.0, np.zeros(19)], 100.0))
+
     def test_one_spike(self):
         samples = np.zeros(1000)
         samples[300] = 1.0
@@ -187,6 +191,11 @@ class TestEstimateTempo:
 
 
 class TestTrackBeats:
+    def test_bpm_out_of_range(self):
+        env = onset_envelope(click_signal(130.0, 30.0, 22050))
+        with pytest.raises(InvalidValue, match=r"^bpm 10\.0 outside \[20, 400\]$"):
+            track_beats(env, 10.0)
+
     def test_exact_clicks_recovered(self):
         env = onset_envelope(click_signal(130.0, 30.0, 22050))
         grid = track_beats(env, 130.0)

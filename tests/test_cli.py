@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from click.testing import CliRunner
 from helpers import MINI_BVH, bvh_text, click_signal, write_wav_pcm16
 
 import hhtmotion
+from hhtmotion import cli
 from hhtmotion.cli import main
 
 
@@ -741,7 +744,14 @@ def failure_inputs(tmp_path_factory):
         "missing_dir": root / "missing" / "out.json",
         # spectrum's CSV: its sidecar is the .json beside it
         "missing_dir_csv": root / "missing" / "out.csv",
+        # a directory where decompose's manifest, or spectrum's sidecar, would go
+        "manifest_dir_out": root / "held.json",
+        "manifest_dir": root / "held.json.manifest.json",
+        "sidecar_dir_csv": root / "side.csv",
+        "sidecar_dir": root / "side.json",
     }
+    files["manifest_dir"].mkdir()
+    files["sidecar_dir"].mkdir()
     files["negative_rate"].write_text(json.dumps(negative_rate))
     files["duplicate_label"].write_text(json.dumps(duplicate_label))
     files["reordered"].write_text(json.dumps(reordered))
@@ -926,6 +936,8 @@ FAILURES = {
     "noise-channels-negative": (64, lambda f: _decompose(f, "--noise-channels", "-3"),
                                 "error: --noise-channels: need at least one noise channel, "
                                 "got -3"),
+    "memd-seed-negative": (64, lambda f: _decompose(f, "--method", "memd", "--seed", "-1"),
+                           "error: seed must lie in [0, 2**128), got -1"),
     "memd-one-channel": (64, lambda f: ["decompose", f["bvh"], "--channels", "hips.Xrotation",
                                         "--method", "memd", "--out", f["out"]],
                          "error: direction sampling needs at least 2 dimensions"),
@@ -1059,6 +1071,14 @@ FAILURES = {
                                "error: --out {archive} would overwrite the input {archive}"),
     "blend-out-is-template": (64, lambda f: _blend(f, out="bvh"),
                               "error: --out {bvh} would overwrite the input {bvh}"),
+    # a directory at an output path: refused before --out is written
+    "decompose-manifest-is-a-directory": (64, lambda f: _decompose(
+                                              f, "--method", "memd", "--directions", "8",
+                                              out="manifest_dir_out"),
+                                          "error: the manifest {manifest_dir} is a directory"),
+    "spectrum-sidecar-is-a-directory": (64, lambda f: ["spectrum", f["archive"],
+                                                       "--out", f["sidecar_dir_csv"]],
+                                        "error: the sidecar {sidecar_dir} is a directory"),
 }
 
 
@@ -1126,6 +1146,32 @@ def test_clashing_output_writes_nothing(runner, failure_inputs, name):
     # no output, sidecar, manifest or temporary file appeared, and every input,
     # the archive included, keeps its bytes
     assert _snapshot(root) == before
+
+
+def test_failed_write_replaces_nothing(runner, tmp_path, monkeypatch):
+    # the manifest's temporary file, the last one staged, opens read-only,
+    # so writing it fails after --out's temporary file is written
+    out = tmp_path / "grid.json"
+    out.write_text("old\n")
+    staged = []
+
+    def mkstemp(**kwargs):
+        fd, tmp = tempfile.mkstemp(**kwargs)
+        staged.append(tmp)
+        if len(staged) == 2:
+            os.close(fd)
+            fd = os.open(tmp, os.O_RDONLY)
+        return fd, tmp
+
+    monkeypatch.setattr(cli, "tempfile", types.SimpleNamespace(mkstemp=mkstemp))
+    result = runner.invoke(main, ["beats", "--bpm", "120", "--duration", "5",
+                                  "--out", str(out)])
+    assert result.exit_code == 64, result.output
+    assert result.output == f"error: cannot write {out}.manifest.json: Bad file descriptor\n"
+    assert len(staged) == 2
+    # --out keeps its bytes, and no manifest or temporary file is left
+    assert out.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == [out]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hhtmotion.edit import (
     blend_spec_from_dict,
     synthesize_clip,
 )
-from hhtmotion.errors import BlendSpecError, ChannelError
+from hhtmotion.errors import BlendSpecError, ChannelError, InvalidValue
 from hhtmotion.signal_core import Decomposition
 
 
@@ -65,6 +66,20 @@ class TestAlign:
         n = a.per_channel[0].trend.size
         assert n == b.per_channel[0].trend.size
         assert n == 400  # 10 s at 40 fps
+
+    @pytest.mark.parametrize("rate", [119.88, 59.94, 29.97, 120])
+    def test_rate_is_the_target_rate(self, rate):
+        # 1 / (1 / 119.88) is 119.87999999999998
+        rng = np.random.default_rng(5)
+        a, b = align(random_md(rng), random_md(rng), target_rate=rate)
+        assert a.rate == b.rate == rate
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("inf"), float("nan")])
+    def test_target_rate_must_be_positive_and_finite(self, rate):
+        rng = np.random.default_rng(6)
+        message = f"target rate must be a positive number, got {rate}"
+        with pytest.raises(InvalidValue, match="^" + re.escape(message) + "$"):
+            align(random_md(rng), random_md(rng), target_rate=rate)
 
     def test_single_channel_decompositions(self):
         rng = np.random.default_rng(7)

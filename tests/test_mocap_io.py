@@ -231,6 +231,16 @@ class TestClip:
         with pytest.raises(ValueError, match=r"^frame_time must give a finite rate$"):
             MotionClip(parse_bvh(MINI_BVH).hierarchy, np.zeros((2, 6)), frame_time)
 
+    def test_one_frame_row_refused(self):
+        with pytest.raises(ValueError, match=r"^frames must be a matrix with at least 2 rows$"):
+            MotionClip(parse_bvh(MINI_BVH).hierarchy, np.zeros((1, 6)), 0.025)
+
+    def test_frame_width_must_match_the_skeleton(self):
+        hierarchy = parse_bvh(bvh_text({"hips.Xrotation": np.zeros(3)})).hierarchy
+        with pytest.raises(ValueError, match=r"^frame width 1 does not match the "
+                                             r"skeleton's 9 channels$"):
+            MotionClip(hierarchy, np.zeros((3, 1)), 0.025)
+
     def test_labels_come_from_the_hierarchy(self):
         clip = parse_bvh(bvh_text({"hips.Xrotation": np.zeros(3)}))
         again = MotionClip(clip.hierarchy, clip.frames, clip.frame_time)

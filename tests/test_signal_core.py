@@ -25,7 +25,9 @@ from hhtmotion.errors import (
     TooFewExtrema,
 )
 from hhtmotion.signal_core import (
+    AnalyticSignal,
     Decomposition,
+    ImfReport,
     TimeSeries,
     analytic_signal,
     emd,
@@ -224,6 +226,10 @@ class TestAnalyticSignal:
         diff = interior(z.imag_part - oracle)
         assert rms(diff) < 1e-6
 
+    def test_unequal_parts_refused(self):
+        with pytest.raises(ValueError, match=r"^real and imaginary parts must have equal length$"):
+            AnalyticSignal([1.0, 2.0], [1.0], 1.0)
+
     def test_matches_pv_convolution_oracle_at_odd_length(self):
         # an odd length has no Nyquist bin: every bin but DC is doubled or zeroed
         rate = 200.0
@@ -352,7 +358,7 @@ class TestEnvelopePair:
 def _sift_step(x):
     """One sifting step on ``x``: subtract the mean of its envelopes."""
     s = x.samples
-    return TimeSeries(s - signal_core._mean_envelope(s, *signal_core._extrema(s)), x.rate)
+    return TimeSeries(s - signal_core._mean_envelope(s, signal_core._extrema(s)), x.rate)
 
 
 class TestSift:
@@ -394,6 +400,11 @@ class TestImfCheck:
         # a ramp has no extrema to fit envelopes to, so its mean stands in
         assert not imf_check(TimeSeries(np.linspace(0.0, 1.0, 100), 10.0)).mean_ok
         assert imf_check(TimeSeries(np.linspace(-1.0, 1.0, 100), 10.0)).mean_ok
+
+    def test_two_samples_have_no_extrema(self):
+        # too short to hold an interior sample: the mean, 0.5, stands in
+        assert imf_check(TimeSeries([0.0, 1.0], 10.0)) == ImfReport(
+            extrema_count=0, zero_crossings=0, count_ok=True, mean_env_rms=0.5, mean_ok=False)
 
     def test_counts_match_enumeration_oracle(self):
         rate = 100.0
