@@ -142,11 +142,12 @@ def trend_rms_fraction(d: Decomposition) -> float:
     The channels of a decomposition with a channel axis are stacked.  Needs
     no Hilbert transform.
     """
-    trend_sq = 0.0
-    input_sq = 0.0
-    for dec in d.per_channel:
-        trend_sq += float(np.sum(np.square(dec.trend)))
-        input_sq += float(np.sum(np.square(dec.reconstruct())))
+    # channel sums added in order as Python floats, which fixes the last bits
+    trend_sq = input_sq = 0.0
+    for t, x in zip(np.sum(np.square(d.trend), axis=-1).reshape(-1),
+                    np.sum(np.square(d.reconstruct()), axis=-1).reshape(-1)):
+        trend_sq += float(t)
+        input_sq += float(x)
     return float(np.sqrt(trend_sq / input_sq)) if input_sq > 0 else 0.0
 
 
@@ -154,20 +155,22 @@ def summarize(d: Decomposition, overall) -> tuple:
     """The ``(low, high)`` range of overall weighted frequencies.
 
     ``overall`` holds ``wafa``'s second value (segments do not change it) for
-    each of ``d.per_channel``; with a channel axis the range spans all of
-    them.  It covers only IMFs carrying at least 1% of the input RMS, so
-    near-empty residue modes do not stretch it; ``(0.0, 0.0)`` if none does.
+    each channel, one frequency per entry of ``d.imfs.shape[:-1]``; with a
+    channel axis the range spans all channels.  It covers only IMFs carrying
+    at least 1% of their channel's input RMS, so near-empty residue modes do
+    not stretch it; ``(0.0, 0.0)`` if none does.
     """
-    freqs = []
-    for dec, channel_freqs in zip(d.per_channel, overall):
-        input_rms = float(np.sqrt(np.mean(np.square(dec.reconstruct()))))
-        for c, f in zip(dec.imfs, channel_freqs):
-            imf_rms = float(np.sqrt(np.mean(np.square(c))))
-            if f > 0 and imf_rms >= 0.01 * input_rms:
-                freqs.append(f)
-    if not freqs:
+    try:
+        freqs = np.asarray(overall, dtype=np.float64).reshape(d.imfs.shape[:-1])
+    except (TypeError, ValueError):
+        raise InvalidValue("overall must hold one frequency per channel and IMF, "
+                           f"shaped {d.imfs.shape[:-1]}") from None
+    input_rms = np.sqrt(np.mean(np.square(d.reconstruct()), axis=-1))
+    imf_rms = np.sqrt(np.mean(np.square(d.imfs), axis=-1))
+    kept = freqs[(freqs > 0) & (imf_rms >= 0.01 * input_rms[..., None])]
+    if not kept.size:
         return 0.0, 0.0
-    return float(min(freqs)), float(max(freqs))
+    return float(np.min(kept)), float(np.max(kept))
 
 
 def fibonacci_relations(freqs, tolerance: float = 0.05) -> tuple:

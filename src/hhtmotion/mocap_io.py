@@ -75,10 +75,6 @@ class MotionClip:
     def rate(self):
         return 1.0 / self.frame_time
 
-    @property
-    def duration(self):
-        return self.frame_count * self.frame_time
-
     def column(self, label):
         try:
             return self.labels.index(label)

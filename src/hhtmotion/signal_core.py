@@ -78,9 +78,6 @@ class TimeSeries:
         """Clip length in seconds (sample count over rate)."""
         return len(self) / self.rate
 
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(len(self)) / self.rate
-
 
 def _check_labels(labels, rows):
     """Refuse ``labels`` unless they name each row of a (channels, samples)

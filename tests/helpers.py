@@ -18,6 +18,37 @@ def cosine(freq, duration, rate, amp=1.0, phase=0.0):
     return TimeSeries(amp * np.cos(2 * np.pi * freq * t + phase), rate)
 
 
+BEAT_HZ = 130.0 / 60.0
+TONE_MULTIPLES = (0.5, 1.0, 2.0, 4.0)
+
+
+def tone_sum_clip(seed, frames, n_channels, rate=120.0):
+    """Dance-like joint angles, in degrees, and the tones they are built from.
+
+    Each channel sums four beat-locked tones at 0.5, 1, 2 and 4 times a
+    130 BPM beat, a slow drift, an offset and noise.  The tones' weights and
+    phases are fixed by the channel's index; ``seed`` draws the offsets and
+    the noise.  Returns ``(series, tones)``: a labelled (channels, frames)
+    series and the (channels, 4, frames) tones, in ``TONE_MULTIPLES`` order.
+    """
+    rng = np.random.default_rng(seed)
+    shape = np.random.default_rng(0)  # the same mixtures for every seed
+    t = np.arange(frames) / rate
+    samples = np.empty((n_channels, frames))
+    tones = np.empty((n_channels, len(TONE_MULTIPLES), frames))
+    for c in range(n_channels):
+        weights = shape.uniform(0.3, 1.0, 5)
+        phases = shape.uniform(0.0, 2 * np.pi, 5)
+        drift_hz = shape.uniform(1.0 / 40.0, 1.0 / 15.0)
+        for k, (mult, amp) in enumerate(zip(TONE_MULTIPLES, (14.0, 18.0, 8.0, 3.0))):
+            tones[c, k] = weights[k] * amp * np.sin(2 * np.pi * mult * BEAT_HZ * t + phases[k])
+        drift = 12.0 * weights[4] * np.sin(2 * np.pi * drift_hz * t + phases[4])
+        samples[c] = rng.uniform(-40.0, 40.0) + rng.normal(0.0, 0.3, frames)
+        samples[c] += tones[c].sum(axis=0) + drift
+    labels = [f"joint{c}" for c in range(n_channels)]
+    return TimeSeries(samples, rate, labels=labels), tones
+
+
 def pv_hilbert_oracle(s):
     """Direct O(N^2) principal-value circular convolution.
 

@@ -202,6 +202,39 @@ class TestSummarize:
         assert high == pytest.approx(4.8, rel=0.05)
         assert trend_rms_fraction(d) > 0
 
+    def test_channel_axis_matches_the_channel_loop(self):
+        rate = 100.0
+        t = np.arange(0, 10, 1 / rate)
+        x = np.stack([np.sin(2 * np.pi * t) + np.sin(2 * np.pi * 5 * t),
+                      2 * np.sin(2 * np.pi * 3 * t) + 0.2 * t])
+        d = emd(TimeSeries(x, rate, labels=["a", "b"]))
+        overall = [wafa(c)[1] for c in d.per_channel]
+        ranges = [summarize(c, f) for c, f in zip(d.per_channel, overall)]
+        assert summarize(d, np.stack(overall)) == (min(r[0] for r in ranges),
+                                                   max(r[1] for r in ranges))
+        trend_sq = input_sq = 0.0
+        for c in d.per_channel:
+            trend_sq += float(np.sum(np.square(c.trend)))
+            input_sq += float(np.sum(np.square(c.reconstruct())))
+        assert trend_rms_fraction(d) == np.sqrt(trend_sq / input_sq) > 0
+
+    @pytest.mark.parametrize("cut", ["short", "long", "ragged", "channel"])
+    def test_misshaped_overall_refused(self, cut):
+        rate = 100.0
+        t = np.arange(0, 10, 1 / rate)
+        x = np.sin(2 * np.pi * t) + np.sin(2 * np.pi * 5 * t)
+        d = emd(TimeSeries(np.stack([x, x[::-1]]), rate, labels=["a", "b"]))
+        overall = [wafa(c)[1] for c in d.per_channel]
+        overall = {
+            "short": [f[:-1] for f in overall],
+            "long": [np.append(f, 1.0) for f in overall],
+            "ragged": [overall[0], overall[1][:-1]],
+            "channel": overall[:1],
+        }[cut]
+        with pytest.raises(InvalidValue) as info:
+            summarize(d, overall)
+        assert "\n" not in str(info.value)
+
 
 class TestFibonacci:
     def test_reference_chain(self):

