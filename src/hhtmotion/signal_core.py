@@ -55,6 +55,8 @@ class TimeSeries:
     labels: list | None = None
 
     def __post_init__(self):
+        if np.iscomplexobj(self.samples):
+            raise InputError("samples must be real numbers")
         self.samples = np.asarray(self.samples, dtype=np.float64, order="C")
         if self.samples.ndim not in (1, 2) or 0 in self.samples.shape[:-1]:
             raise ValueError("samples must be (samples,) or (channels, samples)")

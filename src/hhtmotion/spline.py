@@ -110,14 +110,14 @@ def _pieces(h, y, slope, m):
 def _evaluate(x, coef, t):
     """Evaluate the pieces ``coef`` on knots ``x`` at ascending points ``t``.
 
-    Piece j serves the points in ``[x[j], x[j+1])`` and the end pieces
-    extend outward.  Ascending points give each piece one run, so a single
-    repeat gathers every coefficient.
+    Piece j serves the points in ``[x[j], x[j+1])``; the end pieces extend
+    outward, so only the interior knots split ``t`` into the pieces' runs.
     """
-    j = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
-    c3, c2, c1, c0 = np.repeat(coef, np.bincount(j, minlength=x.size - 1), axis=-1)
-    dt = t - x[j]
-    out = c3 * dt
+    runs = np.diff(np.searchsorted(t, x[1:-1]), prepend=0, append=t.size)
+    out = np.repeat(coef[0], runs, axis=-1)  # its own array: the result holds no other
+    c2, c1, c0 = np.repeat(coef[1:], runs, axis=-1)
+    dt = t - np.repeat(x[:-1], runs)
+    out *= dt
     out += c2
     out *= dt
     out += c1
@@ -140,8 +140,8 @@ def cubic_spline(x, y, t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if x.ndim != 1 or x.size < 2 or y.shape[-1:] != x.shape:
         raise ValueError("need at least two knots and one value per knot")
-    if t.ndim != 1 or np.any(np.diff(t) < 0):
-        raise ValueError("evaluation points must be one ascending array")
+    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(np.diff(t) < 0):
+        raise ValueError("evaluation points must be one ascending array of finite numbers")
     h = np.diff(x)
     if not np.all(h > 0):
         raise ValueError("knots must be strictly increasing")

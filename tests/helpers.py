@@ -49,6 +49,15 @@ def tone_sum_clip(seed, frames, n_channels, rate=120.0):
     return TimeSeries(samples, rate, labels=labels), tones
 
 
+def noise_clip(kind, seed, frames, n_channels, rate=120.0):
+    """Seeded noise channels with no tones in them: ``"white"`` Gaussian
+    noise of unit variance, or a ``"walk"`` that sums it sample by sample."""
+    samples = np.random.default_rng(seed).standard_normal((n_channels, frames))
+    if kind == "walk":
+        samples = np.cumsum(samples, axis=-1)
+    return TimeSeries(samples, rate, labels=[f"joint{c}" for c in range(n_channels)])
+
+
 def pv_hilbert_oracle(s):
     """Direct O(N^2) principal-value circular convolution.
 

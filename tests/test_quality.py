@@ -1,20 +1,21 @@
-"""Quality gates: how well each method recovers known tones, and how much
-the decomposition seed moves the result.
+"""Quality gates: how well each method recovers known tones, how much the
+decomposition seed moves the result, and how often noise meets the
+Fibonacci relation.
 
 The clips are ``helpers.tone_sum_clip``: dance-like channels built from four
-beat-locked tones plus drift and noise.  Every floor and ceiling below is
-the value measured on clip seed 0, widened by the standard deviation of
-that value over clip seeds 0-11.  Never loosen one to pass; a change that
-tightens one says by how much.  Run ``python tests/test_quality.py`` for the
-sweep that sets them.
+beat-locked tones plus drift and noise; the noise baseline uses
+``helpers.noise_clip``.  Every floor and ceiling below is the value measured
+on clip seed 0, widened by the standard deviation of that value over clip
+seeds 0-11.  Never loosen one to pass; a change that tightens one says by
+how much.  Run ``python tests/test_quality.py`` for the sweep that sets them.
 """
 
 import numpy as np
 import pytest
 
-from helpers import TONE_MULTIPLES, tone_sum_clip
+from helpers import TONE_MULTIPLES, noise_clip, tone_sum_clip
 
-from hhtmotion.analysis import wafa
+from hhtmotion.analysis import fibonacci_relations, wafa
 from hhtmotion.memd import direction_set, memd, na_memd
 from hhtmotion.signal_core import TimeSeries, emd
 
@@ -47,6 +48,20 @@ SPREAD_CEILINGS = {
     "na_memd": (0.0972, 0.1106, 0.0393, 0.1188),
 }
 
+NOISE_CHANNELS = 12
+NOISE_FRAMES = 2400  # 20 s at 120 Hz
+FIBONACCI_TOLERANCE = 0.05  # analyze's default
+
+# on noise, at FIBONACCI_TOLERANCE: the share of IMF triples that pass and
+# the share of channels with a chain of 1 or more; na_memd passed no triple
+# of a random walk at any clip seed, so those ceilings are 0
+FIBONACCI_NOISE_CEILINGS = {
+    ("white", "emd"): (0.0538, 0.3401),
+    ("white", "na_memd"): (0.0178, 0.1064),
+    ("walk", "emd"): (0.034, 0.1656),
+    ("walk", "na_memd"): (0.0, 0.0),
+}
+
 
 def separation(d, tones):
     """Per tone, the median over channels of max |corr(tone, IMF)|."""
@@ -73,6 +88,24 @@ def stability(method, x):
     shared = np.array([[f[: min(counts)] for f in channels] for channels in freqs])
     spread = np.median(shared.std(axis=0) / shared.mean(axis=0), axis=0)
     return disagreement, spread
+
+
+def fibonacci_on_noise(kind, method, seed):
+    """``(passing, chained)`` shares of ``method`` on a noise clip.
+
+    ``emd`` sifts each channel alone, so no zero-padded row enters a triple.
+    """
+    x = noise_clip(kind, seed, NOISE_FRAMES, NOISE_CHANNELS)
+    if method == "emd":
+        channels = [emd(TimeSeries(row, x.rate)) for row in x.samples]
+    else:
+        channels = DECOMPOSE[method](x, 0).per_channel
+    residuals, chains = [], []
+    for d in channels:
+        triples, chain = fibonacci_relations(wafa(d)[1], FIBONACCI_TOLERANCE)
+        residuals += [abs(t[4]) for t in triples]
+        chains.append(chain)
+    return np.mean(np.array(residuals) <= FIBONACCI_TOLERANCE), np.mean(np.array(chains) >= 1)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +141,15 @@ def test_sifted_imfs_are_not_all_zeros(clip):
         assert np.all(np.any(d.imfs, axis=-1))
 
 
+@pytest.mark.parametrize("kind, method", sorted(FIBONACCI_NOISE_CEILINGS))
+def test_fibonacci_noise_ceiling(kind, method):
+    """Noise meets the relation this seldom, so a finding must beat it."""
+    passing, chained = fibonacci_on_noise(kind, method, 0)
+    passing_ceiling, chained_ceiling = FIBONACCI_NOISE_CEILINGS[kind, method]
+    assert passing <= passing_ceiling, f"{kind} {method}: {passing:.4f} of triples pass"
+    assert chained <= chained_ceiling, f"{kind} {method}: {chained:.4f} of channels chain"
+
+
 if __name__ == "__main__":
     np.set_printoptions(precision=4, suppress=True)
     clips = [tone_sum_clip(seed, FRAMES, CHANNELS) for seed in range(12)]
@@ -124,3 +166,8 @@ if __name__ == "__main__":
               f"ceiling {np.ceil(1e4 * (agreement[0] + agreement.std())) / 1e4}")
         print(f"  spread per clip seed:\n{spread}\n  std {spread.std(axis=0)}\n"
               f"  ceiling {np.ceil(1e4 * (spread[0] + spread.std(axis=0))) / 1e4}")
+    for kind, method in sorted(FIBONACCI_NOISE_CEILINGS):
+        shares = np.array([fibonacci_on_noise(kind, method, seed) for seed in range(12)])
+        print(f"fibonacci on {kind} noise, {method}: passing, chained per clip seed\n{shares}\n"
+              f"  std {shares.std(axis=0)}\n"
+              f"  ceiling {np.ceil(1e4 * (shares[0] + shares.std(axis=0))) / 1e4}")

@@ -142,6 +142,10 @@ class TestTimeSeries:
             ([0.0, 1.0], -1.0, None, ValueError),
             ([[0.0, 1.0], [2.0, 3.0]], 10.0, ["a", "a"], InvalidValue),
             ([0.0, 1.0], np.inf, None, ValueError),
+            # numpy would keep the real parts and only warn
+            (np.array([1 + 1j, 2, 3, 4]), 10.0, None, "samples must be real numbers"),
+            (np.ones((2, 2), dtype=complex), 10.0, ["a", "b"], "samples must be real numbers"),
+            ([1.0, 2j], 10.0, None, "samples must be real numbers"),
         ],
     )
     def test_rejects(self, samples, rate, labels, error):

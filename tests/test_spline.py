@@ -17,7 +17,7 @@ from hhtmotion.memd import (  # noqa: E402
     direction_set,
 )
 from hhtmotion.signal_core import Decomposition, _extrema  # noqa: E402
-from hhtmotion.spline import cubic_spline, mirrored_envelopes  # noqa: E402
+from hhtmotion.spline import _evaluate, cubic_spline, mirrored_envelopes  # noqa: E402
 
 TOL = 1e-12  # times the value scale
 
@@ -93,6 +93,50 @@ def test_rejects_bad_input():
         cubic_spline(x, x, x[::-1])
     with pytest.raises(ValueError):
         cubic_spline(x, x[:2], x)
+    # NaN passes an ascending check, and the points after it would land on
+    # the wrong piece
+    for t in ([np.nan, 0.5, 4.5], [0.5, np.nan], [0.5, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(ValueError, match="finite"):
+            cubic_spline(np.arange(6.0), np.arange(6.0) ** 2, t)
+
+
+def per_point_evaluate(x, coef, t):
+    """The evaluator before the run-length split, kept as the reference: each
+    point's piece by a knot search, clamped to the end pieces and counted."""
+    j = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    c3, c2, c1, c0 = np.repeat(coef, np.bincount(j, minlength=x.size - 1), axis=-1)
+    dt = t - x[j]
+    out = c3 * dt
+    out += c2
+    out *= dt
+    out += c1
+    out *= dt
+    out += c0
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+@pytest.mark.parametrize("columns", [None, 1, 13])
+def test_evaluate_keeps_each_points_piece(n, columns):
+    """Bit for bit the per-point evaluator: points on the knots, outside
+    them, repeated, and none at all.  The result owns its memory, so a
+    kept resampling holds no gathered coefficients."""
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.2, 2.0, n))
+    coef = rng.standard_normal((4,) + ((n - 1,) if columns is None else (columns, n - 1)))
+    inside = rng.uniform(x[0], x[-1], 40)
+    cases = [
+        np.sort(np.concatenate((x, x[1:-1], inside, inside[:5], [x[0] - 3.0, x[-1] + 3.0]))),
+        np.repeat(x, 3),
+        x[:1] - [2.0, 1.0, 1.0],
+        x[-1:] + [1.0, 1.0, 2.0],
+        np.full(4, x[-1]),
+        np.empty(0),
+    ]
+    for t in cases:
+        got = _evaluate(x, coef, t)
+        assert np.array_equal(got, per_point_evaluate(x, coef, t))
+        assert got.flags.owndata
 
 
 @pytest.mark.parametrize("n_dims, count, seed", [(2, 64, 0), (4, 64, 3), (13, 64, 11), (3, 200, 5)])
