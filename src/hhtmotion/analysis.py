@@ -8,8 +8,6 @@ frequencies, and outlier-IMF flagging.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .errors import DegenerateSignal, InvalidValue
@@ -232,13 +230,9 @@ def detect_singular_imfs(freqs) -> list:
 def spectrum_to_csv(energy: np.ndarray) -> str:
     """Grid cells of ``hilbert_spectrum``'s energy as CSV rows:
     time_bin,freq_bin,energy."""
-    out = io.StringIO()
-    out.write("time_bin,freq_bin,energy\n")
-    n_time, n_freq = energy.shape
-    for i in range(n_time):
-        for j in range(n_freq):
-            out.write(f"{i},{j},{float(energy[i, j])!r}\n")
-    return out.getvalue()
+    return "time_bin,freq_bin,energy\n" + "".join(
+        f"{i},{j},{value!r}\n" for i, row in enumerate(energy.tolist())
+        for j, value in enumerate(row))
 
 
 def spectrum_sidecar(time_edges, freq_edges, overflow) -> dict:

@@ -43,7 +43,8 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass
 class BeatGrid:
-    """Finite, ascending beat timestamps, spaced within 25% of 60/bpm."""
+    """One or more finite, ascending beat timestamps, spaced within 25% of
+    60/bpm, for a positive finite bpm."""
 
     beats: np.ndarray
     bpm: float
@@ -52,6 +53,10 @@ class BeatGrid:
         self.beats = np.asarray(self.beats, dtype=np.float64)
         if not np.all(np.isfinite(self.beats)):
             raise ValueError("beats must be finite")
+        if self.beats.size == 0:
+            raise ValueError("a beat grid needs at least one beat")
+        if not 0 < self.bpm < np.inf:
+            raise ValueError("bpm must be a positive finite number")
         if self.beats.size >= 2:
             gaps = np.diff(self.beats)
             if np.any(gaps <= 0):

@@ -62,7 +62,7 @@ from .memd import (
     na_memd,
 )
 from .mocap_io import extract_channels, parse_bvh, write_bvh
-from .signal_core import emd
+from .signal_core import channel_index, emd
 
 # Exit code of each error type, looked up along the raised type's MRO.
 EXIT_CODES = {
@@ -421,12 +421,7 @@ def cmd_analyze(archive_path, beats_path, beats_per_segment,
 def cmd_spectrum(archive_path, channel, time_bin, freq_bins, freq_max, out):
     """Export a time-frequency energy grid as CSV plus a JSON sidecar."""
     decomp = _load_archive(archive_path)
-    if channel is None:
-        d = decomp.per_channel[0]
-    else:
-        if channel not in decomp.labels:
-            raise errors.ChannelError(f"unknown channel: {channel}")
-        d = decomp.per_channel[decomp.labels.index(channel)]
+    d = decomp.per_channel[0 if channel is None else channel_index(decomp.labels, channel)]
     if time_bin > 0:  # hilbert_spectrum refuses the rest
         _check_size(decomp.n_samples / decomp.rate / time_bin * freq_bins,
                     f"--time-bin {time_bin:g} with --freq-bins {freq_bins}")

@@ -17,7 +17,15 @@ import numpy as np
 
 from .errors import BlendSpecError, ChannelError, InvalidValue
 from .mocap_io import MotionClip, apply_channels
-from .signal_core import Decomposition, TimeSeries, is_number, require_form, sum_modes
+from .signal_core import (
+    Decomposition,
+    TimeSeries,
+    channel_index,
+    is_number,
+    pad_imfs,
+    require_form,
+    sum_modes,
+)
 from .spline import cubic_spline
 
 __all__ = [
@@ -108,12 +116,8 @@ def _conform(d, times_out, rate, imf_count):
     series = np.concatenate([d.imfs, d.trend[..., None, :]], axis=-2)
     t_in = np.arange(d.n_samples) / d.rate
     resampled = cubic_spline(t_in, series, times_out)
-    imfs = resampled[..., :k, :]
-    if imf_count > k:
-        padding = np.zeros((*d.trend.shape[:-1], imf_count - k, times_out.size))
-        imfs = np.concatenate([imfs, padding], axis=-2)
     return Decomposition(
-        imfs=imfs,
+        imfs=pad_imfs(resampled[..., :k, :], imf_count),
         trend=resampled[..., k, :],
         rate=rate,
         meta=dict(d.meta),
@@ -163,15 +167,6 @@ def _merge_rows(imfs, i, j):
 # blending
 
 
-def _channel_indices(labels, selection):
-    if selection is None:
-        return list(range(len(labels)))
-    for name in selection:
-        if name not in labels:
-            raise ChannelError(f"unknown channel: {name}")
-    return [labels.index(name) for name in selection]
-
-
 def _imf_rows(op_imfs, count):
     if op_imfs is None:
         return list(range(count))
@@ -204,7 +199,8 @@ def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decompo
             imfs = _merge_rows(imfs, *span)
             donors = {side: _merge_rows(d, *span) for side, d in donors.items()}
             continue
-        channels = _channel_indices(a.labels, op.channels)
+        names = a.labels if op.channels is None else op.channels
+        channels = [channel_index(a.labels, name) for name in names]
         side = op.source or "b"
         if op.kind == "trend_exchange":
             trend[channels] = (a if side == "a" else b).trend[channels]

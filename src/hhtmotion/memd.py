@@ -279,12 +279,9 @@ def multivariate_from_dict(obj: dict) -> Decomposition:
     trend = finite_array([e["trend"] for e in entries], "trends")
     imfs = finite_array([e["imfs"] for e in entries], "IMFs")
     try:
-        decomp = Decomposition(imfs=imfs, trend=trend, rate=float(rate), meta=dict(meta),
-                               labels=labels)
+        return Decomposition(imfs=imfs, trend=trend, rate=float(rate), meta=dict(meta),
+                             labels=labels)
     except InvalidValue as exc:  # a repeated label
         raise InputError(str(exc)) from None
-    except ValueError:
-        decomp = None
-    if decomp is None or decomp.n_samples < 2:
-        raise InputError("each trend needs 2 or more samples, each IMF as many")
-    return decomp
+    except (ValueError, InputError):  # misshapen, or under 2 samples
+        raise InputError("each trend needs 2 or more samples, each IMF as many") from None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChannelError, InputError
-from .signal_core import TimeSeries, require_form
+from .signal_core import TimeSeries, channel_index, require_form
 
 __all__ = [
     "MotionClip",
@@ -76,10 +76,7 @@ class MotionClip:
         return 1.0 / self.frame_time
 
     def column(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ChannelError(f"unknown channel: {label}") from None
+        return channel_index(self.labels, label)
 
 
 # ---------------------------------------------------------------------------

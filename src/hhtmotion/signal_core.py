@@ -17,6 +17,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import (
+    ChannelError,
     DegenerateSignal,
     InputError,
     InvalidValue,
@@ -55,18 +56,11 @@ class TimeSeries:
     labels: list | None = None
 
     def __post_init__(self):
-        if np.iscomplexobj(self.samples):
-            raise InputError("samples must be real numbers")
-        self.samples = np.asarray(self.samples, dtype=np.float64, order="C")
+        self.samples = np.asarray(self.samples, order="C")
         if self.samples.ndim not in (1, 2) or 0 in self.samples.shape[:-1]:
             raise ValueError("samples must be (samples,) or (channels, samples)")
         _check_labels(self.labels, self.samples)
-        if len(self) < 2:
-            raise InputError("a time series needs at least 2 samples")
-        if not np.all(np.isfinite(self.samples)):
-            raise InputError("samples contain NaN or Inf")
-        if not 0 < self.rate < np.inf:
-            raise ValueError("rate must be positive and finite")
+        self.samples = _sampled(self.samples, self.rate)
 
     @property
     def n_channels(self) -> int:
@@ -79,6 +73,22 @@ class TimeSeries:
     def duration(self) -> float:
         """Clip length in seconds (sample count over rate)."""
         return len(self) / self.rate
+
+
+def _sampled(values: np.ndarray, rate) -> np.ndarray:
+    """``values``, samples along the last axis, as float64; raises
+    :class:`InputError` for complex values, fewer than 2 samples, or NaN or
+    Inf, and ValueError for a ``rate`` that is not a positive finite number."""
+    if np.iscomplexobj(values):
+        raise InputError("samples must be real numbers")
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[-1] < 2:
+        raise InputError("a time series needs at least 2 samples")
+    if not np.all(np.isfinite(values)):
+        raise InputError("samples contain NaN or Inf")
+    if not 0 < rate < np.inf:
+        raise ValueError("rate must be positive and finite")
+    return values
 
 
 def _check_labels(labels, rows):
@@ -102,6 +112,24 @@ def require_form(x, channel_axis: bool, what: str):
                                "not one channel without labels")
         raise InvalidValue(f"{what} takes one channel, without labels; pass the channels "
                            "of a channel axis one at a time, e.g. from per_channel")
+
+
+def channel_index(labels, label) -> int:
+    """Index of ``label`` in ``labels``; :class:`ChannelError` when it is absent."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise ChannelError(f"unknown channel: {label}") from None
+
+
+def pad_imfs(imfs: np.ndarray, count: int) -> np.ndarray:
+    """``imfs`` (..., IMFs, samples) with all-zero IMFs appended along axis
+    -2 up to ``count``; ``imfs`` itself when none is missing."""
+    missing = count - imfs.shape[-2]
+    if missing <= 0:
+        return imfs
+    zeros = np.zeros((*imfs.shape[:-2], missing, imfs.shape[-1]))
+    return np.concatenate([imfs, zeros], axis=-2)
 
 
 def is_number(value) -> bool:
@@ -162,7 +190,8 @@ class Decomposition:
     first along axis -2, and ``trend`` is (..., samples).  An optional leading
     axis runs over channels, mode-aligned when they come from MEMD:
     ``imfs[c]`` and ``trend[c]`` are channel c, and ``labels`` names them, one
-    per channel.  Without that axis ``labels`` is None.
+    per channel.  Without that axis ``labels`` is None.  Both arrays pass
+    the sample and rate checks of :class:`TimeSeries`.
     """
 
     imfs: np.ndarray
@@ -172,8 +201,8 @@ class Decomposition:
     labels: list | None = None
 
     def __post_init__(self):
-        self.trend = np.asarray(self.trend, dtype=np.float64)
-        self.imfs = np.asarray(self.imfs, dtype=np.float64)
+        self.trend = np.asarray(self.trend)
+        self.imfs = np.asarray(self.imfs)
         if self.trend.ndim not in (1, 2):
             raise ValueError("trend must be (samples,) or (channels, samples)")
         if self.imfs.shape == self.trend.shape[:-1] + (0,):  # no IMFs, given as []
@@ -182,6 +211,8 @@ class Decomposition:
                 or self.imfs.shape[:-2] + self.imfs.shape[-1:] != self.trend.shape):
             raise ValueError("imfs must be (..., IMFs, samples) beside a (..., samples) trend")
         _check_labels(self.labels, self.trend)
+        self.trend = _sampled(self.trend, self.rate)
+        self.imfs = _sampled(self.imfs, self.rate)
 
     @property
     def imf_count(self) -> int:
@@ -279,9 +310,6 @@ def _extrema(s: np.ndarray):
     never reported.
     """
     n = s.size
-    if n < 3:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
     change = np.flatnonzero(np.diff(s) != 0)
     starts = np.concatenate(([0], change + 1))
     ends = np.concatenate((change, [n - 1]))
@@ -539,9 +567,8 @@ def emd(x: TimeSeries, sd_threshold: float = 0.25) -> Decomposition:
         raise InputError("decomposition needs at least 4 samples")
     check_sd_threshold(sd_threshold)
     rows = [_sift(row, _emd_step, sd_threshold) for row in np.atleast_2d(x.samples)]
-    imfs = np.zeros((len(rows), max(len(row_imfs) for row_imfs, _ in rows), len(x)))
-    for channel, (row_imfs, _) in zip(imfs, rows):
-        channel[: len(row_imfs)] = row_imfs
+    count = max(len(row_imfs) for row_imfs, _ in rows)
+    imfs = np.array([pad_imfs(row_imfs, count) for row_imfs, _ in rows])
     trend = np.array([row_trend for _, row_trend in rows])
     if x.labels is None:
         imfs, trend = imfs[0], trend[0]

@@ -135,6 +135,8 @@ def cubic_spline(x, y, t) -> np.ndarray:
     the parabola.  Points outside the knots extend the end pieces.  Returns
     an array of shape ``y.shape[:-1] + t.shape``.
     """
+    if any(np.iscomplexobj(v) for v in (x, y, t)):
+        raise ValueError("knots, values and evaluation points must be real numbers")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)

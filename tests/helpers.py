@@ -58,6 +58,17 @@ def noise_clip(kind, seed, frames, n_channels, rate=120.0):
     return TimeSeries(samples, rate, labels=[f"joint{c}" for c in range(n_channels)])
 
 
+GOLDEN_RATIO = (1.0 + 5.0 ** 0.5) / 2.0
+
+
+def golden_ladder(rate=120.0, duration=20.0):
+    """Five unit sines at 6 / phi**k Hz, k = 0..4, highest first: each
+    frequency is the sum of the next two, so the ladder is the Fibonacci
+    relation's positive control.  Returns the (5, samples) array."""
+    t = np.arange(int(duration * rate)) / rate
+    return np.array([np.sin(2 * np.pi * 6.0 / GOLDEN_RATIO ** k * t) for k in range(5)])
+
+
 def pv_hilbert_oracle(s):
     """Direct O(N^2) principal-value circular convolution.
 

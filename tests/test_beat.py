@@ -113,6 +113,18 @@ class TestFixedGrid:
         with pytest.raises(InvalidValue, match=r"^bpm 10.0 outside \[20, 400\]$"):
             fixed_grid(10.0, 60.0)
 
+    @pytest.mark.parametrize("beats, bpm, message", [
+        ([0.0, 0.5], 0.0, "bpm must be a positive finite number"),
+        ([0.0], np.nan, "bpm must be a positive finite number"),
+        ([0.0], -5.0, "bpm must be a positive finite number"),
+        ([0.0], np.inf, "bpm must be a positive finite number"),
+        ([], 120.0, "a beat grid needs at least one beat"),
+    ])
+    def test_grid_refuses(self, beats, bpm, message):
+        # ValueError, which each caller turns into its own error type
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BeatGrid(beats, bpm)
+
 
 class TestOnsetEnvelope:
     def test_silence_all_zero(self):
@@ -224,6 +236,12 @@ class TestTrackBeats:
     def test_silence_raises(self):
         with pytest.raises(NoBeats, match=r"^onset envelope is all zero$"):
             track_beats(TimeSeries(np.zeros(2000), 100.0), 120.0)
+
+    def test_flat_envelope_has_no_peaks(self):
+        # with no spacing penalty the cumulative score of a constant envelope
+        # only rises, so it has no local maximum to end the chain on
+        with pytest.raises(NoBeats, match=r"^cumulative score has no peaks$"):
+            track_beats(TimeSeries(np.ones(60), 5.0), 120.0, tightness=0.0)
 
     @pytest.mark.parametrize("rate, bpm", [(2.0, 120.0), (3.9, 120.0), (0.5, 20.0)])
     def test_under_two_samples_per_beat_refused(self, rate, bpm):

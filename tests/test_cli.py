@@ -399,6 +399,26 @@ class TestSpectrum:
         sidecar = json.loads((tmp_path / "spec.json").read_text())
         assert "freq_edges" in sidecar and "overflow" in sidecar
 
+    def test_three_samples_are_too_few_for_the_transform(self, runner, tmp_path):
+        # an IMF of under 4 samples gets no Hilbert transform: analyze excludes
+        # all of it and the spectrum is empty, and both still succeed
+        archive = tmp_path / "short.json"
+        archive.write_text(json.dumps({"rate": 10.0, "meta": {}, "channels": [
+            {"label": "a", "imfs": [[1.0, -1.0, 1.0]], "trend": [0.5, 0.5, 0.5]}]}))
+        result = runner.invoke(main, ["analyze", str(archive), "--out",
+                                      str(tmp_path / "analysis.json")])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "analysis.json").read_text())
+        assert report["summary"]["freq_range"] == [0.0, 0.0]
+        assert report["channels"][0]["wafa"]["per_imf_overall"] == [0.0]
+        assert report["channels"][0]["wafa"]["excluded_fraction"] == 1.0
+        out = tmp_path / "spec.csv"
+        result = runner.invoke(main, ["spectrum", str(archive), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1 + 6 * 100  # 0.3 s in 0.05 s bins, 100 frequency bins
+        assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"0.0"}
+
 
 class TestBlend:
     def setup_archives(self, runner, tmp_path):

@@ -13,11 +13,11 @@ how much.  Run ``python tests/test_quality.py`` for the sweep that sets them.
 import numpy as np
 import pytest
 
-from helpers import TONE_MULTIPLES, noise_clip, tone_sum_clip
+from helpers import TONE_MULTIPLES, golden_ladder, noise_clip, tone_sum_clip
 
 from hhtmotion.analysis import fibonacci_relations, wafa
 from hhtmotion.memd import direction_set, memd, na_memd
-from hhtmotion.signal_core import TimeSeries, emd
+from hhtmotion.signal_core import Decomposition, TimeSeries, emd
 
 CHANNELS = 6
 FRAMES = 1200  # 10 s at 120 Hz
@@ -150,6 +150,15 @@ def test_fibonacci_noise_ceiling(kind, method):
     assert chained <= chained_ceiling, f"{kind} {method}: {chained:.4f} of channels chain"
 
 
+def test_fibonacci_positive_control():
+    """Tones that obey the relation, taken as IMFs, chain every triple through
+    ``wafa``.  (``emd`` of their sum mixes the phi-spaced tones and chains
+    none; ``python tests/test_quality.py`` prints that.)"""
+    tones = golden_ladder()
+    d = Decomposition(imfs=tones, trend=np.zeros(tones.shape[-1]), rate=120.0)
+    assert fibonacci_relations(wafa(d)[1], FIBONACCI_TOLERANCE)[1] == 3
+
+
 if __name__ == "__main__":
     np.set_printoptions(precision=4, suppress=True)
     clips = [tone_sum_clip(seed, FRAMES, CHANNELS) for seed in range(12)]
@@ -171,3 +180,9 @@ if __name__ == "__main__":
         print(f"fibonacci on {kind} noise, {method}: passing, chained per clip seed\n{shares}\n"
               f"  std {shares.std(axis=0)}\n"
               f"  ceiling {np.ceil(1e4 * (shares[0] + shares.std(axis=0))) / 1e4}")
+    tones = golden_ladder()
+    for name, d in [("as IMFs", Decomposition(tones, np.zeros(tones.shape[-1]), 120.0)),
+                    ("emd of their sum", emd(TimeSeries(tones.sum(axis=0), 120.0)))]:
+        triples, chain = fibonacci_relations(wafa(d)[1], FIBONACCI_TOLERANCE)
+        print(f"golden ladder, {name}: {d.imf_count} IMFs, residuals "
+              f"{np.array([t[4] for t in triples])}, chain {chain}")

@@ -92,6 +92,26 @@ class TestDecomposition:
                           rate=10.0, labels=labels)
 
     @pytest.mark.parametrize(
+        "imfs, trend, rate, error",
+        [
+            (np.zeros((2, 8)), np.zeros(8), -1.0, ValueError),
+            (np.zeros((2, 8)), np.zeros(8), 0.0, ValueError),
+            (np.zeros((2, 8)), np.zeros(8), np.nan, ValueError),
+            (np.full((2, 8), np.nan), np.zeros(8), 10.0, "samples contain NaN or Inf"),
+            (np.zeros((2, 8)), np.full(8, np.inf), 10.0, "samples contain NaN or Inf"),
+            (np.zeros((2, 1)), np.zeros(1), 10.0, "a time series needs at least 2 samples"),
+            # numpy would keep the real parts and only warn
+            (np.ones((2, 8)) * (1 + 1j), np.zeros(8), 10.0, "samples must be real numbers"),
+            (np.zeros((2, 8)), np.zeros(8, dtype=complex), 10.0, "samples must be real numbers"),
+        ],
+    )
+    def test_refuses_what_a_time_series_refuses(self, imfs, trend, rate, error):
+        # a message stands for the InputError that carries it
+        error, match = (InputError, f"^{error}$") if isinstance(error, str) else (error, None)
+        with pytest.raises(error, match=match):
+            Decomposition(imfs=imfs, trend=trend, rate=rate)
+
+    @pytest.mark.parametrize(
         "trend_shape, labels",
         [((2, 50), ["a"]), ((2, 50), ["a", "b", "c"]), ((2, 50), None), ((50,), ["a"])],
     )
@@ -558,3 +578,19 @@ class TestEmd:
                            match=r"^IMF 1: the iterate after 2 sifts fails the IMF criteria "
                                  r"\(SD \d[\d.e+-]*, threshold 0.25\)$"):
             emd(x)
+
+    def test_sift_limit_refuses_an_iterate_it_cannot_envelope(self):
+        # a step that never settles the iterate, and finds too few extrema
+        # in it once the limit is reached
+        calls = []
+
+        def step(c, settled):
+            calls.append(settled)
+            if len(calls) > signal_core.MAX_SIFTS:
+                raise TooFewExtrema("synthetic")
+            return np.zeros_like(c)
+
+        with pytest.raises(NoConvergence, match=r"^IMF 1: the iterate after 100 sifts fails "
+                                                r"the IMF criteria \(SD 0, threshold 0.25\)$"):
+            signal_core._sift(np.sin(np.arange(50.0)), step, 0.25)
+        assert len(calls) == signal_core.MAX_SIFTS + 1 and calls[-1]

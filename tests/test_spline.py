@@ -98,6 +98,10 @@ def test_rejects_bad_input():
     for t in ([np.nan, 0.5, 4.5], [0.5, np.nan], [0.5, np.inf], [-np.inf, 0.5]):
         with pytest.raises(ValueError, match="finite"):
             cubic_spline(np.arange(6.0), np.arange(6.0) ** 2, t)
+    # numpy would keep the real parts and only warn
+    for args in ([x + 0j, x, x], [x, x + 1j, x], [x, x, [0.5 + 0j]]):
+        with pytest.raises(ValueError, match="real numbers"):
+            cubic_spline(*args)
 
 
 def per_point_evaluate(x, coef, t):
