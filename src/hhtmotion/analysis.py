@@ -188,11 +188,10 @@ def fibonacci_relations(freqs, tolerance: float = 0.05) -> tuple:
     if len(freqs) < 3:
         raise DegenerateSignal("need at least 3 frequencies")
     triples = []
+    chain = best = 0
     for i in range(len(freqs) - 2):
         residual = freqs[i] - (freqs[i + 1] + freqs[i + 2])
         triples.append((i + 1, freqs[i], freqs[i + 1], freqs[i + 2], residual))
-    chain = best = 0
-    for _, _, _, _, residual in triples:
         chain = chain + 1 if abs(residual) <= tolerance else 0
         best = max(best, chain)
     return triples, best

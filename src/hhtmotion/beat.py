@@ -57,13 +57,12 @@ class BeatGrid:
             raise ValueError("a beat grid needs at least one beat")
         if not 0 < self.bpm < np.inf:
             raise ValueError("bpm must be a positive finite number")
-        if self.beats.size >= 2:
-            gaps = np.diff(self.beats)
-            if np.any(gaps <= 0):
-                raise ValueError("beats must be strictly ascending")
-            period = 60.0 / self.bpm
-            if np.any(gaps < 0.75 * period) or np.any(gaps > 1.25 * period):
-                raise ValueError("beat gaps deviate more than 25% from 60/bpm")
+        gaps = np.diff(self.beats)
+        if np.any(gaps <= 0):
+            raise ValueError("beats must be strictly ascending")
+        period = 60.0 / self.bpm
+        if np.any(gaps < 0.75 * period) or np.any(gaps > 1.25 * period):
+            raise ValueError("beat gaps deviate more than 25% from 60/bpm")
 
     def __len__(self):
         return self.beats.size

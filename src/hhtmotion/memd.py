@@ -26,6 +26,7 @@ from .signal_core import (
     _mean_envelope,
     _sift,
     _sift_meta,
+    check_magnitude,
     check_sd_threshold,
     finite_array,
     is_number,
@@ -258,8 +259,9 @@ def multivariate_from_dict(obj: dict) -> Decomposition:
 
     Anything else raises :class:`InputError`: a missing field, a
     rate that is not a positive finite number, a label given to two
-    channels, or sample arrays that hold non-numbers, are ragged, or differ
-    in length or IMF count between channels.
+    channels, or sample arrays that hold non-numbers or numbers past
+    ``MAX_MAGNITUDE``, are ragged, or differ in length or IMF count between
+    channels.
     """
     if not isinstance(obj, dict):
         raise InputError("an archive must be a JSON object")
@@ -278,6 +280,8 @@ def multivariate_from_dict(obj: dict) -> Decomposition:
 
     trend = finite_array([e["trend"] for e in entries], "trends")
     imfs = finite_array([e["imfs"] for e in entries], "IMFs")
+    check_magnitude(trend, "trends")
+    check_magnitude(imfs, "IMFs")
     try:
         return Decomposition(imfs=imfs, trend=trend, rate=float(rate), meta=dict(meta),
                              labels=labels)

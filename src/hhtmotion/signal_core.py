@@ -77,8 +77,9 @@ class TimeSeries:
 
 def _sampled(values: np.ndarray, rate) -> np.ndarray:
     """``values``, samples along the last axis, as float64; raises
-    :class:`InputError` for complex values, fewer than 2 samples, or NaN or
-    Inf, and ValueError for a ``rate`` that is not a positive finite number."""
+    :class:`InputError` for complex values, fewer than 2 samples, NaN or Inf,
+    or a sample past ``MAX_MAGNITUDE``, and ValueError for a ``rate`` that is
+    not a positive finite number."""
     if np.iscomplexobj(values):
         raise InputError("samples must be real numbers")
     values = np.asarray(values, dtype=np.float64)
@@ -86,9 +87,23 @@ def _sampled(values: np.ndarray, rate) -> np.ndarray:
         raise InputError("a time series needs at least 2 samples")
     if not np.all(np.isfinite(values)):
         raise InputError("samples contain NaN or Inf")
+    check_magnitude(values, "samples")
     if not 0 < rate < np.inf:
         raise ValueError("rate must be positive and finite")
     return values
+
+
+# The largest magnitude a sample may have.  Squares then stay below 1e200, so a
+# sum of squares over the largest array the CLI allows (2**27 elements) stays
+# far from overflow, spline and Hilbert overshoot included.
+MAX_MAGNITUDE = 1e100
+
+
+def check_magnitude(values: np.ndarray, what: str):
+    """Raise :class:`InputError` if the finite ``values`` hold a number past
+    ``MAX_MAGNITUDE`` in magnitude; ``what`` names them in the message."""
+    if max(values.max(initial=0.0), -values.min(initial=0.0)) > MAX_MAGNITUDE:
+        raise InputError(f"{what} exceed {MAX_MAGNITUDE:g} in magnitude")
 
 
 def _check_labels(labels, rows):
@@ -273,11 +288,9 @@ def analytic_signal(x: TimeSeries) -> AnalyticSignal:
     spectrum = np.fft.fft(s)
     gain = np.zeros(n)
     gain[0] = 1.0
+    gain[1 : (n + 1) // 2] = 2.0
     if n % 2 == 0:
-        gain[1 : n // 2] = 2.0
         gain[n // 2] = 1.0
-    else:
-        gain[1 : (n + 1) // 2] = 2.0
     z = np.fft.ifft(spectrum * gain)
     return AnalyticSignal(real_part=s.copy(), imag_part=z.imag, rate=x.rate)
 
@@ -314,9 +327,6 @@ def _extrema(s: np.ndarray):
     starts = np.concatenate(([0], change + 1))
     ends = np.concatenate((change, [n - 1]))
     vals = s[starts]
-    if vals.size < 3:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
     prev = vals[:-2]
     cur = vals[1:-1]
     nxt = vals[2:]
@@ -375,8 +385,6 @@ def envelope_pair(x: TimeSeries) -> tuple:
 
 def _zero_crossings(s: np.ndarray) -> int:
     nonzero = s[s != 0.0]
-    if nonzero.size < 2:
-        return 0
     return int(np.count_nonzero(np.signbit(nonzero[:-1]) != np.signbit(nonzero[1:])))
 
 

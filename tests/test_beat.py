@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,11 @@ class TestEstimateTempo:
     def test_envelope_too_short(self):
         with pytest.raises(NoBeats, match=r"^onset envelope too short for the tempo range$"):
             estimate_tempo(TimeSeries(np.r_[1.0, np.zeros(19)], 100.0))
+
+    def test_slowest_tempo_is_not_refined(self):
+        # the best lag is the last one, 100 envelope samples: no parabola to fit
+        env = onset_envelope(click_signal(60.0, 20.0, 22050))
+        assert estimate_tempo(env) == 60.0
 
     def test_one_spike(self):
         samples = np.zeros(1000)
@@ -397,6 +404,14 @@ class TestWavIO:
         back = read_wav(path)
         assert back.rate == 16000.0
         assert np.max(np.abs(back.samples - sig.samples)) < 1e-6
+
+    def test_chunks_after_data_are_skipped(self, tmp_path):
+        path = tmp_path / "clicks.wav"
+        write_wav_pcm16(path, click_signal(120.0, 2.0, 22050))
+        want = read_wav(path).samples
+        with open(path, "ab") as handle:
+            handle.write(b"LIST" + struct.pack("<I", 4) + b"INFO")
+        assert read_wav(path).samples.tobytes() == want.tobytes()
 
     def test_rejects_non_wav(self, tmp_path):
         path = tmp_path / "junk.wav"

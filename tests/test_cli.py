@@ -621,14 +621,14 @@ def test_zero_imf_archive_through_analyze_spectrum_and_blend(runner, tmp_path):
     assert result.output == "error: IMF index 1 outside 1..0\n"
 
 
-def _run_probe(probe, **env_overrides):
+def _run_python(*argv, **env_overrides):
     src = os.path.dirname(os.path.dirname(os.path.abspath(hhtmotion.__file__)))
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     env.update(env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
@@ -640,7 +640,12 @@ def test_import_loads_no_scipy():
         "import sys, hhtmotion.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert _run_probe(probe) == ["[]"]
+    assert _run_python("-c", probe) == ["[]"]
+
+
+def test_module_runs_as_the_command():
+    """``python -m hhtmotion.cli``, as the benchmark calls it, runs the commands."""
+    assert _run_python("-m", "hhtmotion.cli", "--version")[-1] == hhtmotion.__version__
 
 
 # prints the BLAS thread variable and the process's thread count after the import
@@ -653,7 +658,7 @@ _THREAD_PROBE = (
 
 def test_import_starts_no_blas_threads():
     """Importing the package pins OpenBLAS to one thread before numpy loads."""
-    value, threads = _run_probe(_THREAD_PROBE)
+    value, threads = _run_python("-c", _THREAD_PROBE)
     assert value == "1"
     if threads == "absent":
         pytest.skip("no /proc/self/task to count threads")
@@ -661,7 +666,7 @@ def test_import_starts_no_blas_threads():
 
 
 def test_preset_blas_threads_kept():
-    value, _ = _run_probe(_THREAD_PROBE, OPENBLAS_NUM_THREADS="2")
+    value, _ = _run_python("-c", _THREAD_PROBE, OPENBLAS_NUM_THREADS="2")
     assert value == "2"
 
 
@@ -709,6 +714,8 @@ def failure_inputs(tmp_path_factory):
     reordered["channels"].reverse()
     nan_trend = json.loads(archive.read_text())
     nan_trend["channels"][0]["trend"][5] = float("nan")
+    huge_trend = json.loads(archive.read_text())
+    huge_trend["channels"][0]["trend"][5] = 1e200
     string_trend = json.loads(archive.read_text())
     string_trend["channels"][0]["trend"][5] = "x"
     meta_list = json.loads(archive.read_text())
@@ -725,6 +732,8 @@ def failure_inputs(tmp_path_factory):
         "duplicate_label": root / "duplicate_label.json",
         "reordered": root / "reordered.json",
         "nan_trend": root / "nan_trend.json",
+        "huge_trend": root / "huge_trend.json",
+        "huge_bvh": root / "huge.bvh",
         "string_trend": root / "string_trend.json",
         "meta_list": root / "meta_list.json",
         "flat_imfs": root / "flat_imfs.json",
@@ -757,6 +766,7 @@ def failure_inputs(tmp_path_factory):
         "clicks_wav": root / "clicks.wav",
         "wav_1_hz": root / "one_hertz.wav",
         "wav_0_channels": root / "zero_channels.wav",
+        "wav_0_hz": root / "zero_hertz.wav",
         "wav_no_chunks": root / "no_chunks.wav",
         "deep": root / "deep.json",
         "deep_bvh": root / "deep.bvh",
@@ -775,10 +785,15 @@ def failure_inputs(tmp_path_factory):
     files["negative_rate"].write_text(json.dumps(negative_rate))
     files["duplicate_label"].write_text(json.dumps(duplicate_label))
     files["reordered"].write_text(json.dumps(reordered))
-    for name, obj in [("nan_trend", nan_trend), ("string_trend", string_trend),
+    for name, obj in [("nan_trend", nan_trend), ("huge_trend", huge_trend),
+                      ("string_trend", string_trend),
                       ("meta_list", meta_list), ("flat_imfs", flat_imfs)]:
         files[name].write_text(json.dumps(obj))
     files["archive_b"].write_text(json.dumps(json.loads(archive.read_text()), indent=1))
+    # two channels whose squares overflow
+    t = np.arange(400) / 40.0
+    files["huge_bvh"].write_text(bvh_text({"hips.Xrotation": 1e200 * np.sin(2 * np.pi * t),
+                                           "hips.Yrotation": 1e200 * np.cos(3 * t)}))
     files["noise_bvh"].write_text(
         bvh_text({"hips.Xrotation": np.random.default_rng(0).standard_normal(400)}))
     # a template at 1e12 fps: aligning the archives at its rate would not fit in memory
@@ -832,6 +847,8 @@ def failure_inputs(tmp_path_factory):
     # the clicks with the fmt chunk's channel count, bytes 22-23, set to 0
     clicks = files["clicks_wav"].read_bytes()
     files["wav_0_channels"].write_bytes(clicks[:22] + b"\0\0" + clicks[24:])
+    # and with its sample rate, bytes 24-27, set to 0
+    files["wav_0_hz"].write_bytes(clicks[:24] + bytes(4) + clicks[28:])
     # a RIFF/WAVE header and nothing after it
     files["wav_no_chunks"].write_bytes(b"RIFF\x04\0\0\0WAVE")
     return {name: str(path) for name, path in files.items()}
@@ -919,6 +936,15 @@ FAILURES = {
                                 "labelled twice"),
     "archive-nan-trend": (2, lambda f: ["analyze", f["nan_trend"], "--out", f["out"]],
                           "error: {nan_trend}: trends holds NaN or Inf"),
+    "archive-huge-trend": (2, lambda f: ["analyze", f["huge_trend"], "--out", f["out"]],
+                           "error: {huge_trend}: trends exceed 1e+100 in magnitude"),
+    "emd-huge-samples": (2, lambda f: ["decompose", f["huge_bvh"], "--channels",
+                                       "hips.Xrotation,hips.Yrotation", "--method", "emd",
+                                       "--out", f["out"]],
+                         "error: {huge_bvh}: samples exceed 1e+100 in magnitude"),
+    "na-memd-huge-samples": (2, lambda f: ["decompose", f["huge_bvh"], "--channels",
+                                           "hips.Xrotation,hips.Yrotation", "--out", f["out"]],
+                             "error: {huge_bvh}: samples exceed 1e+100 in magnitude"),
     "archive-string-trend": (2, lambda f: ["analyze", f["string_trend"], "--out", f["out"]],
                              "error: {string_trend}: trends holds something other than "
                              "numbers"),
@@ -1003,6 +1029,8 @@ FAILURES = {
                  "error: {wav_1_hz}: audio rate must be at least 8000 Hz, got 1"),
     "wav-0-channels": (2, lambda f: ["beats", f["wav_0_channels"], "--out", f["out"]],
                        "error: {wav_0_channels}: fmt chunk declares 0 channels"),
+    "wav-0-hz": (2, lambda f: ["beats", f["wav_0_hz"], "--out", f["out"]],
+                 "error: {wav_0_hz}: sample rate is 0"),
     "wav-no-chunks": (2, lambda f: ["beats", f["wav_no_chunks"], "--out", f["out"]],
                       "error: {wav_no_chunks}: missing fmt or data chunk"),
     "decompose-out-missing-dir": (64, lambda f: _decompose(f, out="missing_dir"), _NO_DIR),

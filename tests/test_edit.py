@@ -463,3 +463,9 @@ class TestBlendSpecJson:
             blend_spec_from_dict({"nope": []})
         with pytest.raises(BlendSpecError, match=r"^unknown operation fields: \['weird'\]$"):
             blend_spec_from_dict({"operations": [{"kind": "swap", "weird": 1}]})
+        with pytest.raises(BlendSpecError, match=r"^channels must list labels, got \[5\]$"):
+            blend_spec_from_dict({"operations": [{"kind": "swap", "channels": [5]}]})
+        with pytest.raises(BlendSpecError, match=r"^source must be 'a' or 'b', got 'c'$"):
+            blend_spec_from_dict({"operations": [{"kind": "swap", "source": "c"}]})
+        with pytest.raises(BlendSpecError, match=r"^scale needs alpha as the multiplier$"):
+            blend_spec_from_dict({"operations": [{"kind": "scale", "imfs": [1]}]})

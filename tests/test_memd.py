@@ -238,6 +238,13 @@ class TestNaMemd:
             assert all(np.array_equal(u, v) for u, v in zip(da.imfs, db.imfs))
             assert np.array_equal(da.trend, db.trend)
 
+    def test_draws_its_directions_with_its_seed(self):
+        x = self.make_two_tone()
+        got = na_memd(x, seed=3)
+        want = na_memd(x, seed=3, dirs=direction_set(3, seed=3))
+        assert got.imfs.tobytes() == want.imfs.tobytes()
+        assert got.trend.tobytes() == want.trend.tobytes()
+
     def test_meta_records_noise_settings(self):
         x = self.make_two_tone()
         md = na_memd(x, noise_pct=0.08, noise_channels=2, seed=9,

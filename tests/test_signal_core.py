@@ -103,6 +103,7 @@ class TestDecomposition:
             # numpy would keep the real parts and only warn
             (np.ones((2, 8)) * (1 + 1j), np.zeros(8), 10.0, "samples must be real numbers"),
             (np.zeros((2, 8)), np.zeros(8, dtype=complex), 10.0, "samples must be real numbers"),
+            (np.full((2, 8), -1e101), np.zeros(8), 10.0, r"samples exceed 1e\+100 in magnitude"),
         ],
     )
     def test_refuses_what_a_time_series_refuses(self, imfs, trend, rate, error):
@@ -125,6 +126,9 @@ class TestTimeSeries:
     def test_rejects_nan(self):
         with pytest.raises(InputError, match=r"^samples contain NaN or Inf$"):
             TimeSeries([0.0, np.nan, 1.0], rate=10.0)
+
+    def test_magnitude_bound_is_inclusive(self):
+        assert TimeSeries([1e100, -1e100], 10.0).samples.tolist() == [1e100, -1e100]
 
     def test_rejects_single_sample(self):
         with pytest.raises(InputError, match=r"^a time series needs at least 2 samples$"):
@@ -166,6 +170,9 @@ class TestTimeSeries:
             (np.array([1 + 1j, 2, 3, 4]), 10.0, None, "samples must be real numbers"),
             (np.ones((2, 2), dtype=complex), 10.0, ["a", "b"], "samples must be real numbers"),
             ([1.0, 2j], 10.0, None, "samples must be real numbers"),
+            # their squares would overflow
+            ([0.0, 1e200], 10.0, None, r"samples exceed 1e\+100 in magnitude"),
+            ([[-1e101, 0.0]], 10.0, ["a"], r"samples exceed 1e\+100 in magnitude"),
         ],
     )
     def test_rejects(self, samples, rate, labels, error):
@@ -561,6 +568,16 @@ class TestEmd:
         d = emd(TimeSeries(samples, 10.0))
         assert d.imfs.shape == (0, 50)
         assert np.array_equal(d.trend, samples)
+
+    def test_keeps_an_iterate_it_can_no_longer_envelope(self):
+        # the last iterate has too few extrema for envelopes but meets the
+        # IMF criteria as imf_check judges it, so it is kept as IMF 4
+        d = emd(TimeSeries(np.random.default_rng(112).standard_normal(40), 60.0))
+        assert d.imf_count == 4
+
+    def test_sd_of_a_zero_iterate_is_zero(self):
+        # nothing to normalize by: no RuntimeWarning, and no change counted
+        assert signal_core._sd(np.zeros(8), np.ones(8)) == 0.0
 
     def test_no_convergence_names_imf_and_sd(self):
         x = TimeSeries(np.random.default_rng(0).standard_normal(500), 100.0)
