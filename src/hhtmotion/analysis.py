@@ -13,8 +13,7 @@ import numpy as np
 from .errors import DegenerateSignal, InvalidValue
 from .signal_core import (
     Decomposition,
-    TimeSeries,
-    analytic_signal,
+    _analytic,
     instantaneous_attributes,
     is_number,
     require_form,
@@ -34,16 +33,18 @@ __all__ = [
 # amplitude floor relative to an IMF's peak amplitude; quieter samples carry
 # no usable phase and are excluded from weighting
 _AMP_FLOOR = 1e-9
+# an IMF carries no signal when it is under 4 samples long, or when its
+# amplitude is below this on more than half of its samples
+_SILENT = 1e-12
 
 
-def _imf_attributes(samples: np.ndarray, rate: float):
-    """``(amplitude, frequency)`` of one IMF, or None when it carries no signal."""
-    if samples.size < 4:
-        return None
-    try:
-        return instantaneous_attributes(analytic_signal(TimeSeries(samples, rate)))
-    except DegenerateSignal:
-        return None
+def _imf_attributes(d: Decomposition) -> tuple:
+    """``(amplitude, frequency, carries)`` of every IMF of ``d``, from one
+    transform: two arrays shaped like ``d.imfs`` and one boolean per IMF,
+    False for an IMF that carries no signal."""
+    amplitude, frequency = instantaneous_attributes(_analytic(d.imfs, d.rate))
+    carries = (d.n_samples >= 4) & (np.mean(amplitude < _SILENT, axis=-1) <= 0.5)
+    return amplitude, frequency, carries
 
 
 def hilbert_spectrum(
@@ -74,20 +75,16 @@ def hilbert_spectrum(
     freq_edges = np.linspace(0.0, freq_max, freq_bins + 1)
 
     energy = np.zeros((n_time, freq_bins))
-    overflow = 0.0
-    t = np.arange(n) / d.rate
-    t_idx = np.minimum((t / time_bin).astype(int), n_time - 1)
-    width = freq_max / freq_bins
-    for samples in d.imfs:
-        att = _imf_attributes(samples, d.rate)
-        if att is None:
-            continue
-        amplitude, frequency = att
-        a2 = np.square(amplitude)
-        in_range = (frequency >= 0.0) & (frequency <= freq_max)
-        overflow += float(np.sum(a2[~in_range]))
-        f_idx = np.minimum((frequency[in_range] / width).astype(int), freq_bins - 1)
-        np.add.at(energy, (t_idx[in_range], f_idx), a2[in_range])
+    amplitude, frequency, carries = _imf_attributes(d)
+    a2, frequency = np.square(amplitude[carries]), frequency[carries]
+    in_range = (frequency >= 0.0) & (frequency <= freq_max)
+    overflow = 0.0  # per-IMF sums added in IMF order, which fixes the last bits
+    for row, kept in zip(a2, in_range):
+        overflow += float(np.sum(row[~kept]))
+    t_idx = np.minimum((np.arange(n) / d.rate / time_bin).astype(int), n_time - 1)
+    f_idx = np.minimum((frequency[in_range] / (freq_max / freq_bins)).astype(int),
+                       freq_bins - 1)
+    np.add.at(energy, (np.broadcast_to(t_idx, a2.shape)[in_range], f_idx), a2[in_range])
     return energy, time_edges, freq_edges, overflow
 
 
@@ -116,19 +113,16 @@ def wafa(d: Decomposition, segments=None) -> tuple:
     n = d.trend.size
     spans = [(0, n)] if segments is None else [*segments, (0, n)]
     means = np.zeros((d.imf_count, len(spans)))
-    excluded = 0
-    for row, samples in enumerate(d.imfs):
-        att = _imf_attributes(samples, d.rate)
-        if att is None:
-            excluded += n
-            continue
-        amplitude, frequency = att
-        valid = (frequency > 0.0) & (amplitude > _AMP_FLOOR * float(np.max(amplitude)))
-        weights = np.square(amplitude)
-        excluded += int(np.count_nonzero(~valid))
+    amplitude, frequency, carries = _imf_attributes(d)
+    valid = (carries[:, None] & (frequency > 0.0)
+             & (amplitude > _AMP_FLOOR * np.max(amplitude, axis=-1, keepdims=True)))
+    weights = np.square(amplitude)
+    excluded = int(np.count_nonzero(~valid))
+    for row in range(d.imf_count):
         for col, (lo, hi) in enumerate(spans):
             cell = slice(max(lo, 0), max(hi, 0))
-            means[row, col] = _weighted_mean(weights[cell], frequency[cell], valid[cell])
+            means[row, col] = _weighted_mean(weights[row, cell], frequency[row, cell],
+                                             valid[row, cell])
     total = n * d.imf_count
     per_segment = means if segments is None else means[:, :-1]
     return per_segment, means[:, -1], excluded / total if total else 0.0

@@ -21,6 +21,7 @@ from .signal_core import (
     Decomposition,
     TimeSeries,
     channel_index,
+    check_magnitude,
     is_number,
     pad_imfs,
     require_form,
@@ -185,6 +186,8 @@ def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decompo
     returns them.  Overlapping selections compose last-writer-wins.
     ``merge`` always acts on every channel so the result stays mode-aligned,
     and on both donors too, so that IMF k names the same rows on every side.
+    An operation that takes a sample past ``MAX_MAGNITUDE`` raises
+    :class:`BlendSpecError` naming it.
     """
     for d in (a, b):
         require_form(d, True, "apply_blend")
@@ -193,28 +196,30 @@ def apply_blend(a: Decomposition, b: Decomposition, operations: list) -> Decompo
         raise ChannelError(f"IMFs shaped {a.imfs.shape} vs {b.imfs.shape}; align them first")
     imfs, trend = a.imfs.copy(), a.trend.copy()
     donors = {"a": a.imfs, "b": b.imfs}
-    for op in operations:
+    for number, op in enumerate(operations, 1):
         if op.kind == "merge":
             span = min(op.imfs), max(op.imfs)
             imfs = _merge_rows(imfs, *span)
             donors = {side: _merge_rows(d, *span) for side, d in donors.items()}
-            continue
-        names = a.labels if op.channels is None else op.channels
-        channels = [channel_index(a.labels, name) for name in names]
-        side = op.source or "b"
-        if op.kind == "trend_exchange":
-            trend[channels] = (a if side == "a" else b).trend[channels]
-            continue
-        cells = np.ix_(channels, _imf_rows(op.imfs, imfs.shape[-2]))
-        donor = donors[side]
-        if op.kind == "scale":
-            imfs[cells] *= op.alpha
-        elif op.kind == "zero":
-            imfs[cells] = 0.0
-        elif op.kind == "swap":
-            imfs[cells] = donor[cells]
         else:
-            imfs[cells] = op.alpha * imfs[cells] + (1.0 - op.alpha) * donor[cells]
+            names = a.labels if op.channels is None else op.channels
+            channels = [channel_index(a.labels, name) for name in names]
+            side = op.source or "b"
+            cells = np.ix_(channels, _imf_rows(op.imfs, imfs.shape[-2]))
+            donor = donors[side]
+            if op.kind == "trend_exchange":
+                trend[channels] = (a if side == "a" else b).trend[channels]
+            elif op.kind == "scale":
+                # an overflow leaves Inf, which the check below refuses
+                with np.errstate(over="ignore"):
+                    imfs[cells] *= op.alpha
+            elif op.kind == "zero":
+                imfs[cells] = 0.0
+            elif op.kind == "swap":
+                imfs[cells] = donor[cells]
+            else:
+                imfs[cells] = op.alpha * imfs[cells] + (1.0 - op.alpha) * donor[cells]
+        check_magnitude(imfs, f"samples after operation {number} ({op.kind})", BlendSpecError)
     return Decomposition(imfs=imfs, trend=trend, rate=a.rate, meta=dict(a.meta),
                          labels=a.labels)
 

@@ -42,5 +42,4 @@ class TooFewExtrema(HhtMotionError):
 
 
 class DegenerateSignal(HhtMotionError):
-    """Too little signal for an analysis: near-zero amplitude, or too few
-    frequencies or IMFs to compare."""
+    """Too few frequencies or IMFs to compare."""

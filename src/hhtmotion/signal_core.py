@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     ChannelError,
-    DegenerateSignal,
     InputError,
     InvalidValue,
     NoConvergence,
@@ -99,11 +98,11 @@ def _sampled(values: np.ndarray, rate) -> np.ndarray:
 MAX_MAGNITUDE = 1e100
 
 
-def check_magnitude(values: np.ndarray, what: str):
-    """Raise :class:`InputError` if the finite ``values`` hold a number past
+def check_magnitude(values: np.ndarray, what: str, error=InputError):
+    """Raise ``error`` if the NaN-free ``values`` hold a number past
     ``MAX_MAGNITUDE`` in magnitude; ``what`` names them in the message."""
     if max(values.max(initial=0.0), -values.min(initial=0.0)) > MAX_MAGNITUDE:
-        raise InputError(f"{what} exceed {MAX_MAGNITUDE:g} in magnitude")
+        raise error(f"{what} exceed {MAX_MAGNITUDE:g} in magnitude")
 
 
 def _check_labels(labels, rows):
@@ -274,41 +273,42 @@ def sum_modes(imfs: np.ndarray, trend: np.ndarray) -> np.ndarray:
 
 
 def analytic_signal(x: TimeSeries) -> AnalyticSignal:
-    """Build the analytic signal of ``x`` by the frequency-domain method.
+    """Build the analytic signal of ``x``, of one channel or of several, by
+    the frequency-domain method along the sample axis.
 
     Negative frequencies are zeroed, positive frequencies doubled, and the
     DC / Nyquist bins kept unscaled.  For band-limited discrete signals this
     equals the principal-value convolution of ``x`` with 1/(pi*t).
     """
-    require_form(x, False, "analytic_signal")
-    s = x.samples
-    n = s.size
-    if n < 4:
+    if len(x) < 4:
         raise InputError("analytic signal needs at least 4 samples")
-    spectrum = np.fft.fft(s)
+    return _analytic(x.samples, x.rate)
+
+
+def _analytic(samples: np.ndarray, rate: float) -> AnalyticSignal:
+    """:func:`analytic_signal` of ``samples`` along their last axis, at ``rate``."""
+    n = samples.shape[-1]
     gain = np.zeros(n)
     gain[0] = 1.0
     gain[1 : (n + 1) // 2] = 2.0
     if n % 2 == 0:
         gain[n // 2] = 1.0
-    z = np.fft.ifft(spectrum * gain)
-    return AnalyticSignal(real_part=s.copy(), imag_part=z.imag, rate=x.rate)
+    z = np.fft.ifft(np.fft.fft(samples) * gain)
+    return AnalyticSignal(real_part=samples.copy(), imag_part=z.imag, rate=rate)
 
 
 def instantaneous_attributes(z: AnalyticSignal) -> tuple:
-    """Per-sample ``(amplitude, frequency)`` arrays of an analytic signal.
+    """Per-sample ``(amplitude, frequency)`` arrays of an analytic signal,
+    each shaped like its parts.
 
     The amplitude is the complex magnitude; the frequency is the derivative
-    of the unwrapped phase (central differences, one-sided at the ends)
-    divided by 2*pi, in Hz.  Raises :class:`DegenerateSignal` when the
-    amplitude is negligible over most of the signal, since the phase carries
-    no information there.
+    of the unwrapped phase along the last axis (central differences,
+    one-sided at the ends) divided by 2*pi, in Hz.  Where the amplitude is
+    negligible the phase, and so the frequency, carries no information.
     """
     amp = np.hypot(z.real_part, z.imag_part)
-    if np.mean(amp < 1e-12) > 0.5:
-        raise DegenerateSignal("amplitude is near zero over most samples")
     phase = np.unwrap(np.arctan2(z.imag_part, z.real_part))
-    freq = np.gradient(phase) * z.rate / (2.0 * np.pi)
+    freq = np.gradient(phase, axis=-1) * z.rate / (2.0 * np.pi)
     return amp, freq
 
 

@@ -147,8 +147,8 @@ class TestWafa:
         assert excluded_fraction == 1.0
 
     def test_imf_under_the_amplitude_floor_is_excluded(self):
-        # instantaneous_attributes refuses the second IMF, whose amplitude is
-        # under its 1e-12 floor everywhere: the IMF counts as no signal
+        # _imf_attributes marks the second IMF as carrying no signal: its
+        # amplitude is below _SILENT (1e-12) on more than half its samples
         t = np.arange(400) / 40.0
         d = Decomposition(imfs=[np.sin(2 * np.pi * 2.0 * t), 1e-13 * np.sin(2 * np.pi * 0.5 * t)],
                           trend=np.zeros(400), rate=40.0)

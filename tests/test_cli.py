@@ -378,6 +378,26 @@ class TestAnalyze:
         assert result.exit_code == 3
 
 
+    def test_three_samples_carry_no_signal(self, runner, tmp_path):
+        # an IMF of under 4 samples carries no signal, whatever its amplitude:
+        # analyze excludes every IMF sample and writes 0 for every wafa cell
+        archive = tmp_path / "short.json"
+        archive.write_text(json.dumps({"rate": 1.0, "meta": {}, "channels": [
+            {"label": "a", "imfs": [[1.0, -1.0, 1.0], [0.5, 2.0, -1.0]],
+             "trend": [0.5, 0.5, 0.5]}]}))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"bpm": 60.0, "beats": [0.0, 1.0, 2.0]}))
+        out = tmp_path / "analysis.json"
+        result = runner.invoke(main, ["analyze", str(archive), "--beats", str(grid),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert report["summary"]["freq_range"] == [0.0, 0.0]
+        assert report["channels"][0]["wafa"] == {"per_imf_per_segment": [[0.0, 0.0], [0.0, 0.0]],
+                                                 "per_imf_overall": [0.0, 0.0],
+                                                 "excluded_fraction": 1.0}
+
+
 class TestSpectrum:
     def test_csv_and_sidecar(self, runner, tmp_path):
         bvh = make_two_tone_bvh(tmp_path / "dance.bvh")
@@ -400,18 +420,11 @@ class TestSpectrum:
         assert "freq_edges" in sidecar and "overflow" in sidecar
 
     def test_three_samples_are_too_few_for_the_transform(self, runner, tmp_path):
-        # an IMF of under 4 samples gets no Hilbert transform: analyze excludes
-        # all of it and the spectrum is empty, and both still succeed
+        # an IMF of under 4 samples carries no signal: the spectrum is empty,
+        # and spectrum still succeeds
         archive = tmp_path / "short.json"
         archive.write_text(json.dumps({"rate": 10.0, "meta": {}, "channels": [
             {"label": "a", "imfs": [[1.0, -1.0, 1.0]], "trend": [0.5, 0.5, 0.5]}]}))
-        result = runner.invoke(main, ["analyze", str(archive), "--out",
-                                      str(tmp_path / "analysis.json")])
-        assert result.exit_code == 0, result.output
-        report = json.loads((tmp_path / "analysis.json").read_text())
-        assert report["summary"]["freq_range"] == [0.0, 0.0]
-        assert report["channels"][0]["wafa"]["per_imf_overall"] == [0.0]
-        assert report["channels"][0]["wafa"]["excluded_fraction"] == 1.0
         out = tmp_path / "spec.csv"
         result = runner.invoke(main, ["spectrum", str(archive), "--out", str(out)])
         assert result.exit_code == 0, result.output
@@ -670,25 +683,26 @@ def test_preset_blas_threads_kept():
     assert value == "2"
 
 
-def test_analyze_transforms_each_imf_once(runner, failure_inputs, monkeypatch):
-    """One analytic signal per IMF per channel: the summary reuses wafa's frequencies."""
+def test_analyze_transforms_each_channel_once(runner, failure_inputs, monkeypatch):
+    """One transform of all of a channel's IMFs per channel: the summary
+    reuses wafa's frequencies."""
     import hhtmotion.analysis as analysis
 
-    original = analysis.analytic_signal
+    original = analysis._analytic
     calls = []
 
-    def counted(x):
-        calls.append(x)
-        return original(x)
+    def counted(samples, rate):
+        calls.append(samples.shape)
+        return original(samples, rate)
 
-    monkeypatch.setattr(analysis, "analytic_signal", counted)
+    monkeypatch.setattr(analysis, "_analytic", counted)
     with open(failure_inputs["archive"]) as handle:
         archive = json.load(handle)
     result = runner.invoke(main, ["analyze", failure_inputs["archive"], "--beats",
                                   failure_inputs["grid"], "--out", failure_inputs["out"]])
     assert result.exit_code == 0, result.output
-    imfs = [imf for channel in archive["channels"] for imf in channel["imfs"] if any(imf)]
-    assert len(calls) == len(imfs) > 0
+    assert calls == [np.shape(channel["imfs"]) for channel in archive["channels"]]
+    assert len(calls) == 2
 
 
 @pytest.fixture(scope="module")
@@ -716,6 +730,10 @@ def failure_inputs(tmp_path_factory):
     nan_trend["channels"][0]["trend"][5] = float("nan")
     huge_trend = json.loads(archive.read_text())
     huge_trend["channels"][0]["trend"][5] = 1e200
+    # IMFs 1 and 2 each with a sample just inside the bound, which a scale or
+    # a merge can take past it
+    huge_imf = json.loads(archive.read_text())
+    huge_imf["channels"][0]["imfs"][0][5] = huge_imf["channels"][0]["imfs"][1][5] = 9e99
     string_trend = json.loads(archive.read_text())
     string_trend["channels"][0]["trend"][5] = "x"
     meta_list = json.loads(archive.read_text())
@@ -733,6 +751,7 @@ def failure_inputs(tmp_path_factory):
         "reordered": root / "reordered.json",
         "nan_trend": root / "nan_trend.json",
         "huge_trend": root / "huge_trend.json",
+        "huge_imf": root / "huge_imf.json",
         "huge_bvh": root / "huge.bvh",
         "string_trend": root / "string_trend.json",
         "meta_list": root / "meta_list.json",
@@ -760,6 +779,9 @@ def failure_inputs(tmp_path_factory):
         "merge_one": root / "merge_one.json",
         "imf_twice": root / "imf_twice.json",
         "channel_twice": root / "channel_twice.json",
+        "scale_overflows": root / "scale_overflows.json",
+        "scale_past_bound": root / "scale_past_bound.json",
+        "merge_past_bound": root / "merge_past_bound.json",
         "bad_value_bvh": root / "bad_value.bvh",
         "overflow_frame_time_bvh": root / "overflow_frame_time.bvh",
         "wav_100_samples": root / "short.wav",
@@ -786,7 +808,7 @@ def failure_inputs(tmp_path_factory):
     files["duplicate_label"].write_text(json.dumps(duplicate_label))
     files["reordered"].write_text(json.dumps(reordered))
     for name, obj in [("nan_trend", nan_trend), ("huge_trend", huge_trend),
-                      ("string_trend", string_trend),
+                      ("huge_imf", huge_imf), ("string_trend", string_trend),
                       ("meta_list", meta_list), ("flat_imfs", flat_imfs)]:
         files[name].write_text(json.dumps(obj))
     files["archive_b"].write_text(json.dumps(json.loads(archive.read_text()), indent=1))
@@ -837,6 +859,12 @@ def failure_inputs(tmp_path_factory):
         json.dumps({"operations": [{"kind": "scale", "imfs": [1, 1], "alpha": 2.0}]}))
     files["channel_twice"].write_text(json.dumps(
         {"operations": [{"kind": "swap", "channels": ["hips.Xrotation", "hips.Xrotation"]}]}))
+    files["scale_overflows"].write_text(
+        json.dumps({"operations": [{"kind": "scale", "imfs": [1], "alpha": 1e308}]}))
+    files["scale_past_bound"].write_text(json.dumps({"operations": [
+        {"kind": "zero", "imfs": [3]}, {"kind": "scale", "imfs": [1], "alpha": 1e50}]}))
+    files["merge_past_bound"].write_text(
+        json.dumps({"operations": [{"kind": "merge", "imfs": [1, 2]}]}))
     # "oops" for a channel value on the second motion line, line 15
     files["bad_value_bvh"].write_text(MINI_BVH.replace("21.000000", "oops"))
     # a frame time of 1e-310 s on line 13: positive, but its rate overflows to inf
@@ -930,6 +958,18 @@ FAILURES = {
     "spec-source-on-zero": (6, lambda f: _blend(f, spec="source_on_zero"),
                             "error: {source_on_zero}: zero takes no source; only swap, "
                             "blend and trend_exchange do"),
+    # an operation that takes a sample past the bound, by overflow or not
+    "spec-scale-overflows": (6, lambda f: _blend(f, archive="huge_imf", spec="scale_overflows"),
+                             "error: samples after operation 1 (scale) exceed 1e+100 "
+                             "in magnitude"),
+    "spec-scale-past-the-bound": (6, lambda f: _blend(f, archive="huge_imf",
+                                                      spec="scale_past_bound"),
+                                  "error: samples after operation 2 (scale) exceed 1e+100 "
+                                  "in magnitude"),
+    "spec-merge-past-the-bound": (6, lambda f: _blend(f, archive="huge_imf",
+                                                      spec="merge_past_bound"),
+                                  "error: samples after operation 1 (merge) exceed 1e+100 "
+                                  "in magnitude"),
     "archive-duplicate-label": (2, lambda f: ["analyze", f["duplicate_label"],
                                               "--out", f["out"]],
                                 "error: {duplicate_label}: channel hips.Xrotation is "

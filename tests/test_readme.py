@@ -31,3 +31,21 @@ def test_module_table_lists_each_modules_api():
     assert len(rows) == 8
     for module, names in rows:
         assert set(re.findall(r"`(\w+)`", names)) == set(importlib.import_module(module).__all__)
+
+
+def _form_list(form):
+    """The names the README's "Which function takes which form" bullet for
+    ``form`` lists."""
+    section = README.read_text().split("Which function takes which form:", 1)[1]
+    bullet = re.search(rf"^- {form}: (.*?)(?=^- |^$)", section, re.MULTILINE | re.DOTALL)
+    return set(re.findall(r"`(\w+)`", bullet.group(1)))
+
+
+def test_form_lists_match_the_refusals():
+    """The README names, as one channel or channel axis only, exactly the
+    functions that refuse the other form."""
+    from test_signal_core import CHANNEL_AXIS_ONLY, ONE_CHANNEL_ONLY
+
+    assert _form_list("one channel") == set(ONE_CHANNEL_ONLY)
+    # memd refuses one channel by its 2-channel minimum instead
+    assert _form_list("a channel axis") == set(CHANNEL_AXIS_ONLY) | {"memd"}

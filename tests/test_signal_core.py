@@ -18,7 +18,6 @@ from hhtmotion.memd import (
 from hhtmotion import signal_core
 from hhtmotion.mocap_io import apply_channels, parse_bvh
 from hhtmotion.errors import (
-    DegenerateSignal,
     InputError,
     InvalidValue,
     NoConvergence,
@@ -198,7 +197,6 @@ def _channel_axis_decomposition():
 
 # each public function that takes one of the two forms, given the other
 ONE_CHANNEL_ONLY = {
-    "analytic_signal": lambda: analytic_signal(_channel_axis()),
     "imf_check": lambda: imf_check(_channel_axis()),
     "wafa": lambda: wafa(_channel_axis_decomposition()),
     "hilbert_spectrum": lambda: hilbert_spectrum(_channel_axis_decomposition()),
@@ -322,11 +320,40 @@ class TestInstantAttributes:
         slope = np.polyfit(interior(t), interior(frequency), 1)[0]
         assert slope == pytest.approx(0.2, rel=0.05)
 
-    def test_degenerate_signal(self):
-        z = analytic_signal(TimeSeries(np.zeros(100), rate=10.0))
-        with pytest.raises(DegenerateSignal,
-                           match=r"^amplitude is near zero over most samples$"):
-            instantaneous_attributes(z)
+    def test_silence_is_not_refused(self):
+        amplitude, frequency = instantaneous_attributes(
+            analytic_signal(TimeSeries(np.zeros(100), rate=10.0)))
+        assert not amplitude.any() and not frequency.any()
+
+
+def _rows_alone(samples, rate):
+    """Each row's analytic signal and attributes, taken one row at a time."""
+    return [(z, *instantaneous_attributes(z))
+            for z in (analytic_signal(TimeSeries(row, rate)) for row in samples)]
+
+
+class TestChannelAxisTransform:
+    """A channel axis, or any block of rows, transforms as its rows do alone."""
+
+    @staticmethod
+    def assert_rows_equal(z, rows):
+        amplitude, frequency = instantaneous_attributes(z)
+        assert amplitude.shape == frequency.shape == z.real_part.shape == (len(rows), 200)
+        for k, (z1, amplitude1, frequency1) in enumerate(rows):
+            assert np.array_equal(z.real_part[k], z1.real_part)
+            assert np.array_equal(z.imag_part[k], z1.imag_part)
+            assert np.array_equal(amplitude[k], amplitude1)
+            assert np.array_equal(frequency[k], frequency1)
+
+    def test_channel_axis(self):
+        x = _channel_axis()
+        self.assert_rows_equal(analytic_signal(x), _rows_alone(x.samples, x.rate))
+
+    def test_imf_block(self):
+        d = emd(TimeSeries(np.random.default_rng(3).standard_normal(200), 50.0))
+        assert d.imf_count > 2
+        self.assert_rows_equal(signal_core._analytic(d.imfs, d.rate),
+                               _rows_alone(d.imfs, d.rate))
 
 
 class TestFindExtrema:
